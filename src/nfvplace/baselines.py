@@ -1,6 +1,7 @@
 """Static comparison strategies: a shared cheapest-feasible main-server
-pass plus four backup-allocation disciplines, and a per-slot greedy use of
-the trellis search. All tie-breaks prefer the lowest index."""
+pass plus four backup-allocation disciplines. All tie-breaks prefer the
+lowest index. The per-slot trellis strategy shares the strategy ids but
+places through :func:`nfvplace.trellis.place_batch`."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .model import (
     service_failure_probability,
     service_usage,
 )
-from .trellis import place_batch
 
 
 class BaselineId(str, Enum):
@@ -361,37 +361,11 @@ def run_baseline(
     infra: Infrastructure,
     catalog: Catalog,
 ) -> list[BaselineOutcome]:
-    """Run one strategy over the requested services against a ledger
+    """Run one backup strategy over the requested services against a ledger
     snapshot. The ledger itself is never mutated."""
     baseline = BaselineId(baseline)
     if baseline is BaselineId.TRELLIS_GREEDY:
-        action = [0] * len(catalog)
-        for l in type_indices:
-            action[int(l)] += 1
-        arrangement = tuple(sorted(int(l) for l in type_indices))
-        result = place_batch(
-            tuple(action), arrangement, ledger.server_idle, catalog, infra
-        )
-        if not result.valid:
-            return [BaselineOutcome(int(l), None, None, None, None) for l in type_indices]
-        # re-align trellis outputs (arrangement order) with the request order
-        outcomes: list[BaselineOutcome] = []
-        by_type: dict[int, list] = {}
-        for svc in result.services:
-            by_type.setdefault(svc.type_index, []).append(svc)
-        for l in type_indices:
-            svc = by_type[int(l)].pop(0)
-            outcomes.append(
-                BaselineOutcome(
-                    type_index=svc.type_index,
-                    placement=svc.placement,
-                    cost=svc.cost,
-                    failure_prob=svc.failure_prob,
-                    usage=svc.usage,
-                )
-            )
-        return outcomes
-
+        raise ValueError("the trellis strategy places whole batches; call place_batch")
     if baseline is BaselineId.REDUNDANT_VNF:
         assignment = redundant_vnf_place(type_indices, ledger, infra, catalog)
         return finalize(assignment, infra, catalog, type_indices)

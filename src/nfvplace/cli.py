@@ -55,7 +55,7 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.mdp.seed if args.seed is None else args.seed
     space = build_state_space(cfg.service_types, cap=cfg.mdp.state_space_cap)
-    model = TransitionModel(space, cfg.service_types, mode=cfg.mdp.departure_mode)
+    model = TransitionModel(space, cfg.service_types)
     policy = value_iteration(
         space,
         model,

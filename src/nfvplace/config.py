@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import DEFAULT_STATE_CAP, DEPARTURE_MODES
+from .mdp import DEFAULT_STATE_CAP
 from .model import DEFAULT_PENALTY, InP, Infrastructure, ServiceType, VnfSpec
 from .policy import (
     DEFAULT_ALPHA_INIT,
@@ -33,7 +33,6 @@ class MdpParams:
     num_arrangements: int = DEFAULT_NUM_ARRANGEMENTS
     alpha_init: float = DEFAULT_ALPHA_INIT
     estimate_discount: float = DEFAULT_ESTIMATE_DISCOUNT
-    departure_mode: str = "binomial"
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     state_space_cap: int = DEFAULT_STATE_CAP
     seed: int = 0
@@ -84,7 +83,10 @@ def _expand_link_table(spec, inps: list[InP], path: str, default_missing: float 
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
     if "matrix" in spec:
-        mat = np.asarray(spec["matrix"], dtype=float)
+        try:
+            mat = np.asarray(spec["matrix"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.matrix: expected a numeric table ({exc})") from exc
         if mat.shape != (total, total):
             raise ConfigError(f"{path}.matrix: expected a {total}x{total} table")
         return mat
@@ -206,7 +208,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("mdp: expected an object")
     known = {
         "gamma", "epsilon", "num_arrangements", "alpha_init", "estimate_discount",
-        "departure_mode", "max_iterations", "state_space_cap", "seed",
+        "max_iterations", "state_space_cap", "seed",
     }
     for key in mdp_spec:
         if key not in known:
@@ -224,7 +226,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         estimate_discount=_number(
             mdp_spec.get("estimate_discount", DEFAULT_ESTIMATE_DISCOUNT), "mdp.estimate_discount"
         ),
-        departure_mode=str(mdp_spec.get("departure_mode", "binomial")),
         max_iterations=_integer(
             mdp_spec.get("max_iterations", DEFAULT_MAX_ITERATIONS), "mdp.max_iterations"
         ),
@@ -233,10 +234,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         ),
         seed=_integer(mdp_spec.get("seed", 0), "mdp.seed"),
     )
-    if mdp.departure_mode not in DEPARTURE_MODES:
-        raise ConfigError(
-            f"mdp.departure_mode: {mdp.departure_mode!r} not one of {DEPARTURE_MODES}"
-        )
     if not 0.0 < mdp.gamma < 1.0:
         raise ConfigError("mdp.gamma: must lie in (0, 1)")
 
@@ -315,7 +312,6 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
             "num_arrangements": cfg.mdp.num_arrangements,
             "alpha_init": cfg.mdp.alpha_init,
             "estimate_discount": cfg.mdp.estimate_discount,
-            "departure_mode": cfg.mdp.departure_mode,
             "max_iterations": cfg.mdp.max_iterations,
             "state_space_cap": cfg.mdp.state_space_cap,
             "seed": cfg.mdp.seed,

@@ -19,17 +19,19 @@ from .model import Catalog
 
 DEFAULT_STATE_CAP = 2_000_000
 
-DEPARTURE_MODES = ("binomial", "literal")
-
 
 class StateSpace:
-    """Index arithmetic over arrival and active-count vectors."""
+    """Index arithmetic over arrival and active-count vectors, bounded per
+    service type by ``sigma_max`` active services and ``lambda_max``
+    arrivals."""
 
-    def __init__(self, catalog: Catalog, cap: int = DEFAULT_STATE_CAP) -> None:
-        if not catalog:
-            raise ValueError("catalog must not be empty")
-        self.sigma_max = tuple(int(t.sigma_max) for t in catalog)
-        self.lambda_max = tuple(int(t.lambda_max) for t in catalog)
+    def __init__(self, sigma_max: Sequence[int], lambda_max: Sequence[int]) -> None:
+        self.sigma_max = tuple(int(m) for m in sigma_max)
+        self.lambda_max = tuple(int(m) for m in lambda_max)
+        if not self.sigma_max or len(self.sigma_max) != len(self.lambda_max):
+            raise ValueError("need one active and one arrival bound per service type")
+        if min(self.sigma_max + self.lambda_max) < 0:
+            raise ValueError("state-space bounds must be non-negative")
         self.active_sizes = tuple(m + 1 for m in self.sigma_max)
         self.arrival_sizes = tuple(m + 1 for m in self.lambda_max)
         self.active_strides = _strides(self.active_sizes)
@@ -37,27 +39,6 @@ class StateSpace:
         self.num_active = math.prod(self.active_sizes)
         self.num_arrival = math.prod(self.arrival_sizes)
         self.size = self.num_active * self.num_arrival
-        if self.size > cap:
-            raise ValueError(
-                f"state space has {self.size} states, above the cap of {cap}"
-            )
-
-    @classmethod
-    def from_bounds(
-        cls, sigma_max: Sequence[int], lambda_max: Sequence[int]
-    ) -> "StateSpace":
-        """Rebuild an index space from stored bounds, e.g. a policy artifact."""
-        space = cls.__new__(cls)
-        space.sigma_max = tuple(int(m) for m in sigma_max)
-        space.lambda_max = tuple(int(m) for m in lambda_max)
-        space.active_sizes = tuple(m + 1 for m in space.sigma_max)
-        space.arrival_sizes = tuple(m + 1 for m in space.lambda_max)
-        space.active_strides = _strides(space.active_sizes)
-        space.arrival_strides = _strides(space.arrival_sizes)
-        space.num_active = math.prod(space.active_sizes)
-        space.num_arrival = math.prod(space.arrival_sizes)
-        space.size = space.num_active * space.num_arrival
-        return space
 
     @property
     def num_types(self) -> int:
@@ -138,36 +119,36 @@ def _unpack(flat: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def build_state_space(catalog: Catalog, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    return StateSpace(catalog, cap)
+    """Index space spanned by a catalog's bounds; refuses more than ``cap`` states."""
+    space = StateSpace([t.sigma_max for t in catalog], [t.lambda_max for t in catalog])
+    if space.size > cap:
+        raise ValueError(f"state space has {space.size} states, above the cap of {cap}")
+    return space
+
+
+def _binomial_term(j: int, k: int, d: float) -> float:
+    """Probability that exactly ``k`` of ``j`` services survive a slot in
+    which each departs independently with probability ``d``."""
+    return math.comb(j, k) * d ** (j - k) * (1.0 - d) ** k
 
 
 def departure_prob(
     source: Sequence[int],
     survivors: Sequence[int],
     catalog: Catalog,
-    mode: str = "binomial",
 ) -> float:
     """Probability that ``source`` active services thin down to ``survivors``.
 
-    Each active service departs independently with its type's probability.
-    The default mode uses the full binomial law; the "literal" mode keeps
-    only the bare geometric factor d^(departures) without combinatorial
-    normalization, retained for auditing older results, and its rows do not
-    sum to one.
+    Each active service departs independently with its type's probability,
+    so each type contributes one binomial factor.
     """
-    if mode not in DEPARTURE_MODES:
-        raise ValueError(f"unknown departure mode {mode!r}")
     if len(source) != len(catalog) or len(survivors) != len(catalog):
         raise ValueError("vector lengths must match the catalog")
     p = 1.0
     for j, k, stype in zip(source, survivors, catalog):
         if k > j or k < 0 or j < 0:
             return 0.0
-        d = stype.departure_prob
-        if mode == "binomial":
-            p *= math.comb(j, k) * d ** (j - k) * (1.0 - d) ** k
-        else:
-            p *= d ** (j - k)
+        p *= _binomial_term(j, k, stype.departure_prob)
     return p
 
 
@@ -191,12 +172,9 @@ class TransitionModel:
     over arrival ordinals.
     """
 
-    def __init__(self, space: StateSpace, catalog: Catalog, mode: str = "binomial") -> None:
-        if mode not in DEPARTURE_MODES:
-            raise ValueError(f"unknown departure mode {mode!r}")
+    def __init__(self, space: StateSpace, catalog: Catalog) -> None:
         self.space = space
         self.catalog = catalog
-        self.mode = mode
         pmfs = [np.asarray(t.arrival_pmf, dtype=float) for t in catalog]
         self.arrival_probs = reduce(np.kron, reversed(pmfs))
         self.arrival_probs.setflags(write=False)
@@ -212,13 +190,9 @@ class TransitionModel:
             for j, stype, size in zip(key, self.catalog, self.space.active_sizes):
                 if not 0 <= j < size:
                     raise ValueError(f"source count {j} out of range")
-                d = stype.departure_prob
                 vec = np.zeros(size)
                 for k in range(j + 1):
-                    if self.mode == "binomial":
-                        vec[k] = math.comb(j, k) * d ** (j - k) * (1.0 - d) ** k
-                    else:
-                        vec[k] = d ** (j - k)
+                    vec[k] = _binomial_term(j, k, stype.departure_prob)
                 per_type.append(vec)
             row = reduce(np.kron, reversed(per_type))
             row.setflags(write=False)

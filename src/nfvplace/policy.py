@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -81,12 +81,6 @@ class ResourceEstimator:
         np.clip(blended, 0.0, self.capacity, out=blended)
         self.estimates[idx] = blended
         self.alpha[idx] *= self.discount
-
-
-def update_resource_estimate(
-    estimator: ResourceEstimator, eta_next: int, source: np.ndarray, usage: np.ndarray
-) -> None:
-    estimator.update(eta_next, source, usage)
 
 
 def realized_action(
@@ -163,26 +157,23 @@ class Policy:
     epsilon: float
     seed: int
     num_arrangements: int
-    departure_mode: str
     iterations: int
     converged: bool
     mean_value_trace: list[float]
     sup_diff_trace: list[float]
     fingerprint: str | None = None
-    _space: StateSpace = field(default=None, repr=False, compare=False)
+    _space: StateSpace = field(init=False, repr=False, compare=False)
 
-    def _resolve_space(self) -> StateSpace:
-        if self._space is None:
-            raise RuntimeError("policy has no index space attached")
-        return self._space
+    def __post_init__(self) -> None:
+        self._space = StateSpace(self.sigma_max, self.lambda_max)
 
     def lookup(self, lam: Sequence[int], sigma: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Admission vector and service order for one observed state."""
-        sid = self._resolve_space().state_id(lam, sigma)
+        sid = self._space.state_id(lam, sigma)
         return self.actions[sid], self.arrangements[sid]
 
     def value(self, lam: Sequence[int], sigma: Sequence[int]) -> float:
-        return float(self.values[self._resolve_space().state_id(lam, sigma)])
+        return float(self.values[self._space.state_id(lam, sigma)])
 
     def save(self, path) -> None:
         payload = {
@@ -195,7 +186,6 @@ class Policy:
             "epsilon": self.epsilon,
             "seed": self.seed,
             "num_arrangements": self.num_arrangements,
-            "departure_mode": self.departure_mode,
             "iterations": self.iterations,
             "converged": self.converged,
             "mean_value_trace": self.mean_value_trace,
@@ -210,35 +200,48 @@ class Policy:
 
     @classmethod
     def load(cls, path) -> "Policy":
+        """Read an artifact written by :meth:`save`; every malformed field
+        raises ``ValueError`` naming it."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != POLICY_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != POLICY_FORMAT:
             raise ValueError("not a policy artifact")
         if payload.get("version") != POLICY_VERSION:
             raise ValueError(f"unsupported policy version {payload.get('version')}")
-        policy = cls(
-            sigma_max=tuple(payload["sigma_max"]),
-            lambda_max=tuple(payload["lambda_max"]),
-            actions=[tuple(a) for a in payload["actions"]],
-            arrangements=[tuple(r) for r in payload["arrangements"]],
-            values=np.asarray(payload["values"], dtype=float),
-            gamma=float(payload["gamma"]),
-            epsilon=float(payload["epsilon"]),
-            seed=int(payload["seed"]),
-            num_arrangements=int(payload["num_arrangements"]),
-            departure_mode=str(payload["departure_mode"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            mean_value_trace=[float(v) for v in payload["mean_value_trace"]],
-            sup_diff_trace=[float(v) for v in payload["sup_diff_trace"]],
-            fingerprint=payload.get("fingerprint"),
-        )
-        policy.attach_bounds()
+        # artifacts from older releases record the departure law they were solved under
+        mode = payload.get("departure_mode", "binomial")
+        if mode != "binomial":
+            raise ValueError(f"departure_mode: {mode!r} is not the binomial departure law")
+        for f in fields(cls):
+            if f.init and f.default is MISSING and f.name not in payload:
+                raise ValueError(f"{f.name}: missing from policy artifact {path}")
+        try:
+            policy = cls(
+                sigma_max=tuple(payload["sigma_max"]),
+                lambda_max=tuple(payload["lambda_max"]),
+                actions=[tuple(a) for a in payload["actions"]],
+                arrangements=[tuple(r) for r in payload["arrangements"]],
+                values=np.array([float(v) for v in payload["values"]]),
+                gamma=float(payload["gamma"]),
+                epsilon=float(payload["epsilon"]),
+                seed=int(payload["seed"]),
+                num_arrangements=int(payload["num_arrangements"]),
+                iterations=int(payload["iterations"]),
+                converged=bool(payload["converged"]),
+                mean_value_trace=[float(v) for v in payload["mean_value_trace"]],
+                sup_diff_trace=[float(v) for v in payload["sup_diff_trace"]],
+                fingerprint=payload.get("fingerprint"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"policy artifact {path}: {exc}") from exc
+        for key in ("actions", "arrangements", "values"):
+            count = len(getattr(policy, key))
+            if count != policy._space.size:
+                raise ValueError(
+                    f"{key}: {count} entries in policy artifact {path}, "
+                    f"expected one per state ({policy._space.size})"
+                )
         return policy
-
-    def attach_bounds(self) -> None:
-        """Rebuild the index space from the stored bounds."""
-        self._space = StateSpace.from_bounds(self.sigma_max, self.lambda_max)
 
 
 def catalog_fingerprint(infra_section: dict, types_section: list) -> str:
@@ -369,7 +372,7 @@ def value_iteration(
             converged = True
             break
 
-    policy = Policy(
+    return Policy(
         sigma_max=space.sigma_max,
         lambda_max=space.lambda_max,
         actions=best_actions,
@@ -379,12 +382,9 @@ def value_iteration(
         epsilon=float(epsilon),
         seed=seed,
         num_arrangements=num_arrangements,
-        departure_mode=model.mode,
         iterations=iterations,
         converged=converged,
         mean_value_trace=mean_trace,
         sup_diff_trace=diff_trace,
         fingerprint=fingerprint,
     )
-    policy._space = space
-    return policy

@@ -43,7 +43,7 @@ def _report(num, name, detail):
 def reduced_policy(reduced):
     infra, catalog = reduced
     space = nv.build_state_space(catalog)
-    model = nv.TransitionModel(space, catalog, mode="binomial")
+    model = nv.TransitionModel(space, catalog)
     policy = nv.value_iteration(space, model, catalog, infra, seed=42)
     assert policy.converged
     return policy
@@ -79,7 +79,7 @@ def test_02_transition_rows_are_stochastic(bundled):
     t0 = time.perf_counter()
     space = nv.build_state_space(catalog)
     assert space.size == 104976
-    model = nv.TransitionModel(space, catalog, mode="binomial")
+    model = nv.TransitionModel(space, catalog)
     rng = np.random.default_rng(42)
     worst = 0.0
     lam = sigma = realized = source = None
@@ -204,7 +204,7 @@ def test_04_trellis_never_beats_the_oracle():
 def test_05_value_iteration_contracts_to_the_fixed_point():
     infra, catalog = contraction_setup()
     space = nv.build_state_space(catalog)
-    model = nv.TransitionModel(space, catalog, mode="binomial")
+    model = nv.TransitionModel(space, catalog)
     policy = nv.value_iteration(
         space, model, catalog, infra, gamma=0.9, epsilon=1e-12, seed=1
     )
@@ -223,7 +223,7 @@ def test_05_value_iteration_contracts_to_the_fixed_point():
 
     infra2, catalog2 = analytic_setup()
     space2 = nv.build_state_space(catalog2)
-    model2 = nv.TransitionModel(space2, catalog2, mode="binomial")
+    model2 = nv.TransitionModel(space2, catalog2)
     pol2 = nv.value_iteration(
         space2, model2, catalog2, infra2, gamma=0.9, epsilon=1e-12, seed=0
     )
@@ -246,7 +246,7 @@ def test_06_value_direction_under_reward_and_beta(reduced):
 
     def mean_value(infra_, catalog_, seed):
         space = nv.build_state_space(catalog_)
-        model = nv.TransitionModel(space, catalog_, mode="binomial")
+        model = nv.TransitionModel(space, catalog_)
         pol = nv.value_iteration(space, model, catalog_, infra_, seed=seed)
         assert pol.converged
         return float(np.mean(pol.values))
@@ -282,6 +282,7 @@ def test_06_value_direction_under_reward_and_beta(reduced):
     )
 
 
+@pytest.mark.slow
 def test_07_policy_beats_per_slot_placement(reduced, reduced_policy):
     infra, catalog = reduced
     t0 = time.perf_counter()
@@ -312,6 +313,7 @@ def test_07_policy_beats_per_slot_placement(reduced, reduced_policy):
     )
 
 
+@pytest.mark.slow
 def test_08_baseline_ordering_under_scarcity(reduced):
     infra, catalog = reduced
     t0 = time.perf_counter()

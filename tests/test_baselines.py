@@ -25,6 +25,12 @@ class TestIds:
         with pytest.raises((ValueError, KeyError)):
             nv.run_baseline("cheapest", [0], nv.ResourceLedger.full(infra), infra, catalog)
 
+    def test_trellis_id_is_not_a_backup_baseline(self, tiny2):
+        # the simulator places the trellis strategy through place_batch
+        infra, catalog = tiny2
+        with pytest.raises(ValueError):
+            nv.run_baseline("trellis", [0], nv.ResourceLedger.full(infra), infra, catalog)
+
 
 class TestGreedyMains:
     def test_tiny_instance_picks_cheap_server(self, tiny2):

@@ -116,6 +116,35 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert "fingerprint" in err["message"]
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("actions", lambda p: p.pop("actions")),
+            ("actions", lambda p: p["actions"].pop()),
+            ("arrangements", lambda p: p["arrangements"].pop()),
+            ("values", lambda p: p["values"].pop()),
+            ("departure_mode", lambda p: p.update(departure_mode="literal")),
+        ],
+        ids=["missing-actions", "short-actions", "short-arrangements", "short-values", "literal"],
+    )
+    def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):
+        pol = tmp_path / "p.json"
+        assert main(["solve", "--config", cfg_path, "--out", str(pol)]) == 0
+        payload = json.loads(pol.read_text())
+        edit(payload)
+        pol.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main([
+            "simulate", "--config", cfg_path, "--strategy", "mdp",
+            "--policy", str(pol), "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{field}:")
+
     def test_unknown_strategy_rejected_by_parser(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--config", cfg_path, "--strategy", "best", "--out", str(tmp_path / "x.csv")])
@@ -196,6 +225,19 @@ class TestErrors:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("table", ["link_cost", "link_bandwidth"])
+    def test_non_numeric_link_table_exits_two(self, tmp_path, capsys, table):
+        cfg = small_config_dict()
+        cfg["infrastructure"][table] = {"matrix": [[0.0, "x"], ["x", 0.0]]}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"infrastructure.{table}.matrix:")
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -51,10 +51,13 @@ class TestDiagnostics:
             nv.parse_config(base)
         assert "explore" in str(err.value)
 
-    def test_bad_departure_mode_rejected(self, base):
-        base["mdp"]["departure_mode"] = "geometric"
-        with pytest.raises(nv.ConfigError):
+    @pytest.mark.parametrize("mode", ["geometric", "literal", "binomial"])
+    def test_bad_departure_mode_rejected(self, base, mode):
+        # only the binomial departure law exists, so the key itself is unknown
+        base["mdp"]["departure_mode"] = mode
+        with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(base)
+        assert "mdp.departure_mode" in str(err.value)
 
     def test_negative_capacity_rejected(self, base):
         base["infrastructure"]["inps"][0]["servers"][0][0] = -5

@@ -26,7 +26,7 @@ def uniform_type(pmf, d=0.5, sigma_max=5, q=10.0, name="u"):
 
 class TestStateSpace:
     def test_active_ordinals_are_one_based_mixed_radix(self):
-        space = nv.StateSpace.from_bounds((5, 5), (2, 2))
+        space = nv.StateSpace((5, 5), (2, 2))
         assert space.active_index((0, 0)) == 1
         assert space.active_index((2, 3)) == 21
         assert space.active_vector(21) == (2, 3)
@@ -48,23 +48,23 @@ class TestStateSpace:
     def test_cap_enforced(self, bundled):
         _, catalog = bundled
         with pytest.raises(ValueError):
-            nv.StateSpace(catalog, cap=104975)
+            nv.build_state_space(catalog, cap=104975)
 
     def test_feasible_actions_enumeration(self):
-        space = nv.StateSpace.from_bounds((5, 5), (2, 2))
+        space = nv.StateSpace((5, 5), (2, 2))
         acts = space.feasible_actions((2, 1), (4, 0))
         assert acts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_no_arrivals_only_zero_action(self):
-        space = nv.StateSpace.from_bounds((5, 5), (2, 2))
+        space = nv.StateSpace((5, 5), (2, 2))
         assert space.feasible_actions((0, 0), (3, 3)) == [(0, 0)]
 
     def test_full_registers_only_zero_action(self):
-        space = nv.StateSpace.from_bounds((5, 5), (2, 2))
+        space = nv.StateSpace((5, 5), (2, 2))
         assert space.feasible_actions((2, 2), (5, 5)) == [(0, 0)]
 
     def test_actions_never_overflow(self):
-        space = nv.StateSpace.from_bounds((3, 2), (2, 1))
+        space = nv.StateSpace((3, 2), (2, 1))
         for sid in range(space.size):
             lam, sigma = space.state_of(sid)
             for act in space.feasible_actions(lam, sigma):
@@ -95,25 +95,13 @@ class TestDepartures:
         t = (uniform_type((0.5, 0.5), d=0.5),)
         assert nv.departure_prob((3,), (1,), t) == pytest.approx(0.375)
 
-    def test_literal_point(self):
-        t = (uniform_type((0.5, 0.5), d=0.5),)
-        assert nv.departure_prob((3,), (1,), t, "literal") == pytest.approx(0.25)
-
     def test_all_survive(self):
         t = (uniform_type((0.5, 0.5), d=0.5),)
         assert nv.departure_prob((3,), (3,), t) == pytest.approx((1 - 0.5) ** 3)
-        # the literal kernel keeps no binomial weight, so keeping all three
-        # alive carries d^0
-        assert nv.departure_prob((3,), (3,), t, "literal") == pytest.approx(1.0)
 
     def test_more_survivors_than_sources_impossible(self):
         t = (uniform_type((0.5, 0.5), d=0.5),)
         assert nv.departure_prob((1,), (2,), t) == 0.0
-
-    def test_unknown_mode_rejected(self):
-        t = (uniform_type((0.5, 0.5), d=0.5),)
-        with pytest.raises(ValueError):
-            nv.departure_prob((1,), (0,), t, "geometric")
 
     @given(
         j=st.integers(min_value=0, max_value=5),
@@ -125,12 +113,6 @@ class TestDepartures:
         space = nv.build_state_space(t)
         model = nv.TransitionModel(space, t)
         assert model.departure_row((j,)).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_literal_rows_are_not_stochastic(self):
-        t = (uniform_type((0.5, 0.5), d=0.5),)
-        space = nv.build_state_space(t)
-        model = nv.TransitionModel(space, t, "literal")
-        assert model.departure_row((3,)).sum() == pytest.approx(1.875)
 
     def test_support_shrinks_with_smaller_source(self):
         # dropping one admitted service can only remove destinations

@@ -1,5 +1,6 @@
 """Resource estimation, arrangement sampling, and value iteration."""
 
+import json
 import math
 
 import numpy as np
@@ -165,11 +166,24 @@ class TestPolicyArtifact:
         loaded = nv.Policy.load(path)
         assert loaded.fingerprint == "abc123"
         assert loaded.gamma == policy.gamma
-        assert loaded.departure_mode == policy.departure_mode
         assert np.array_equal(loaded.values, policy.values)
         for lam in ((0,), (1,)):
             for sigma in ((0,), (1,)):
                 assert loaded.lookup(lam, sigma) == policy.lookup(lam, sigma)
+
+    def test_binomial_artifact_from_older_release_loads(self, tmp_path):
+        # artifacts written before the departure law was fixed name it
+        infra, catalog = analytic_setup()
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=0)
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        payload = json.loads(path.read_text())
+        payload["departure_mode"] = "binomial"
+        path.write_text(json.dumps(payload))
+        loaded = nv.Policy.load(path)
+        assert loaded.actions == policy.actions
+        assert np.array_equal(loaded.values, policy.values)
 
     def test_lookup_validates_bounds(self):
         infra, catalog = analytic_setup()
