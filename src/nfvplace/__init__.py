@@ -26,6 +26,7 @@ from .model import (
     InP,
     Infrastructure,
     LedgerError,
+    PlacedService,
     PlacementPlan,
     ResourceLedger,
     ServicePlacement,
@@ -56,7 +57,7 @@ from .sim import (
     sample_arrivals,
     sample_departures,
 )
-from .trellis import PlacedService, TrellisPlacement, TrellisResult, place_batch
+from .trellis import TrellisPlacement, TrellisResult, place_batch
 
 __version__ = "0.1.0"
 

@@ -17,6 +17,7 @@ from .model import (
     ResourceLedger,
     ServicePlacement,
     VnfPlacement,
+    VnfSpec,
     service_cost,
     service_failure_probability,
     service_usage,
@@ -36,27 +37,14 @@ class ServiceBuild:
     """Mutable assignment of one service while a strategy works on it."""
 
     type_index: int
-    mains: list[int]
+    mains: list[int] = field(default_factory=list)
     backups: list[int | None] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.backups:
-            self.backups = [None] * len(self.mains)
 
     def placement(self) -> ServicePlacement:
         return ServicePlacement(
             self.type_index,
             tuple(VnfPlacement(m, b) for m, b in zip(self.mains, self.backups)),
         )
-
-
-@dataclass
-class MainAssignment:
-    """Result of a placement pass: per-service builds (None = rejected) and
-    the idle stock left over."""
-
-    services: list[ServiceBuild | None]
-    idle: np.ndarray
 
 
 @dataclass
@@ -78,55 +66,61 @@ def _demand(catalog: Catalog, l: int, u: int) -> np.ndarray:
     return np.asarray(catalog[l].vnfs[u].demands, dtype=np.int64)
 
 
-def _main_cost(infra: Infrastructure, catalog: Catalog, l: int, u: int, srv: int, prev: int | None) -> float:
-    stype = catalog[l]
-    spec = stype.vnfs[u]
+def _server_charge(infra: Infrastructure, spec: VnfSpec, srv: int) -> float:
+    """Server and deployment charge of hosting one VNF on ``srv``."""
     inp = int(infra.server_inp[srv])
     cost = float(np.asarray(spec.demands, dtype=float) @ infra.unit_cost[inp])
-    cost += float(infra.deployment_cost[inp, spec.vnf_type])
-    if prev is not None:
-        cost += stype.bandwidth * float(infra.link_cost[prev, srv])
+    return cost + float(infra.deployment_cost[inp, spec.vnf_type])
+
+
+def _backup_cost(
+    build: ServiceBuild, u: int, srv: int, infra: Infrastructure, catalog: Catalog
+) -> float:
+    """Placement cost added by giving VNF u a backup on srv."""
+    stype = catalog[build.type_index]
+    cost = _server_charge(infra, stype.vnfs[u], srv)
+    for v in (u - 1, u + 1):
+        if 0 <= v < len(build.mains):
+            for neighbor in (build.mains[v], build.backups[v]):
+                if neighbor is not None:
+                    cost += stype.bandwidth * float(infra.link_cost[neighbor, srv])
     return cost
 
 
-def _place_mains_one(
+def _release(build: ServiceBuild, idle: np.ndarray, catalog: Catalog) -> None:
+    """Return every server the build holds to the idle stock."""
+    for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
+        for srv in (main, backup):
+            if srv is not None:
+                idle[srv] += _demand(catalog, build.type_index, u)
+
+
+def _place_mains(
     l: int, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
 ) -> ServiceBuild | None:
     """Cheapest-feasible main for each VNF in chain order; None on failure,
     with any partial usage rolled back."""
-    mains: list[int] = []
-    prev: int | None = None
-    for u in range(catalog[l].num_vnfs):
+    stype = catalog[l]
+    build = ServiceBuild(l)
+    for u, spec in enumerate(stype.vnfs):
         r = _demand(catalog, l, u)
         best = None
         best_cost = np.inf
         for srv in range(infra.num_servers):
             if np.all(idle[srv] >= r):
-                cost = _main_cost(infra, catalog, l, u, srv, prev)
+                cost = _server_charge(infra, spec, srv)
+                if build.mains:
+                    cost += stype.bandwidth * float(infra.link_cost[build.mains[-1], srv])
                 if cost < best_cost:
                     best_cost = cost
                     best = srv
         if best is None:
-            for placed_u, srv in enumerate(mains):
-                idle[srv] += _demand(catalog, l, placed_u)
+            _release(build, idle, catalog)
             return None
         idle[best] -= r
-        mains.append(best)
-        prev = best
-    return ServiceBuild(l, mains)
-
-
-def greedy_main_placement(
-    type_indices: Sequence[int],
-    ledger: ResourceLedger,
-    infra: Infrastructure,
-    catalog: Catalog,
-) -> MainAssignment:
-    """Place main servers for each requested service in order. A service
-    whose chain cannot be completed is rejected whole."""
-    idle = ledger.server_idle.copy()
-    builds = [_place_mains_one(int(l), idle, infra, catalog) for l in type_indices]
-    return MainAssignment(builds, idle)
+        build.mains.append(best)
+        build.backups.append(None)
+    return build
 
 
 def _failure_with_backup(
@@ -140,21 +134,16 @@ def _failure_with_backup(
         build.backups[u] = saved
 
 
-def _backup_increment_cost(
-    build: ServiceBuild, u: int, srv: int, infra: Infrastructure, catalog: Catalog
-) -> float:
-    """Placement cost added by giving VNF u a backup on srv."""
-    stype = catalog[build.type_index]
-    spec = stype.vnfs[u]
-    inp = int(infra.server_inp[srv])
-    cost = float(np.asarray(spec.demands, dtype=float) @ infra.unit_cost[inp])
-    cost += float(infra.deployment_cost[inp, spec.vnf_type])
-    for v in (u - 1, u + 1):
-        if 0 <= v < len(build.mains):
-            for neighbor in (build.mains[v], build.backups[v]):
-                if neighbor is not None:
-                    cost += stype.bandwidth * float(infra.link_cost[neighbor, srv])
-    return cost
+def _backup_hosts(
+    build: ServiceBuild, u: int, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
+) -> list[int]:
+    """Servers other than VNF u's main with room for its demand."""
+    r = _demand(catalog, build.type_index, u)
+    return [
+        srv
+        for srv in range(infra.num_servers)
+        if srv != build.mains[u] and np.all(idle[srv] >= r)
+    ]
 
 
 def _choose_backup(
@@ -163,12 +152,7 @@ def _choose_backup(
     """Cheapest backup that meets the service target, else the most
     reliable feasible server, else None."""
     stype = catalog[build.type_index]
-    r = _demand(catalog, build.type_index, u)
-    feasible = [
-        srv
-        for srv in range(infra.num_servers)
-        if srv != build.mains[u] and np.all(idle[srv] >= r)
-    ]
+    feasible = _backup_hosts(build, u, idle, infra, catalog)
     if not feasible:
         return None
     sufficient = [
@@ -179,179 +163,95 @@ def _choose_backup(
     if sufficient:
         return min(
             sufficient,
-            key=lambda srv: (_backup_increment_cost(build, u, srv, infra, catalog), srv),
+            key=lambda srv: (_backup_cost(build, u, srv, infra, catalog), srv),
         )
     return min(feasible, key=lambda srv: (infra.server_failure(srv), srv))
 
 
-def _backup_pass(
-    assignment: MainAssignment,
+def _smallest_demand_first(build: ServiceBuild, u: int, infra: Infrastructure, catalog: Catalog) -> int:
+    """min_resource: protect the VNF with the smallest total demand first."""
+    return int(_demand(catalog, build.type_index, u).sum())
+
+
+def _least_reliable_first(build: ServiceBuild, u: int, infra: Infrastructure, catalog: Catalog) -> float:
+    """min_reliability and redundant_vnf: protect the VNF most likely to fail first."""
+    return -infra.server_failure(build.mains[u])
+
+
+def _protect_ranked(
+    build: ServiceBuild,
+    idle: np.ndarray,
     infra: Infrastructure,
     catalog: Catalog,
-    pick_vnf,
-) -> MainAssignment:
-    """Shared loop: repeatedly pick a backup-less VNF and protect it until
-    the service meets its target or no VNF can be protected."""
-    idle = assignment.idle
-    for build in assignment.services:
-        if build is None:
+    rank,
+    abandon: bool = False,
+) -> bool:
+    """Back up the backup-less VNF that ``rank`` orders first, ties to the
+    lowest index, until the service meets its target. A VNF with no backup
+    host is skipped, or with ``abandon`` ends the attempt. Returns whether
+    the target was met."""
+    stype = catalog[build.type_index]
+    blocked: set[int] = set()
+    while service_failure_probability(build.placement().vnfs, infra) > stype.failure_cap:
+        candidates = [
+            u for u in range(len(build.mains))
+            if build.backups[u] is None and u not in blocked
+        ]
+        if not candidates:
+            return False
+        u = min(candidates, key=lambda u: (rank(build, u, infra, catalog), u))
+        srv = _choose_backup(build, u, idle, infra, catalog)
+        if srv is None:
+            if abandon:
+                return False
+            blocked.add(u)
             continue
-        stype = catalog[build.type_index]
-        blocked: set[int] = set()
-        while True:
-            e = service_failure_probability(build.placement().vnfs, infra)
-            if e <= stype.failure_cap:
-                break
-            candidates = [
-                u for u in range(len(build.mains))
-                if build.backups[u] is None and u not in blocked
-            ]
-            if not candidates:
-                break
-            u = pick_vnf(build, candidates, infra, catalog)
-            srv = _choose_backup(build, u, idle, infra, catalog)
-            if srv is None:
-                blocked.add(u)
-                continue
-            build.backups[u] = srv
-            idle[srv] -= _demand(catalog, build.type_index, u)
-    return assignment
+        build.backups[u] = srv
+        idle[srv] -= _demand(catalog, build.type_index, u)
+    return True
 
 
-def min_resource_backup(
-    assignment: MainAssignment, infra: Infrastructure, catalog: Catalog
-) -> MainAssignment:
-    """Protect the VNF with the smallest total demand first."""
-
-    def pick(build, candidates, infra_, catalog_):
-        return min(
-            candidates,
-            key=lambda u: (int(_demand(catalog_, build.type_index, u).sum()), u),
-        )
-
-    return _backup_pass(assignment, infra, catalog, pick)
-
-
-def min_reliability_backup(
-    assignment: MainAssignment, infra: Infrastructure, catalog: Catalog
-) -> MainAssignment:
-    """Protect the VNF most likely to fail first."""
-
-    def pick(build, candidates, infra_, catalog_):
-        return min(
-            candidates,
-            key=lambda u: (-infra_.server_failure(build.mains[u]), u),
-        )
-
-    return _backup_pass(assignment, infra, catalog, pick)
-
-
-def cera_backup(
-    assignment: MainAssignment, infra: Infrastructure, catalog: Catalog
-) -> MainAssignment:
+def _protect_cera(
+    build: ServiceBuild, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
+) -> None:
     """Cost-efficiency driven protection: commit the (VNF, server) pair with
     the best reliability gain per unit of added cost; zero-cost gains rank
     as infinite and go first."""
-    idle = assignment.idle
-    for build in assignment.services:
-        if build is None:
-            continue
-        stype = catalog[build.type_index]
-        while True:
-            e = service_failure_probability(build.placement().vnfs, infra)
-            if e <= stype.failure_cap:
-                break
-            best = None  # (cim, u, srv)
-            for u in range(len(build.mains)):
-                if build.backups[u] is not None:
-                    continue
-                r = _demand(catalog, build.type_index, u)
-                for srv in range(infra.num_servers):
-                    if srv == build.mains[u] or not np.all(idle[srv] >= r):
-                        continue
-                    gain = e - _failure_with_backup(build, u, srv, infra)
-                    cost = _backup_increment_cost(build, u, srv, infra, catalog)
-                    if cost <= 0.0:
-                        cim = np.inf if gain > 0 else 0.0
-                    else:
-                        cim = gain / cost
-                    if best is None or cim > best[0]:
-                        best = (cim, u, srv)
-            if best is None:
-                break
-            _, u, srv = best
-            build.backups[u] = srv
-            idle[srv] -= _demand(catalog, build.type_index, u)
-    return assignment
+    stype = catalog[build.type_index]
+    while (e := service_failure_probability(build.placement().vnfs, infra)) > stype.failure_cap:
+        best = None  # (cim, u, srv)
+        for u in range(len(build.mains)):
+            if build.backups[u] is not None:
+                continue
+            for srv in _backup_hosts(build, u, idle, infra, catalog):
+                gain = e - _failure_with_backup(build, u, srv, infra)
+                cost = _backup_cost(build, u, srv, infra, catalog)
+                if cost <= 0.0:
+                    cim = np.inf if gain > 0 else 0.0
+                else:
+                    cim = gain / cost
+                if best is None or cim > best[0]:
+                    best = (cim, u, srv)
+        if best is None:
+            return
+        _, u, srv = best
+        build.backups[u] = srv
+        idle[srv] -= _demand(catalog, build.type_index, u)
 
 
-def redundant_vnf_place(
-    type_indices: Sequence[int],
-    ledger: ResourceLedger,
-    infra: Infrastructure,
-    catalog: Catalog,
-) -> MainAssignment:
-    """Joint main-and-backup placement per service: mains go in greedily,
-    then the least reliable VNF is protected until the target holds. A
-    service that cannot reach its target is abandoned and fully rolled
-    back, freeing the capacity for later, typically shorter, chains."""
-    idle = ledger.server_idle.copy()
-    builds: list[ServiceBuild | None] = []
-    for l in type_indices:
-        l = int(l)
-        build = _place_mains_one(l, idle, infra, catalog)
-        if build is None:
-            builds.append(None)
-            continue
-        stype = catalog[l]
-        abandoned = False
-        while True:
-            e = service_failure_probability(build.placement().vnfs, infra)
-            if e <= stype.failure_cap:
-                break
-            candidates = [u for u in range(len(build.mains)) if build.backups[u] is None]
-            if not candidates:
-                abandoned = True
-                break
-            u = min(candidates, key=lambda u: (-infra.server_failure(build.mains[u]), u))
-            srv = _choose_backup(build, u, idle, infra, catalog)
-            if srv is None:
-                abandoned = True
-                break
-            build.backups[u] = srv
-            idle[srv] -= _demand(catalog, l, u)
-        if abandoned:
-            for u, srv in enumerate(build.mains):
-                idle[srv] += _demand(catalog, l, u)
-            for u, srv in enumerate(build.backups):
-                if srv is not None:
-                    idle[srv] += _demand(catalog, l, u)
-            builds.append(None)
-        else:
-            builds.append(build)
-    return MainAssignment(builds, idle)
-
-
-def finalize(
-    assignment: MainAssignment, infra: Infrastructure, catalog: Catalog,
-    type_indices: Sequence[int],
-) -> list[BaselineOutcome]:
-    outcomes: list[BaselineOutcome] = []
-    for l, build in zip(type_indices, assignment.services):
-        if build is None:
-            outcomes.append(BaselineOutcome(int(l), None, None, None, None))
-            continue
-        placement = build.placement()
-        outcomes.append(
-            BaselineOutcome(
-                type_index=build.type_index,
-                placement=placement,
-                cost=service_cost(placement, infra, catalog).total,
-                failure_prob=service_failure_probability(placement.vnfs, infra),
-                usage=service_usage(placement, infra, catalog),
-            )
-        )
-    return outcomes
+def _outcome(
+    l: int, build: ServiceBuild | None, infra: Infrastructure, catalog: Catalog
+) -> BaselineOutcome:
+    if build is None:
+        return BaselineOutcome(int(l), None, None, None, None)
+    placement = build.placement()
+    return BaselineOutcome(
+        type_index=build.type_index,
+        placement=placement,
+        cost=service_cost(placement, infra, catalog).total,
+        failure_prob=service_failure_probability(placement.vnfs, infra),
+        usage=service_usage(placement, infra, catalog),
+    )
 
 
 def run_baseline(
@@ -362,19 +262,37 @@ def run_baseline(
     catalog: Catalog,
 ) -> list[BaselineOutcome]:
     """Run one backup strategy over the requested services against a ledger
-    snapshot. The ledger itself is never mutated."""
+    snapshot. The ledger itself is never mutated.
+
+    A service whose chain of mains cannot be completed is rejected whole.
+    ``redundant_vnf`` places and protects each service before the next
+    one's mains go in, and abandons a service that cannot reach its
+    target; the other strategies place every service's mains first and
+    then protect the placed services in request order."""
     baseline = BaselineId(baseline)
     if baseline is BaselineId.TRELLIS_GREEDY:
         raise ValueError("the trellis strategy places whole batches; call place_batch")
+    idle = ledger.server_idle.copy()
     if baseline is BaselineId.REDUNDANT_VNF:
-        assignment = redundant_vnf_place(type_indices, ledger, infra, catalog)
-        return finalize(assignment, infra, catalog, type_indices)
-
-    assignment = greedy_main_placement(type_indices, ledger, infra, catalog)
-    if baseline is BaselineId.MIN_RESOURCE:
-        assignment = min_resource_backup(assignment, infra, catalog)
-    elif baseline is BaselineId.MIN_RELIABILITY:
-        assignment = min_reliability_backup(assignment, infra, catalog)
-    elif baseline is BaselineId.CERA:
-        assignment = cera_backup(assignment, infra, catalog)
-    return finalize(assignment, infra, catalog, type_indices)
+        builds = []
+        for l in type_indices:
+            build = _place_mains(int(l), idle, infra, catalog)
+            if build is not None and not _protect_ranked(
+                build, idle, infra, catalog, _least_reliable_first, abandon=True
+            ):
+                # abandoned whole, freeing its capacity for later, typically shorter, chains
+                _release(build, idle, catalog)
+                build = None
+            builds.append(build)
+    else:
+        builds = [_place_mains(int(l), idle, infra, catalog) for l in type_indices]
+        for build in builds:
+            if build is None:
+                continue
+            if baseline is BaselineId.CERA:
+                _protect_cera(build, idle, infra, catalog)
+            elif baseline is BaselineId.MIN_RESOURCE:
+                _protect_ranked(build, idle, infra, catalog, _smallest_demand_first)
+            else:
+                _protect_ranked(build, idle, infra, catalog, _least_reliable_first)
+    return [_outcome(l, build, infra, catalog) for l, build in zip(type_indices, builds)]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -145,16 +144,13 @@ def _cmd_compare(args) -> int:
         policy = _load_policy_for(cfg, args.policy)
     slots = cfg.sim.slots if args.slots is None else args.slots
 
-    jobs = [(strategy, seed) for strategy in strategies for seed in seeds]
-
-    def run(job):
-        strategy, seed = job
-        return run_experiment(
+    reports = {
+        (strategy, seed): run_experiment(
             cfg.infrastructure, cfg.service_types, strategy, slots, seed, policy
         )
-
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        reports = dict(zip(jobs, pool.map(run, jobs)))
+        for strategy in strategies
+        for seed in seeds
+    }
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import Catalog
+from .model import Catalog, meets_target
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -75,11 +75,6 @@ class StateSpace:
             raise IndexError(f"state id {sid} out of range")
         i, j = divmod(sid, self.num_active)
         return self.arrival_vector(i + 1), self.active_vector(j + 1)
-
-    def iter_states(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-        for sid in range(self.size):
-            lam, sigma = self.state_of(sid)
-            yield sid, lam, sigma
 
     def feasible_actions(self, lam: Sequence[int], sigma: Sequence[int]) -> list[tuple[int, ...]]:
         """All admission vectors bounded by arrivals and remaining capacity
@@ -223,16 +218,13 @@ class TransitionModel:
 def action_reward(action: Sequence[int], outcome, catalog: Catalog) -> float:
     """Net slot reward of an admission attempt.
 
-    Zero when the batch placement failed. Otherwise every placed service
-    pays its placement cost and earns its type's reward only if it meets
-    the reliability target.
+    Every placed service pays its placement cost and earns its type's
+    reward only if it meets the reliability target; a failed batch places
+    nothing and so scores zero.
     """
-    if not outcome.valid:
-        return 0.0
     total = 0.0
     for svc in outcome.services:
-        stype = catalog[svc.type_index]
         total -= svc.cost
-        if svc.failure_prob <= stype.failure_cap:
-            total += stype.admission_reward
+        if meets_target(svc, catalog):
+            total += catalog[svc.type_index].admission_reward
     return total

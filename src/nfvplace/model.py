@@ -250,6 +250,25 @@ class PlacementPlan:
     services: tuple[ServicePlacement, ...]
 
 
+@dataclass
+class PlacedService:
+    """One placed service as every strategy reports it and the simulator
+    holds it while active: where it runs, its placement cost, its failure
+    probability and its per-server resource usage."""
+
+    type_index: int
+    placement: ServicePlacement
+    cost: float
+    failure_prob: float
+    usage: np.ndarray
+
+
+def meets_target(svc: PlacedService, catalog: Catalog) -> bool:
+    """The admission rule: a placed service counts only when its failure
+    probability is within its type's cap."""
+    return svc.failure_prob <= catalog[svc.type_index].failure_cap
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """Placement cost split into its three charged components."""

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .mdp import StateSpace, TransitionModel, action_reward
-from .model import Catalog, Infrastructure
+from .model import Catalog, Infrastructure, meets_target
 from .trellis import TrellisPlacement, TrellisResult
 
 DEFAULT_GAMMA = 0.9
@@ -84,28 +84,20 @@ class ResourceEstimator:
 
 
 def realized_action(
-    action: Sequence[int], outcome: TrellisResult, catalog: Catalog
-) -> tuple[int, ...]:
-    """Per-type counts of placed services that met their reliability target."""
+    action: Sequence[int], outcome: TrellisResult, catalog: Catalog, shape: tuple[int, int]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Per-type counts of the placed services that meet their reliability
+    target, and the server resources those admissions consume in total."""
     counts = [0] * len(catalog)
-    if outcome.valid:
-        for svc in outcome.services:
-            if svc.failure_prob <= catalog[svc.type_index].failure_cap:
-                counts[svc.type_index] += 1
+    usage = np.zeros(shape)
+    for svc in outcome.services:
+        if meets_target(svc, catalog):
+            counts[svc.type_index] += 1
+            usage += svc.usage
     for c, a in zip(counts, action):
         if c > a:
             raise RuntimeError("outcome admits more services than requested")
-    return tuple(counts)
-
-
-def reliable_usage(outcome: TrellisResult, catalog: Catalog, shape: tuple[int, int]) -> np.ndarray:
-    """Total server resources consumed by the reliable admissions."""
-    usage = np.zeros(shape)
-    if outcome.valid:
-        for svc in outcome.services:
-            if svc.failure_prob <= catalog[svc.type_index].failure_cap:
-                usage += svc.usage
-    return usage
+    return tuple(counts), usage
 
 
 def generate_arrangements(
@@ -234,12 +226,29 @@ class Policy:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"policy artifact {path}: {exc}") from exc
+        space = policy._space
         for key in ("actions", "arrangements", "values"):
             count = len(getattr(policy, key))
-            if count != policy._space.size:
+            if count != space.size:
                 raise ValueError(
                     f"{key}: {count} entries in policy artifact {path}, "
-                    f"expected one per state ({policy._space.size})"
+                    f"expected one per state ({space.size})"
+                )
+        # the simulator places whatever the lookup returns, so every stored
+        # action must be one the solver could have chosen at its state
+        for sid, (action, arrangement) in enumerate(zip(policy.actions, policy.arrangements)):
+            lam, sigma = space.state_of(sid)
+            if action not in space.feasible_actions(lam, sigma):
+                raise ValueError(
+                    f"actions[{sid}]: {list(action)} is not feasible with arrivals "
+                    f"{list(lam)} and active counts {list(sigma)}"
+                )
+            if len(arrangement) != sum(action) or any(
+                arrangement.count(l) != a for l, a in enumerate(action)
+            ):
+                raise ValueError(
+                    f"arrangements[{sid}]: {list(arrangement)} is not an ordering "
+                    f"of action {list(action)}"
                 )
         return policy
 
@@ -338,8 +347,7 @@ def value_iteration(
                     outcome = TrellisPlacement(action, rho, omega, catalog, infra).run()
                     if outcome.valid:
                         reward = action_reward(action, outcome, catalog)
-                        admitted = realized_action(action, outcome, catalog)
-                        used = reliable_usage(outcome, catalog, usage_shape)
+                        admitted, used = realized_action(action, outcome, catalog, usage_shape)
                         eta_next = space.active_index(
                             tuple(s + a for s, a in zip(sigma, admitted))
                         )

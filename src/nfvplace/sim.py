@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineId, run_baseline
-from .model import Catalog, Infrastructure, ResourceLedger, ServicePlacement
+from .model import Catalog, Infrastructure, PlacedService, ResourceLedger, meets_target
 from .policy import Policy
 from .trellis import place_batch
 
@@ -44,14 +44,6 @@ def sample_departures(rng: np.random.Generator, actives, catalog: Catalog) -> li
         for i, svc in enumerate(actives)
         if draws[i] < catalog[svc.type_index].departure_prob
     ]
-
-
-@dataclass
-class ActiveService:
-    type_index: int
-    placement: ServicePlacement
-    cost: float
-    usage: np.ndarray
 
 
 @dataclass
@@ -185,7 +177,7 @@ class Simulation:
         self.policy = policy
         self.rng = np.random.default_rng(seed)
         self.ledger = ResourceLedger.full(infra)
-        self.actives: list[ActiveService] = []
+        self.actives: list[PlacedService] = []
         self.slot = 0
 
     def _active_counts(self) -> tuple[int, ...]:
@@ -194,42 +186,28 @@ class Simulation:
             counts[svc.type_index] += 1
         return tuple(counts)
 
-    def _admit_with_trellis(
-        self, action: tuple[int, ...], arrangement: tuple[int, ...]
-    ) -> list[ActiveService]:
-        result = place_batch(
-            action, arrangement, self.ledger.server_idle, self.catalog, self.infra
-        )
-        if not result.valid:
-            return []
-        admitted = []
-        for svc in result.services:
-            if svc.failure_prob <= self.catalog[svc.type_index].failure_cap:
-                admitted.append(
-                    ActiveService(svc.type_index, svc.placement, svc.cost, svc.usage)
-                )
-        return admitted
-
     def run_slot(self) -> dict:
         """Advance one slot; returns the per-slot metric row."""
         catalog = self.catalog
         lam = sample_arrivals(self.rng, catalog)
 
         if self.strategy == MDP_STRATEGY:
-            sigma = self._active_counts()
-            action, arrangement = self.policy.lookup(lam, sigma)
-            admitted = self._admit_with_trellis(action, arrangement)
-        elif self.strategy == BaselineId.TRELLIS_GREEDY.value:
-            arrangement = tuple(l for l, n in enumerate(lam) for _ in range(n))
-            admitted = self._admit_with_trellis(lam, arrangement)
+            action, arrangement = self.policy.lookup(lam, self._active_counts())
         else:
-            requests = [l for l, n in enumerate(lam) for _ in range(n)]
-            outcomes = run_baseline(self.strategy, requests, self.ledger, self.infra, catalog)
-            admitted = [
-                ActiveService(o.type_index, o.placement, o.cost, o.usage)
+            # static strategies take every arrival, in type order
+            action, arrangement = lam, tuple(l for l, n in enumerate(lam) for _ in range(n))
+        if self.strategy in (MDP_STRATEGY, BaselineId.TRELLIS_GREEDY.value):
+            placed = place_batch(
+                action, arrangement, self.ledger.server_idle, catalog, self.infra
+            ).services
+        else:
+            outcomes = run_baseline(self.strategy, arrangement, self.ledger, self.infra, catalog)
+            placed = [
+                PlacedService(o.type_index, o.placement, o.cost, o.failure_prob, o.usage)
                 for o in outcomes
-                if o.placed and o.failure_prob <= catalog[o.type_index].failure_cap
+                if o.placed
             ]
+        admitted = [s for s in placed if meets_target(s, catalog)]
 
         admissions = [0] * len(catalog)
         backups = 0

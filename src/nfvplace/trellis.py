@@ -25,6 +25,7 @@ import numpy as np
 from .model import (
     Catalog,
     Infrastructure,
+    PlacedService,
     ServicePlacement,
     VnfPlacement,
 )
@@ -52,18 +53,6 @@ class PathState:
     reliability: float
     remaining: np.ndarray
     path: tuple[int, ...]
-
-
-@dataclass
-class PlacedService:
-    """One service of a batch after path read-out."""
-
-    type_index: int
-    ordinal: int
-    placement: ServicePlacement
-    cost: float
-    failure_prob: float
-    usage: np.ndarray
 
 
 @dataclass
@@ -325,7 +314,6 @@ class TrellisPlacement:
 
         infra = self.infra
         services: list[PlacedService] = []
-        counts = [0] * len(self.catalog)
         cost = 0.0
         up = 1.0
         usage: np.ndarray | None = None
@@ -358,17 +346,7 @@ class TrellisPlacement:
                         l,
                         tuple(VnfPlacement(mn, bk) for mn, bk in zip(mains, backups)),
                     )
-                    services.append(
-                        PlacedService(
-                            type_index=l,
-                            ordinal=counts[l],
-                            placement=placement,
-                            cost=cost,
-                            failure_prob=1.0 - up,
-                            usage=usage,
-                        )
-                    )
-                    counts[l] += 1
+                    services.append(PlacedService(l, placement, cost, 1.0 - up, usage))
 
         return TrellisResult(True, services, path)
 

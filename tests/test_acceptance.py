@@ -18,12 +18,13 @@ from scipy import stats
 import nfvplace as nv
 from nfvplace.cli import main as cli_main
 from nfvplace.model import (
+    PlacedService,
     service_cost,
     service_failure_probability,
     service_usage,
 )
 from nfvplace.oracle import best_placement, failure_by_enumeration, penalized_objective
-from nfvplace.sim import ActiveService, sample_arrivals, sample_departures
+from nfvplace.sim import sample_arrivals, sample_departures
 
 from helpers import (
     analytic_setup,
@@ -373,7 +374,7 @@ def test_09_samplers_pass_chi_square(bundled):
     placement = nv.ServicePlacement(
         0, tuple(nv.VnfPlacement(0, None) for _ in catalog[0].vnfs)
     )
-    actives = [ActiveService(0, placement, 0.0, None) for _ in range(pool)]
+    actives = [PlacedService(0, placement, 0.0, 0.0, None) for _ in range(pool)]
     observed = np.zeros(pool + 1, dtype=np.int64)
     for _ in range(n):
         observed[len(sample_departures(rng, actives, catalog))] += 1

@@ -124,8 +124,14 @@ class TestSimulate:
             ("arrangements", lambda p: p["arrangements"].pop()),
             ("values", lambda p: p["values"].pop()),
             ("departure_mode", lambda p: p.update(departure_mode="literal")),
+            # two admissions where none arrived, and above sigma_max elsewhere
+            ("actions[0]", lambda p: p.update(actions=[[2]] * len(p["actions"]))),
+            ("arrangements[0]", lambda p: p.update(arrangements=[[0, 0]] * len(p["arrangements"]))),
         ],
-        ids=["missing-actions", "short-actions", "short-arrangements", "short-values", "literal"],
+        ids=[
+            "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
+            "infeasible-actions", "arrangement-not-an-ordering",
+        ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):
         pol = tmp_path / "p.json"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfvplace as nv
-from nfvplace.trellis import PlacedService, TrellisResult
+from nfvplace.model import PlacedService
+from nfvplace.trellis import TrellisResult
 
 
 def uniform_type(pmf, d=0.5, sigma_max=5, q=10.0, name="u"):
@@ -165,17 +166,21 @@ class TestTransitionModel:
 class TestReward:
     def _outcome(self, cost, failure):
         placed = PlacedService(
-            0, 0, nv.ServicePlacement(0, (nv.VnfPlacement(0),)), cost, failure, np.zeros((1, 1))
+            0, nv.ServicePlacement(0, (nv.VnfPlacement(0),)), cost, failure, np.zeros((1, 1))
         )
         return TrellisResult(True, [placed], (1, 0))
 
     def test_reliable_service_earns_reward_minus_cost(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)
         assert nv.action_reward((1,), self._outcome(350.0, 0.01), t) == pytest.approx(3650.0)
+        # a service exactly at the cap meets its target
+        assert nv.action_reward((1,), self._outcome(350.0, 0.05), t) == pytest.approx(3650.0)
 
     def test_unreliable_service_pays_cost_only(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)
         assert nv.action_reward((1,), self._outcome(350.0, 0.2), t) == pytest.approx(-350.0)
+        just_over = float(np.nextafter(0.05, 1))
+        assert nv.action_reward((1,), self._outcome(350.0, just_over), t) == pytest.approx(-350.0)
 
     def test_failed_batch_is_zero(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
-from nfvplace.trellis import PlacedService, TrellisResult
-from nfvplace.policy import realized_action, reliable_usage
+from nfvplace.model import PlacedService
+from nfvplace.trellis import TrellisResult
+from nfvplace.policy import realized_action
 
 from helpers import analytic_setup
 
@@ -94,8 +95,8 @@ class TestArrangements:
 class TestRealizedAction:
     def _result(self, entries):
         services = [
-            PlacedService(l, i, nv.ServicePlacement(l, (nv.VnfPlacement(0),)), 1.0, e, np.full((1, 1), 2.0))
-            for i, (l, e) in enumerate(entries)
+            PlacedService(l, nv.ServicePlacement(l, (nv.VnfPlacement(0),)), 1.0, e, np.full((1, 1), 2.0))
+            for l, e in entries
         ]
         return TrellisResult(True, services, ())
 
@@ -103,20 +104,24 @@ class TestRealizedAction:
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         catalog = (svc, svc)
         out = self._result([(0, 0.01), (0, 0.2), (1, 0.04)])
-        assert realized_action((2, 1), out, catalog) == (1, 1)
+        assert realized_action((2, 1), out, catalog, (1, 1))[0] == (1, 1)
+        # the cap itself is admitted; the next float above it is not
+        out = self._result([(0, 0.05), (1, float(np.nextafter(0.05, 1)))])
+        assert realized_action((1, 1), out, catalog, (1, 1))[0] == (1, 0)
 
     def test_usage_counts_reliable_only(self):
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         catalog = (svc, svc)
         out = self._result([(0, 0.01), (0, 0.2), (1, 0.04)])
-        usage = reliable_usage(out, catalog, (1, 1))
+        _, usage = realized_action((2, 1), out, catalog, (1, 1))
         assert usage[0, 0] == pytest.approx(4.0)
 
     def test_invalid_batch_realizes_nothing(self):
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         out = TrellisResult(False, [], ())
-        assert realized_action((1,), out, (svc,)) == (0,)
-        assert np.all(reliable_usage(out, (svc,), (1, 1)) == 0.0)
+        counts, usage = realized_action((1,), out, (svc,), (1, 1))
+        assert counts == (0,)
+        assert np.all(usage == 0.0)
 
 
 class TestValueIteration:

@@ -1,5 +1,6 @@
 """Slotted arrivals/departures loop and its metric accounting."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,17 @@ class TestBatchSemantics:
         for strategy in ("trellis", "min_resource", "cera"):
             report = nv.run_experiment(infra, catalog, strategy, 30, 1)
             assert report.admission_ratio == 0.0
+        # a lone server cannot be backed up, so every placed service fails
+        # with exactly 1 - (1 - 0.1): a cap at that value admits it, and the
+        # next float below (the service at nextafter(cap, 1)) does not
+        lone = nv.Infrastructure(
+            [nv.InP(0.1, ((100,),))], alpha=[1.0], beta=1.0, v_base=0.1, deployment_cost=[[0.0]]
+        )
+        exact = 1.0 - (1.0 - 0.1)
+        for cap, admitted in ((exact, 2), (float(np.nextafter(exact, 0)), 0)):
+            for strategy in ("trellis", "min_resource", "min_reliability", "cera", "redundant_vnf"):
+                sim = nv.Simulation(lone, (always_two_type(cap=cap),), strategy, seed=1)
+                assert sim.run_slot()["admissions"] == (admitted,)
 
     def test_static_strategies_ignore_active_count_register(self):
         # sigma_max=1 would cap a policy run at one concurrent service, but
@@ -199,3 +211,36 @@ class TestMetricsReport:
         payload = json.loads(json_path.read_text())
         assert payload["slots"] == 50
         assert payload["admission_ratio"] == pytest.approx(report.admission_ratio)
+
+
+class TestBenchTracing:
+    def test_tracer_counts_every_layer(self, reduced, monkeypatch):
+        # bench/tracing.py patches sim.place_batch, sim.run_baseline and
+        # baselines.service_failure_probability by name; a rename there would
+        # leave these counters at zero
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracing
+
+        infra, catalog = reduced
+        space = nv.build_state_space(catalog)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            tracer.phase = "policy"
+            policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=42)
+            tracer.phase = "sim"
+            for strategy in nv.sim.STRATEGY_IDS:
+                sim = nv.Simulation(infra, catalog, strategy, policy=policy, seed=3)
+                for _ in range(10):
+                    sim.run_slot()
+        calls, counts = tracer.calls, tracer.counts
+        for name in ("trellis.constructions", "policy.estimator_update"):
+            assert counts[("policy", name)] > 0, name
+        for name in ("sim.place_batch", "trellis.run", "sim.sample", "sim.ledger"):
+            assert calls[("sim", name)] > 0, name
+        for name in ("baselines.min_resource", "baselines.min_reliability",
+                     "baselines.cera", "baselines.redundant_vnf"):
+            assert calls[("sim", name)] > 0, name
+        for name in ("trellis.evaluations", "trellis.placed", "baselines.requested",
+                     "baselines.placed", "model.failure_prob"):
+            assert counts[("sim", name)] > 0, name
+        assert nv.sim.place_batch is nv.place_batch
