@@ -157,7 +157,27 @@ class Policy:
     _space: StateSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._space = StateSpace(self.sigma_max, self.lambda_max)
+        space = self._space = StateSpace(self.sigma_max, self.lambda_max)
+        for key in ("actions", "arrangements", "values"):
+            count = len(getattr(self, key))
+            if count != space.size:
+                raise ValueError(f"{key}: {count} entries, expected one per state ({space.size})")
+        # the simulator places whatever the lookup returns, so every stored
+        # action must be one the solver could have chosen at its state
+        for sid, (action, arrangement) in enumerate(zip(self.actions, self.arrangements)):
+            lam, sigma = space.state_of(sid)
+            if tuple(action) not in space.feasible_actions(lam, sigma):
+                raise ValueError(
+                    f"actions[{sid}]: {list(action)} is not feasible with arrivals "
+                    f"{list(lam)} and active counts {list(sigma)}"
+                )
+            if len(arrangement) != sum(action) or any(
+                arrangement.count(l) != a for l, a in enumerate(action)
+            ):
+                raise ValueError(
+                    f"arrangements[{sid}]: {list(arrangement)} is not an ordering "
+                    f"of action {list(action)}"
+                )
 
     def lookup(self, lam: Sequence[int], sigma: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Admission vector and service order for one observed state."""
@@ -208,7 +228,7 @@ class Policy:
             if f.init and f.default is MISSING and f.name not in payload:
                 raise ValueError(f"{f.name}: missing from policy artifact {path}")
         try:
-            policy = cls(
+            return cls(
                 sigma_max=tuple(payload["sigma_max"]),
                 lambda_max=tuple(payload["lambda_max"]),
                 actions=[tuple(a) for a in payload["actions"]],
@@ -225,32 +245,7 @@ class Policy:
                 fingerprint=payload.get("fingerprint"),
             )
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"policy artifact {path}: {exc}") from exc
-        space = policy._space
-        for key in ("actions", "arrangements", "values"):
-            count = len(getattr(policy, key))
-            if count != space.size:
-                raise ValueError(
-                    f"{key}: {count} entries in policy artifact {path}, "
-                    f"expected one per state ({space.size})"
-                )
-        # the simulator places whatever the lookup returns, so every stored
-        # action must be one the solver could have chosen at its state
-        for sid, (action, arrangement) in enumerate(zip(policy.actions, policy.arrangements)):
-            lam, sigma = space.state_of(sid)
-            if action not in space.feasible_actions(lam, sigma):
-                raise ValueError(
-                    f"actions[{sid}]: {list(action)} is not feasible with arrivals "
-                    f"{list(lam)} and active counts {list(sigma)}"
-                )
-            if len(arrangement) != sum(action) or any(
-                arrangement.count(l) != a for l, a in enumerate(action)
-            ):
-                raise ValueError(
-                    f"arrangements[{sid}]: {list(arrangement)} is not an ordering "
-                    f"of action {list(action)}"
-                )
-        return policy
+            raise ValueError(f"{exc} (policy artifact {path})") from exc
 
 
 def catalog_fingerprint(infra_section: dict, types_section: list) -> str:

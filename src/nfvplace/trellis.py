@@ -28,6 +28,8 @@ from .model import (
     PlacedService,
     ServicePlacement,
     VnfPlacement,
+    service_failure_probability,
+    service_usage,
 )
 
 
@@ -105,24 +107,24 @@ class TrellisPlacement:
         self.catalog = catalog
         self.infra = infra
         self._snapshot = snap
-        self.evaluations = 0  # predecessor scorings, for complexity checks
+        self.evaluations = 0  # (predecessor, state) pairs scored by run()
 
-        # Stage table: (service position, type, vnf index, backup stage?).
-        self._stage_info: list[tuple[int, int, int, bool]] = []
-        for k, l in enumerate(self.arrangement):
-            for u in range(catalog[l].num_vnfs):
-                self._stage_info.append((k, l, u, False))
-                self._stage_info.append((k, l, u, True))
+        # Stage table: (type, vnf index, backup stage?), main before backup.
+        self._stage_info: list[tuple[int, int, bool]] = [
+            (l, u, backup) for l in self.arrangement
+            for u in range(catalog[l].num_vnfs) for backup in (False, True)
+        ]
         self.num_stages = len(self._stage_info)
 
-        # Fast lookup tables: state id 0 is "no server" with zero cost and
-        # a failure probability of 1 so it never improves reliability.
+        # Fast lookup tables: state id 0 is "no server" with zero cost, no
+        # links and a failure probability of 1 so it never improves reliability.
         self._v_state = [1.0] + [infra.server_failure(s) for s in range(infra.num_servers)]
-        self._link = infra.link_cost.tolist()
+        self._link = [[0.0] * (infra.num_servers + 1)]
+        self._link += [[0.0] + row for row in infra.link_cost.tolist()]
 
         self._stage_demand: list[np.ndarray] = []
         self._stage_term: list[list[float]] = []
-        for _, l, u, _backup in self._stage_info:
+        for l, u, _backup in self._stage_info:
             spec = catalog[l].vnfs[u]
             r = np.asarray(spec.demands, dtype=snap.dtype)
             per_inp = infra.unit_cost @ np.asarray(spec.demands, dtype=float)
@@ -134,171 +136,124 @@ class TrellisPlacement:
 
     # -- scoring --------------------------------------------------------
 
-    def _link_between(self, a: int, b: int) -> float:
-        if a == 0 or b == 0:
-            return 0.0
-        return self._link[a - 1][b - 1]
-
-    def _routing_charge(self, m: int, path: tuple[int, ...], x2: int) -> float:
-        """Bandwidth cost of the links a new stage choice creates."""
-        _, l, u, backup = self._stage_info[m - 1]
-        if u == 0 or x2 == 0:
-            return 0.0
-        b = self.catalog[l].bandwidth
-        if not backup:
-            # main of vnf u: links from the previous vnf's main and backup
-            return b * (self._link_between(path[m - 3], x2) + self._link_between(path[m - 2], x2))
-        # backup of vnf u: links from the previous vnf's backup and main
-        return b * (self._link_between(path[m - 3], x2) + self._link_between(path[m - 4], x2))
-
-    def _reliability_after(self, m: int, x1: int, tau1: float, x2: int) -> float:
-        """Chain reliability of the current service once ``x2`` is chosen."""
-        _, _, u, backup = self._stage_info[m - 1]
-        v2 = self._v_state[x2]
-        if not backup:
-            fresh = 1.0 - v2
-            return fresh if u == 0 else tau1 * fresh
-        vm = self._v_state[x1]
-        if u == 0:
-            return 1.0 - vm * v2
-        # swap the trailing main-only factor for the protected one
-        return tau1 * (1.0 - vm * v2) / (1.0 - vm)
-
-    def _shortfall_penalty(self, m: int, tau_after: float, x2: int) -> float:
-        _, l, _, _ = self._stage_info[m - 1]
+    def _best_move(
+        self, m: int, preds: list[tuple[int, PathState]], x2: int
+    ) -> tuple[float, int, float, float, float]:
+        """Add-compare-select for state ``x2`` at stage ``m``: score the move
+        from each ``(x1, survivor)`` predecessor and return the best
+        ``(theta, x1, route, tau, hinge)``, ties to the first predecessor.
+        ``route`` charges the links ``x2`` creates, ``tau`` is the service's
+        chain reliability after the move, ``hinge`` its shortfall penalty."""
+        l, u, backup = self._stage_info[m - 1]
         stype = self.catalog[l]
+        link = self._link
+        bandwidth = stype.bandwidth
+        penalty = stype.penalty
+        base = self._stage_term[m - 1][x2]
+        v2 = self._v_state[x2]
         target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
-        short = target - tau_after
-        return stype.penalty * short if short > 0 else 0.0
+        best = None
+        best_theta = np.inf
+        for x1, st1 in preds:
+            if u == 0:
+                route = 0.0
+            else:
+                # links from the previous vnf's main and backup: the last two
+                # choices at a main stage, the two before this vnf's main at a
+                # backup stage
+                path = st1.path
+                route = bandwidth * (
+                    link[path[m - 3]][x2] + link[path[m - 4] if backup else path[m - 2]][x2]
+                )
+            if not backup:
+                tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
+            else:
+                vm = self._v_state[x1]
+                if u == 0:
+                    tau = 1.0 - vm * v2
+                else:
+                    # swap the trailing main-only factor for the protected one
+                    tau = st1.reliability * (1.0 - vm * v2) / (1.0 - vm)
+            short = target - tau
+            hinge = penalty * short if short > 0 else 0.0
+            theta = base + route + hinge + st1.cost
+            if theta < best_theta:
+                best_theta = theta
+                best = (theta, x1, route, tau, hinge)
+        return best
 
     # Public scoring views over a built trellis, used by diagnostics and
-    # replay tests; ``run`` inlines the same arithmetic.
+    # replay tests: the move from ``x1`` to ``x2`` at stage ``m``.
 
-    def transition_reliability(self, m: int, x1: int, x2: int) -> float:
-        prev = self._require_stage(m - 1)
-        return self._reliability_after(m, x1, prev[x1].reliability, x2)
-
-    def reliability_penalty(self, m: int, x1: int, x2: int) -> float:
-        return self._shortfall_penalty(m, self.transition_reliability(m, x1, x2), x2)
+    def _replay(self, m: int, x1: int, x2: int) -> tuple[float, int, float, float, float]:
+        if self.stages is None:
+            raise RuntimeError("run() must build the trellis first")
+        if not 1 <= m <= len(self.stages):
+            raise IndexError(f"stage {m - 1} not built")
+        return self._best_move(m, [(x1, self.stages[m - 1][x1])], x2)
 
     def transition_cost(self, m: int, x1: int, x2: int) -> float:
         """Full decision metric of moving from ``x1`` to ``x2`` at stage ``m``."""
-        prev = self._require_stage(m - 1)
-        st1 = prev[x1]
-        theta = self._stage_term[m - 1][x2]
-        theta += self._routing_charge(m, st1.path, x2)
-        theta += self._shortfall_penalty(
-            m, self._reliability_after(m, x1, st1.reliability, x2), x2
-        )
-        return theta + st1.cost
+        return self._replay(m, x1, x2)[0]
 
-    def _require_stage(self, m: int) -> dict[int, PathState]:
-        if self.stages is None:
-            raise RuntimeError("run() must build the trellis first")
-        if not 0 <= m < len(self.stages):
-            raise IndexError(f"stage {m} not built")
-        return self.stages[m]
+    def transition_reliability(self, m: int, x1: int, x2: int) -> float:
+        return self._replay(m, x1, x2)[3]
+
+    def reliability_penalty(self, m: int, x1: int, x2: int) -> float:
+        return self._replay(m, x1, x2)[4]
 
     # -- search ---------------------------------------------------------
 
     def run(self) -> TrellisResult:
         """Search the trellis and read out the best batch placement."""
-        infra = self.infra
-        num_servers = infra.num_servers
         stages: list[dict[int, PathState]] = [
             {0: PathState(0.0, 1.0, self._snapshot.copy(), ())}
         ]
+        self.stages = stages
         if self.num_stages == 0:
-            self.stages = stages
             return TrellisResult(True, [], ())
 
         for m in range(1, self.num_stages + 1):
-            _, l, u, backup = self._stage_info[m - 1]
-            stype = self.catalog[l]
+            backup = self._stage_info[m - 1][2]
             r = self._stage_demand[m - 1]
             term = self._stage_term[m - 1]
-            bandwidth = stype.bandwidth
-            target_rel = 1.0 - stype.failure_cap
-            penalty = stype.penalty
             prev = stages[m - 1]
-            feas = {x1: np.all(st.remaining >= r, axis=1) for x1, st in prev.items()}
+            feas = {x1: (st.remaining >= r).all(axis=1).tolist() for x1, st in prev.items()}
             cur: dict[int, PathState] = {}
 
-            for x2 in ([0] if backup else []) + list(range(1, num_servers + 1)):
+            for x2 in stage_states(m, self.infra):
                 if x2 == 0:
-                    candidates = list(prev)
+                    preds = list(prev.items())
                 else:
-                    srv = x2 - 1
-                    candidates = [
-                        x1 for x1 in prev
-                        if feas[x1][srv] and not (backup and x1 == x2)
+                    preds = [
+                        (x1, st) for x1, st in prev.items()
+                        if feas[x1][x2 - 1] and not (backup and x1 == x2)
                     ]
-                if not candidates:
+                if not preds:
                     continue  # state removed at this stage
-
-                base = term[x2]
-                v2 = self._v_state[x2]
-                target = 1.0 if x2 == 0 else target_rel
-                best_theta = np.inf
-                best_x1 = -1
-                best_route = 0.0
-                best_tau = 0.0
-                for x1 in candidates:
-                    st1 = prev[x1]
-                    if u == 0 or x2 == 0:
-                        route = 0.0
-                    else:
-                        path = st1.path
-                        if not backup:
-                            route = bandwidth * (
-                                self._link_between(path[m - 3], x2)
-                                + self._link_between(path[m - 2], x2)
-                            )
-                        else:
-                            route = bandwidth * (
-                                self._link_between(path[m - 3], x2)
-                                + self._link_between(path[m - 4], x2)
-                            )
-                    if not backup:
-                        tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
-                    else:
-                        vm = self._v_state[x1]
-                        if u == 0:
-                            tau = 1.0 - vm * v2
-                        else:
-                            tau = st1.reliability * (1.0 - vm * v2) / (1.0 - vm)
-                    short = target - tau
-                    hinge = penalty * short if short > 0 else 0.0
-                    theta = base + route + hinge + st1.cost
-                    self.evaluations += 1
-                    if theta < best_theta:
-                        best_theta = theta
-                        best_x1 = x1
-                        best_route = route
-                        best_tau = tau
-
-                chosen = prev[best_x1]
+                self.evaluations += len(preds)
+                _, x1, route, tau, _ = self._best_move(m, preds, x2)
+                chosen = prev[x1]
                 remaining = chosen.remaining.copy()
                 if x2 != 0:
                     remaining[x2 - 1] -= r
-                cur[x2] = PathState(
-                    cost=chosen.cost + base + best_route,  # hinge kept out of path cost
-                    reliability=best_tau,
-                    remaining=remaining,
-                    path=chosen.path + (x2,),
-                )
+                cost = chosen.cost + term[x2] + route  # hinge kept out of path cost
+                cur[x2] = PathState(cost, tau, remaining, chosen.path + (x2,))
 
             if not cur:
                 # only main stages can empty out: even stages always keep state 0
-                self.stages = stages
                 return TrellisResult(False, [], ())
             stages.append(cur)
 
-        self.stages = stages
         return self._read_out(stages)
 
     def _read_out(self, stages: list[dict[int, PathState]]) -> TrellisResult:
-        """Pick the terminal state and unwind its path into per-service records."""
+        """Pick the terminal state and unwind its path into per-service records.
+
+        Every state keeps one survivor, so the winner's prefix up to stage
+        ``m - 1`` is that stage's survivor at ``path[m - 2]``; replaying the
+        move from it gives the routing charge each stage added.
+        """
         last_type = self.catalog[self.arrangement[-1]]
         final = stages[-1]
         best_x = -1
@@ -312,41 +267,25 @@ class TrellisPlacement:
                 best_x = x
         path = final[best_x].path
 
-        infra = self.infra
         services: list[PlacedService] = []
-        cost = 0.0
-        up = 1.0
-        usage: np.ndarray | None = None
-        mains: list[int] = []
-        backups: list[int | None] = []
-
         for m in range(1, self.num_stages + 1):
-            _, l, u, backup = self._stage_info[m - 1]
-            stype = self.catalog[l]
+            l, u, backup = self._stage_info[m - 1]
+            x1 = path[m - 2] if m > 1 else 0
             x = path[m - 1]
             if u == 0 and not backup:
-                cost = 0.0
-                up = 1.0
-                usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
-                mains = []
-                backups = []
-            if x != 0:
-                usage[x - 1] += np.asarray(stype.vnfs[u].demands, dtype=np.int64)
-                cost += self._stage_term[m - 1][x]
-            cost += self._routing_charge(m, path, x)
-            if not backup:
-                mains.append(x - 1)
-            else:
-                v_main = self._v_state[path[m - 2]]
-                v_back = self._v_state[x]
-                up *= 1.0 - v_main * v_back
-                backups.append(x - 1 if x != 0 else None)
-                if u == stype.num_vnfs - 1:
-                    placement = ServicePlacement(
-                        l,
-                        tuple(VnfPlacement(mn, bk) for mn, bk in zip(mains, backups)),
-                    )
-                    services.append(PlacedService(l, placement, cost, 1.0 - up, usage))
+                first, cost = m - 1, 0.0
+            cost = cost + self._stage_term[m - 1][x] + self._replay(m, x1, x)[2]
+            if backup and u == self.catalog[l].num_vnfs - 1:
+                vnfs = tuple(
+                    VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)
+                    for i in range(first, m, 2)
+                )
+                placement = ServicePlacement(l, vnfs)
+                services.append(PlacedService(
+                    l, placement, cost,
+                    service_failure_probability(vnfs, self.infra),
+                    service_usage(placement, self.infra, self.catalog),
+                ))
 
         return TrellisResult(True, services, path)
 

@@ -11,7 +11,7 @@ from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
 from nfvplace.policy import realized_action
 
-from helpers import analytic_setup
+from helpers import analytic_setup, tiny_two_inps
 
 
 def big_server_setup():
@@ -197,6 +197,28 @@ class TestPolicyArtifact:
         policy = nv.value_iteration(space, model, catalog, infra, epsilon=1e-6, seed=0)
         with pytest.raises((ValueError, IndexError)):
             policy.lookup((5,), (0,))
+
+    def test_infeasible_in_memory_policy_rejected(self):
+        # admitting two services in every state, including those where
+        # nothing arrived, must fail before any simulator can place them
+        _, catalog = tiny_two_inps()
+        space = nv.build_state_space(catalog)
+        with pytest.raises(ValueError, match=r"^actions\[0\]: "):
+            nv.Policy(
+                sigma_max=space.sigma_max,
+                lambda_max=space.lambda_max,
+                actions=[(2,)] * space.size,
+                arrangements=[(0, 0)] * space.size,
+                values=np.zeros(space.size),
+                gamma=0.9,
+                epsilon=1e-3,
+                seed=5,
+                num_arrangements=1,
+                iterations=1,
+                converged=True,
+                mean_value_trace=[0.0],
+                sup_diff_trace=[0.0],
+            )
 
 
 class TestFingerprint:

@@ -91,6 +91,54 @@ class TestTinyInstance:
         assert trellis.evaluations == 0
         trellis.run()
         assert trellis.evaluations > 0
+        # main stage: one predecessor for each of the two servers; backup
+        # stage: both mains for "no backup", the other main for each server
+        assert trellis.evaluations == 2 + (2 + 1 + 1)
+        # replaying a move scores it again without counting it
+        trellis.transition_cost(2, 2, 1)
+        trellis.transition_reliability(2, 2, 1)
+        trellis.reliability_penalty(2, 2, 1)
+        assert trellis.evaluations == 6
+
+
+class TestRoutingReplay:
+    """A 2-VNF chain of bandwidth 2 over three equal servers whose links
+    cost 1 (servers 1-2), 3 (1-3) and 5 (2-3); every server charge is 1."""
+
+    def _trellis(self):
+        infra = nv.Infrastructure(
+            [nv.InP(0.1, ((10,), (10,), (10,)))],
+            alpha=[1.0],
+            beta=1.0,
+            v_base=0.1,
+            deployment_cost=[[0.0]],
+            link_cost=np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 5.0], [3.0, 5.0, 0.0]]),
+        )
+        svc = nv.ServiceType(0.05, 0.5, 2.0, (nv.VnfSpec(0, (1,)), nv.VnfSpec(0, (1,))),
+                             (0.5, 0.5), 10.0, 2, name="chain")
+        trellis = nv.TrellisPlacement((1,), (0,), full_snapshot(infra), (svc,), infra)
+        trellis.run()
+        return trellis
+
+    @staticmethod
+    def _route(trellis, m, x1, x2):
+        prev = trellis.stages[m - 1][x1]
+        term = 1.0
+        return (trellis.transition_cost(m, x1, x2) - trellis.reliability_penalty(m, x1, x2)
+                - prev.cost - term)
+
+    def test_main_stage_links_to_previous_main_and_backup(self):
+        trellis = self._trellis()
+        # VNF 0 main on server 1, backup on server 2; VNF 1 main on server 3
+        assert trellis.stages[2][2].path == (1, 2)
+        assert self._route(trellis, 3, 2, 3) == pytest.approx(2.0 * (3.0 + 5.0), rel=1e-12)
+
+    def test_backup_stage_links_to_previous_main_and_backup(self):
+        trellis = self._trellis()
+        # VNF 0 main on server 1, backup on server 3; VNF 1 main on server 3
+        # and its backup on server 2, linked to servers 3 and 1
+        assert trellis.stages[3][3].path == (1, 3, 3)
+        assert self._route(trellis, 4, 3, 2) == pytest.approx(2.0 * (5.0 + 1.0), rel=1e-12)
 
 
 class TestSearchBehavior:
