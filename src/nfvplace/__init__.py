@@ -35,7 +35,6 @@ from .model import (
     VnfSpec,
     placement_cost,
     plan_usage,
-    server_unit_cost,
     service_cost,
     service_failure_probability,
     service_usage,
@@ -106,7 +105,6 @@ __all__ = [
     "sample_arrivals",
     "sample_departures",
     "serialize_config",
-    "server_unit_cost",
     "service_cost",
     "service_failure_probability",
     "service_usage",

@@ -5,12 +5,12 @@ service catalog objects."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .mdp import DEFAULT_STATE_CAP
+from .mdp import DEFAULT_STATE_CAP, build_state_space
 from .model import DEFAULT_PENALTY, InP, Infrastructure, ServiceType, VnfSpec
 from .policy import (
     DEFAULT_ALPHA_INIT,
@@ -54,9 +54,37 @@ class ExperimentConfig:
     source: dict
 
 
+# the keys each config object may hold; any other key is an error
+TOP_FIELDS = {"infrastructure", "service_types", "mdp", "sim"}
+INFRA_FIELDS = {"inps", "alpha", "beta", "v_base", "deployment_cost", "link_cost"}
+INP_FIELDS = {"failure_prob", "servers"}
+LINK_TABLE_FIELDS = {"matrix", "intra_inp", "inter_inp", "default"}
+TYPE_FIELDS = {
+    "name", "failure_cap", "departure_prob", "bandwidth", "vnfs", "arrival_pmf",
+    "admission_reward", "sigma_max", "penalty",
+}
+VNF_FIELDS = {"vnf_type", "demands"}
+MDP_FIELDS = {f.name for f in fields(MdpParams)}
+SIM_FIELDS = {f.name for f in fields(SimParams)}
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(spec, path: str, known: set) -> dict:
+    """``spec`` itself, once it is an object holding only ``known`` keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{_at(path, key)}: unknown field")
+    return spec
+
+
 def _need(data: dict, key: str, path: str):
     if key not in data:
-        raise ConfigError(f"{path}.{key}: missing required field")
+        raise ConfigError(f"{_at(path, key)}: missing required field")
     return data[key]
 
 
@@ -72,16 +100,12 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _expand_link_table(spec, inps: list[InP], path: str, default_missing: float | None) -> np.ndarray:
-    """Accepts an explicit matrix or the compact intra/inter form."""
+def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
+    """Accepts an explicit matrix, the compact intra/inter form or one
+    default for every pair of distinct servers."""
     total = sum(len(p.servers) for p in inps)
     owner = [i for i, p in enumerate(inps) for _ in p.servers]
-    if spec is None:
-        if default_missing is None:
-            raise ConfigError(f"{path}: missing required field")
-        spec = {"default": default_missing}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
+    _object(spec, path, LINK_TABLE_FIELDS)
     if "matrix" in spec:
         try:
             mat = np.asarray(spec["matrix"], dtype=float)
@@ -113,20 +137,16 @@ def _expand_link_table(spec, inps: list[InP], path: str, default_missing: float 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a configuration dict and build the model objects."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
+    _object(data, "", TOP_FIELDS)
 
-    infra_spec = _need(data, "infrastructure", "")
-    if not isinstance(infra_spec, dict):
-        raise ConfigError("infrastructure: expected an object")
+    infra_spec = _object(_need(data, "infrastructure", ""), "infrastructure", INFRA_FIELDS)
     inp_specs = _need(infra_spec, "inps", "infrastructure")
     if not isinstance(inp_specs, list) or not inp_specs:
         raise ConfigError("infrastructure.inps: expected a non-empty list")
     inps = []
     for i, p in enumerate(inp_specs):
         path = f"infrastructure.inps[{i}]"
-        if not isinstance(p, dict):
-            raise ConfigError(f"{path}: expected an object")
+        _object(p, path, INP_FIELDS)
         try:
             inps.append(
                 InP(
@@ -142,10 +162,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     v_base = _number(_need(infra_spec, "v_base", "infrastructure"), "infrastructure.v_base")
     dep_spec = _need(infra_spec, "deployment_cost", "infrastructure")
     link_cost = _expand_link_table(
-        infra_spec.get("link_cost"), inps, "infrastructure.link_cost", 0.0
-    )
-    link_bw = _expand_link_table(
-        infra_spec.get("link_bandwidth"), inps, "infrastructure.link_bandwidth", np.inf
+        infra_spec.get("link_cost", {"default": 0.0}), inps, "infrastructure.link_cost"
     )
     try:
         infra = Infrastructure(
@@ -155,7 +172,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             v_base=v_base,
             deployment_cost=dep_spec,
             link_cost=link_cost,
-            link_bandwidth=link_bw,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"infrastructure: {exc}") from exc
@@ -166,53 +182,43 @@ def parse_config(data: dict) -> ExperimentConfig:
     types = []
     for i, t in enumerate(type_specs):
         path = f"service_types[{i}]"
-        if not isinstance(t, dict):
-            raise ConfigError(f"{path}: expected an object")
+        _object(t, path, TYPE_FIELDS)
         vnf_specs = _need(t, "vnfs", path)
         if not isinstance(vnf_specs, list) or not vnf_specs:
             raise ConfigError(f"{path}.vnfs: expected a non-empty list")
+        vnfs = []
+        for k, v in enumerate(vnf_specs):
+            vpath = f"{path}.vnfs[{k}]"
+            _object(v, vpath, VNF_FIELDS)
+            try:
+                vnf = VnfSpec(
+                    vnf_type=_integer(_need(v, "vnf_type", vpath), f"{vpath}.vnf_type"),
+                    demands=tuple(_need(v, "demands", vpath)),
+                )
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{vpath}: {exc}") from exc
+            if vnf.vnf_type >= infra.num_vnf_types:
+                raise ConfigError(f"{vpath}.vnf_type: {vnf.vnf_type} not covered by deployment_cost")
+            if len(vnf.demands) != infra.num_resources:
+                raise ConfigError(f"{vpath}.demands: width {len(vnf.demands)} does not match alpha")
+            vnfs.append(vnf)
         try:
-            vnfs = tuple(
-                VnfSpec(vnf_type=_integer(_need(v, "vnf_type", f"{path}.vnfs[{k}]"), f"{path}.vnfs[{k}].vnf_type"),
-                        demands=tuple(v["demands"]))
-                for k, v in enumerate(vnf_specs)
-            )
             stype = ServiceType(
                 failure_cap=_number(_need(t, "failure_cap", path), f"{path}.failure_cap"),
                 departure_prob=_number(_need(t, "departure_prob", path), f"{path}.departure_prob"),
                 bandwidth=_number(_need(t, "bandwidth", path), f"{path}.bandwidth"),
-                vnfs=vnfs,
+                vnfs=tuple(vnfs),
                 arrival_pmf=tuple(_need(t, "arrival_pmf", path)),
                 admission_reward=_number(_need(t, "admission_reward", path), f"{path}.admission_reward"),
                 sigma_max=_integer(_need(t, "sigma_max", path), f"{path}.sigma_max"),
                 penalty=_number(t.get("penalty", DEFAULT_PENALTY), f"{path}.penalty"),
                 name=str(t.get("name", f"type{i}")),
             )
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        for k, v in enumerate(stype.vnfs):
-            if v.vnf_type >= infra.num_vnf_types:
-                raise ConfigError(
-                    f"{path}.vnfs[{k}].vnf_type: {v.vnf_type} not covered by deployment_cost"
-                )
-            if len(v.demands) != infra.num_resources:
-                raise ConfigError(
-                    f"{path}.vnfs[{k}].demands: width {len(v.demands)} does not match alpha"
-                )
         types.append(stype)
 
-    mdp_spec = data.get("mdp", {})
-    if not isinstance(mdp_spec, dict):
-        raise ConfigError("mdp: expected an object")
-    known = {
-        "gamma", "epsilon", "num_arrangements", "alpha_init", "estimate_discount",
-        "max_iterations", "state_space_cap", "seed",
-    }
-    for key in mdp_spec:
-        if key not in known:
-            raise ConfigError(f"mdp.{key}: unknown field")
+    mdp_spec = _object(data.get("mdp", {}), "mdp", MDP_FIELDS)
     mdp = MdpParams(
         gamma=_number(mdp_spec.get("gamma", DEFAULT_GAMMA), "mdp.gamma"),
         epsilon=(
@@ -237,9 +243,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not 0.0 < mdp.gamma < 1.0:
         raise ConfigError("mdp.gamma: must lie in (0, 1)")
 
-    sim_spec = data.get("sim", {})
-    if not isinstance(sim_spec, dict):
-        raise ConfigError("sim: expected an object")
+    sim_spec = _object(data.get("sim", {}), "sim", SIM_FIELDS)
     sim = SimParams(
         slots=_integer(sim_spec.get("slots", 1000), "sim.slots"),
         seed=_integer(sim_spec.get("seed", 0), "sim.seed"),
@@ -247,14 +251,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     if sim.slots < 1:
         raise ConfigError("sim.slots: must be positive")
 
-    size = 1
-    for t in types:
-        size *= (t.sigma_max + 1) * (t.lambda_max + 1)
-    if size > mdp.state_space_cap:
-        raise ConfigError(
-            f"mdp.state_space_cap: the catalog spans {size} states, "
-            f"above the configured cap of {mdp.state_space_cap}"
-        )
+    try:
+        build_state_space(types, mdp.state_space_cap)
+    except ValueError as exc:
+        raise ConfigError(f"mdp.state_space_cap: {exc}") from exc
 
     cfg = ExperimentConfig(
         infrastructure=infra,
@@ -286,9 +286,6 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
             "v_base": infra.v_base,
             "deployment_cost": [[float(c) for c in row] for row in infra.deployment_cost],
             "link_cost": {"matrix": [[float(c) for c in row] for row in infra.link_cost]},
-            "link_bandwidth": {
-                "matrix": [[float(c) for c in row] for row in infra.link_bandwidth]
-            },
         },
         "service_types": [
             {

@@ -8,7 +8,6 @@ arrays treated as read-only after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,9 +46,10 @@ class InP:
 class Infrastructure:
     """Read-only aggregate of all providers.
 
-    Carries flat-indexed capacity and link tables plus the per-resource unit
-    cost of each provider, which grows exponentially as the provider's
-    failure probability drops below the highest acceptable level ``v_base``.
+    Carries flat-indexed server capacities and the link cost table plus the
+    per-resource unit cost of each provider, which grows exponentially as
+    the provider's failure probability drops below the highest acceptable
+    level ``v_base``. Servers are the only capacity; links have a cost only.
     """
 
     def __init__(
@@ -60,7 +60,6 @@ class Infrastructure:
         v_base: float,
         deployment_cost,
         link_cost=None,
-        link_bandwidth=None,
     ) -> None:
         self.inps = tuple(inps)
         if not self.inps:
@@ -119,20 +118,8 @@ class Infrastructure:
             raise ValueError("link costs must be non-negative")
         self.link_cost = lc
 
-        if link_bandwidth is None:
-            link_bandwidth = np.full((s, s), np.inf)
-        lb = np.asarray(link_bandwidth, dtype=float)
-        if lb.shape != (s, s):
-            raise ValueError("link_bandwidth must be a square servers x servers table")
-        if not np.array_equal(lb, lb.T):
-            raise ValueError("link_bandwidth must be symmetric")
-        if np.any(lb < 0):
-            raise ValueError("link bandwidth must be non-negative")
-        self.link_bandwidth = lb
-
         for arr in (self.v, self.unit_cost, self.capacity, self.server_inp,
-                    self.deployment_cost, self.link_cost, self.link_bandwidth,
-                    self.alpha):
+                    self.deployment_cost, self.link_cost, self.alpha):
             arr.setflags(write=False)
 
     def server_id(self, inp: int, server: int) -> int:
@@ -155,15 +142,6 @@ class Infrastructure:
         if not 0 <= sid < self.num_servers:
             raise IndexError(f"server {sid} out of range")
         return float(self.v[self.server_inp[sid]])
-
-
-def server_unit_cost(infra: Infrastructure, inp: int, resource: int) -> float:
-    """Per-unit price of one resource on one provider's servers."""
-    if not 0 <= inp < infra.num_inps:
-        raise IndexError(f"provider {inp} out of range")
-    if not 0 <= resource < infra.num_resources:
-        raise IndexError(f"resource {resource} out of range")
-    return float(infra.alpha[resource] * math.exp(infra.beta * (infra.v_base - infra.v[inp])))
 
 
 @dataclass(frozen=True)
@@ -366,60 +344,27 @@ def plan_usage(plan: PlacementPlan, infra: Infrastructure, catalog: Catalog) -> 
     return usage
 
 
-def induced_link_usage(plan: PlacementPlan, infra: Infrastructure, catalog: Catalog) -> dict[tuple[int, int], float]:
-    """Bandwidth required on each inter-server link, keyed by sorted pair.
-
-    Every pair of servers hosting consecutive VNFs carries the chain's
-    bandwidth; traffic between co-located VNFs stays inside the server.
-    """
-    usage: dict[tuple[int, int], float] = {}
-    for placement in plan.services:
-        stype = catalog[placement.type_index]
-        prev: VnfPlacement | None = None
-        for vp in placement.vnfs:
-            if prev is not None:
-                for a in (prev.main, prev.backup):
-                    for b in (vp.main, vp.backup):
-                        if a is None or b is None or a == b:
-                            continue
-                        key = (min(a, b), max(a, b))
-                        usage[key] = usage.get(key, 0.0) + stype.bandwidth
-            prev = vp
-    return usage
-
-
 class ResourceLedger:
-    """Mutable idle-resource account for servers and links.
+    """Mutable idle-resource account for the servers, the only capacity the
+    model has; links carry a routing cost but no capacity.
 
     Written by a single owner; concurrent readers must hold a copy.
     """
 
-    def __init__(self, server_capacity, link_capacity, server_idle=None, link_idle=None) -> None:
+    def __init__(self, server_capacity, server_idle=None) -> None:
         self.server_capacity = np.array(server_capacity, dtype=np.int64)
-        self.link_capacity = np.array(link_capacity, dtype=float)
         self.server_idle = (
             self.server_capacity.copy() if server_idle is None
             else np.array(server_idle, dtype=np.int64)
-        )
-        self.link_idle = (
-            self.link_capacity.copy() if link_idle is None
-            else np.array(link_idle, dtype=float)
         )
         if self.server_idle.shape != self.server_capacity.shape:
             raise LedgerError("server idle table shape does not match capacity")
         if np.any(self.server_idle < 0) or np.any(self.server_idle > self.server_capacity):
             raise LedgerError("server idle resources out of [0, capacity]")
-        if np.any(self.link_idle < 0) or np.any(self.link_idle > self.link_capacity):
-            raise LedgerError("link idle bandwidth out of [0, capacity]")
 
     @classmethod
     def full(cls, infra: Infrastructure) -> "ResourceLedger":
-        return cls(infra.capacity, infra.link_bandwidth)
-
-    def copy(self) -> "ResourceLedger":
-        return ResourceLedger(
-            self.server_capacity, self.link_capacity, self.server_idle, self.link_idle
-        )
+        return cls(infra.capacity)
 
     def allocate(self, usage: np.ndarray) -> None:
         """Consume server resources; rejects requests exceeding idle stock."""
@@ -456,10 +401,9 @@ def validate_plan(
 ) -> list[Violation]:
     """Check a plan against the ledger and report every violated constraint.
 
-    Covered: chain coverage, distinct main/backup pairing, server capacity,
-    link bandwidth on every link between servers hosting consecutive VNFs,
-    and per-service reliability targets. An empty report means the plan is
-    admissible.
+    Covered: chain coverage, distinct main/backup pairing, server capacity
+    and per-service reliability targets. Servers are the only capacity, so
+    no link is checked. An empty report means the plan is admissible.
     """
     violations: list[Violation] = []
     for si, placement in enumerate(plan.services):
@@ -491,17 +435,6 @@ def validate_plan(
                 f"exceeds idle {int(ledger.server_idle[sid, j])}",
             )
         )
-
-    links = induced_link_usage(checkable, infra, catalog)
-    for (a, b), need in sorted(links.items()):
-        if need > ledger.link_idle[a, b] + COST_TOL:
-            violations.append(
-                Violation(
-                    "link-bandwidth",
-                    None,
-                    f"link ({a}, {b}): demand {need} exceeds idle {float(ledger.link_idle[a, b])}",
-                )
-            )
 
     for si, placement in enumerate(plan.services):
         if not pair_ok(placement):

@@ -196,7 +196,9 @@ class Simulation:
         else:
             # static strategies take every arrival, in type order
             action, arrangement = lam, tuple(l for l, n in enumerate(lam) for _ in range(n))
-        if self.strategy in (MDP_STRATEGY, BaselineId.TRELLIS_GREEDY.value):
+        if not arrangement:
+            placed = []
+        elif self.strategy in (MDP_STRATEGY, BaselineId.TRELLIS_GREEDY.value):
             placed = place_batch(
                 action, arrangement, self.ledger.server_idle, catalog, self.infra
             ).services

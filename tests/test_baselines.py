@@ -59,8 +59,7 @@ class TestGreedyMains:
 
     def test_zero_capacity_rejects_everything(self, tiny2):
         infra, catalog = tiny2
-        ledger = nv.ResourceLedger(infra.capacity, infra.link_bandwidth,
-                                   np.zeros_like(infra.capacity), infra.link_bandwidth)
+        ledger = nv.ResourceLedger(infra.capacity, np.zeros_like(infra.capacity))
         for baseline in BACKUP_BASELINES:
             outs = nv.run_baseline(baseline, [0, 0], ledger, infra, catalog)
             assert all(not o.placed for o in outs)

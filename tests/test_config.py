@@ -2,10 +2,27 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 import nfvplace as nv
+
+ROOT = Path(__file__).resolve().parents[1]
+# every config the package ships and the one the benchmark reads
+SHIPPED_CONFIGS = sorted(nv.seven_providers_path().parent.glob("*.json")) + [ROOT / "bench" / "reduced.json"]
+
+# (object path as keys, unknown key, full field path the error must start with)
+UNKNOWN_FIELDS = {
+    "top": ((), "extra", "extra"),
+    "infrastructure": (("infrastructure",), "link_bandwidth", "infrastructure.link_bandwidth"),
+    "inps": (("infrastructure", "inps", 2), "capacity", "infrastructure.inps[2].capacity"),
+    "link_cost": (("infrastructure", "link_cost"), "scale", "infrastructure.link_cost.scale"),
+    "service_types": (("service_types", 1), "priority", "service_types[1].priority"),
+    "vnfs": (("service_types", 1, "vnfs", 2), "cpu", "service_types[1].vnfs[2].cpu"),
+    "mdp": (("mdp",), "explore", "mdp.explore"),
+    "sim": (("sim",), "slot", "sim.slot"),
+}
 
 
 @pytest.fixture()
@@ -32,6 +49,15 @@ class TestRoundTrip:
         assert len(cfg.service_types) == 4
         assert cfg.mdp.gamma == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_round_trips(self, path):
+        # a schema change that a shipped config no longer satisfies fails here,
+        # not first in the benchmark
+        cfg = nv.load_config(path)
+        again = nv.parse_config(nv.serialize_config(cfg))
+        assert nv.serialize_config(again) == cfg.source
+        assert again.fingerprint == cfg.fingerprint
+
 
 class TestDiagnostics:
     def test_malformed_json_reports_position(self, tmp_path):
@@ -45,11 +71,15 @@ class TestDiagnostics:
         with pytest.raises(nv.ConfigError):
             nv.load_config(tmp_path / "absent.json")
 
-    def test_unknown_solver_key_rejected(self, base):
-        base["mdp"]["explore"] = 0.1
+    @pytest.mark.parametrize("where, key, field", UNKNOWN_FIELDS.values(), ids=UNKNOWN_FIELDS.keys())
+    def test_unknown_field_rejected(self, base, where, key, field):
+        spec = base
+        for step in where:
+            spec = spec[step]
+        spec[key] = 0.1
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(base)
-        assert "explore" in str(err.value)
+        assert str(err.value).startswith(f"{field}: unknown field")
 
     @pytest.mark.parametrize("mode", ["geometric", "literal", "binomial"])
     def test_bad_departure_mode_rejected(self, base, mode):
@@ -85,11 +115,17 @@ class TestDiagnostics:
             nv.parse_config(base)
         assert "104976" in str(err.value)
 
-    def test_field_path_in_message(self, base):
-        base["infrastructure"]["beta"] = -1.0
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["infrastructure"].update(beta=-1.0), "infrastructure: beta"),
+        (lambda cfg: cfg["service_types"][0]["vnfs"][1].pop("demands"),
+         "service_types[0].vnfs[1].demands: missing required field"),
+        (lambda cfg: cfg["service_types"][0].update(vnfs=[7]), "service_types[0].vnfs[0]: expected an object"),
+    ], ids=["beta", "vnf-without-demands", "vnf-not-an-object"])
+    def test_field_path_in_message(self, base, edit, prefix):
+        edit(base)
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(base)
-        assert "beta" in str(err.value)
+        assert str(err.value).startswith(prefix)
 
 
 class TestLinkTables:

@@ -44,7 +44,7 @@ class TestUnitCost:
             v_base=0.05,
             deployment_cost=[[0.0], [0.0]],
         )
-        ratio = nv.server_unit_cost(infra, 0, 0) / nv.server_unit_cost(infra, 1, 0)
+        ratio = infra.unit_cost[0, 0] / infra.unit_cost[1, 0]
         assert ratio == pytest.approx(5.0, rel=1e-12)
 
     def test_exponential_fixed_point(self):
@@ -55,12 +55,12 @@ class TestUnitCost:
             v_base=0.07,
             deployment_cost=[[0.0]],
         )
-        assert nv.server_unit_cost(infra, 0, 0) == pytest.approx(math.exp(0.9), rel=1e-12)
-        assert nv.server_unit_cost(infra, 0, 0) == pytest.approx(2.4596031111569496, rel=1e-12)
+        assert infra.unit_cost[0, 0] == pytest.approx(math.exp(0.9), rel=1e-12)
+        assert infra.unit_cost[0, 0] == pytest.approx(2.4596031111569496, rel=1e-12)
 
     def test_base_provider_costs_alpha(self):
         infra = one_inp(v=0.1, alpha=(0.5,), v_base=0.1)
-        assert nv.server_unit_cost(infra, 0, 0) == pytest.approx(0.5)
+        assert infra.unit_cost[0, 0] == pytest.approx(0.5)
 
     def test_more_reliable_is_never_cheaper(self):
         infra = nv.Infrastructure(
@@ -70,7 +70,7 @@ class TestUnitCost:
             v_base=0.07,
             deployment_cost=[[0.0]] * 3,
         )
-        costs = [nv.server_unit_cost(infra, i, 0) for i in range(3)]
+        costs = [infra.unit_cost[i, 0] for i in range(3)]
         assert costs[0] > costs[1] > costs[2]
 
 
