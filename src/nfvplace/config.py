@@ -58,7 +58,13 @@ class ExperimentConfig:
 TOP_FIELDS = {"infrastructure", "service_types", "mdp", "sim"}
 INFRA_FIELDS = {"inps", "alpha", "beta", "v_base", "deployment_cost", "link_cost"}
 INP_FIELDS = {"failure_prob", "servers"}
-LINK_TABLE_FIELDS = {"matrix", "intra_inp", "inter_inp", "default"}
+# a link table is given in exactly one of these forms
+LINK_TABLE_FORMS = {
+    "matrix": ("matrix",),
+    "intra_inp/inter_inp": ("intra_inp", "inter_inp"),
+    "default": ("default",),
+}
+LINK_TABLE_FIELDS = {key for keys in LINK_TABLE_FORMS.values() for key in keys}
 TYPE_FIELDS = {
     "name", "failure_cap", "departure_prob", "bandwidth", "vnfs", "arrival_pmf",
     "admission_reward", "sigma_max", "penalty",
@@ -101,11 +107,16 @@ def _integer(value, path: str) -> int:
 
 
 def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
-    """Accepts an explicit matrix, the compact intra/inter form or one
-    default for every pair of distinct servers."""
+    """Accepts exactly one of an explicit matrix, the compact intra/inter
+    form or one default for every pair of distinct servers."""
     total = sum(len(p.servers) for p in inps)
     owner = [i for i, p in enumerate(inps) for _ in p.servers]
     _object(spec, path, LINK_TABLE_FIELDS)
+    forms = [name for name, keys in LINK_TABLE_FORMS.items() if any(k in spec for k in keys)]
+    if len(forms) > 1:
+        raise ConfigError(
+            f"{path}: expected one of {', '.join(LINK_TABLE_FORMS)}, got {' and '.join(forms)}"
+        )
     if "matrix" in spec:
         try:
             mat = np.asarray(spec["matrix"], dtype=float)
@@ -132,7 +143,7 @@ def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
         mat = np.full((total, total), value)
         np.fill_diagonal(mat, 0.0)
         return mat
-    raise ConfigError(f"{path}: expected one of matrix, intra_inp/inter_inp, default")
+    raise ConfigError(f"{path}: expected one of {', '.join(LINK_TABLE_FORMS)}")
 
 
 def parse_config(data: dict) -> ExperimentConfig:

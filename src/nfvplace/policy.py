@@ -283,6 +283,11 @@ def value_iteration(
     pool; once a pool is spent, the incumbent best order is reused, which
     keeps later sweeps stationary. Stops when the sup-norm change of the
     value table falls below ``epsilon`` (at least two sweeps run).
+
+    The trellis search runs once per distinct (action, arrangement,
+    snapshot) input of the call; a repeated input reuses that outcome,
+    but still updates the estimator and the arrangement ledger, so the
+    result is the same as scoring every input afresh.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -303,6 +308,9 @@ def value_iteration(
     active_vecs = [space.active_vector(j + 1) for j in range(space.num_active)]
     actions_by_state: list[list[tuple[int, ...]] | None] = [None] * space.size
     pools: dict[tuple[int, tuple[int, ...]], _ArrangementLedger] = {}
+    # trellis outcome per exact (action, arrangement, snapshot bytes) input:
+    # (reward, admitted counts, usage), or None for an invalid batch
+    scores: dict[tuple[tuple[int, ...], tuple[int, ...], bytes], tuple | None] = {}
 
     values = np.zeros(space.size)
     best_actions: list[tuple[int, ...]] = [(0,) * space.num_types] * space.size
@@ -327,6 +335,7 @@ def value_iteration(
                     actions_by_state[sid] = actions
                 eta = space.active_index(sigma)
                 omega = estimator.snapshot(eta)
+                omega_bytes = omega.tobytes()
 
                 best_q = -np.inf
                 best_action = actions[0]
@@ -339,19 +348,25 @@ def value_iteration(
                         pools[(sid, action)] = ledger
                     rho = ledger.next_arrangement()
 
-                    outcome = TrellisPlacement(action, rho, omega, catalog, infra).run()
-                    if outcome.valid:
-                        reward = action_reward(action, outcome, catalog)
-                        admitted, used = realized_action(action, outcome, catalog, usage_shape)
-                        eta_next = space.active_index(
-                            tuple(s + a for s, a in zip(sigma, admitted))
+                    key = (action, rho, omega_bytes)
+                    if key not in scores:
+                        outcome = TrellisPlacement(action, rho, omega, catalog, infra).run()
+                        scores[key] = (
+                            (action_reward(action, outcome, catalog),
+                             *realized_action(action, outcome, catalog, usage_shape))
+                            if outcome.valid else None
                         )
-                        estimator.update(eta_next, omega, used)
+                    scored = scores[key]
+                    if scored is not None:
+                        reward, admitted, used = scored
+                        # states with different sigma share snapshot bytes,
+                        # so the destination is never taken from the memo
+                        source = tuple(s + a for s, a in zip(sigma, admitted))
+                        estimator.update(space.active_index(source), omega, used)
                         ledger.record(reward, rho)
                     else:
                         reward = 0.0
-                        admitted = (0,) * space.num_types
-                    source = tuple(s + a for s, a in zip(sigma, admitted))
+                        source = sigma
                     q = reward + gamma * float(
                         model.departure_row(source) @ expected_prev
                     )

@@ -250,6 +250,20 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
 
+    def test_ambiguous_link_table_exits_two(self, tmp_path, capsys):
+        # an all-zero matrix next to a default must not load as all zeros
+        cfg = small_config_dict()
+        cfg["infrastructure"]["link_cost"] = {"matrix": [[0.0, 0.0], [0.0, 0.0]], "default": 5.0}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("infrastructure.link_cost: expected one of")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])

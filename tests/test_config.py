@@ -142,6 +142,22 @@ class TestLinkTables:
         cfg = nv.parse_config(base)
         assert cfg.infrastructure.link_cost.shape == (21, 21)
 
+    # every pair of forms; the matrix is well-formed, so only the mix fails
+    @pytest.mark.parametrize("spec, forms", [
+        ({"matrix": [[0.0] * 21] * 21, "intra_inp": 0.1, "inter_inp": 0.5},
+         "matrix and intra_inp/inter_inp"),
+        ({"matrix": [[0.0] * 21] * 21, "default": 5.0}, "matrix and default"),
+        ({"intra_inp": 0.1, "inter_inp": 0.5, "default": 5.0}, "intra_inp/inter_inp and default"),
+    ], ids=["matrix+intra_inter", "matrix+default", "intra_inter+default"])
+    def test_more_than_one_form_rejected(self, base, spec, forms):
+        base["infrastructure"]["link_cost"] = spec
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(base)
+        assert str(err.value) == (
+            "infrastructure.link_cost: expected one of matrix, intra_inp/inter_inp, default, "
+            f"got {forms}"
+        )
+
     def test_wrong_matrix_shape_rejected(self, base):
         base["infrastructure"]["link_cost"] = {"matrix": [[0.0]]}
         with pytest.raises(nv.ConfigError):

@@ -1,5 +1,6 @@
 """Resource estimation, arrangement sampling, and value iteration."""
 
+import hashlib
 import json
 import math
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
+import nfvplace.policy as policy_module
 from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
 from nfvplace.policy import realized_action
 
-from helpers import analytic_setup, tiny_two_inps
+from helpers import analytic_setup, reduced_setup, tiny_two_inps
 
 
 def big_server_setup():
@@ -156,6 +158,62 @@ class TestValueIteration:
         )
         assert not policy.converged
         assert policy.iterations == 7
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _reduced_solve(seed: int = 1) -> nv.Policy:
+    infra, catalog = reduced_setup()
+    space = nv.build_state_space(catalog)
+    return nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=seed)
+
+
+class TestReducedSolveReference:
+    """The reduced solve at seed 1, pinned bit for bit to the result of
+    scoring every (state, action) pair with a fresh trellis search. Any
+    fast path in the solve must reproduce it exactly."""
+
+    def test_solve_matches_reference_bits(self):
+        policy = _reduced_solve(seed=1)
+        plan = json.dumps(
+            [[list(a) for a in policy.actions], [list(r) for r in policy.arrangements]]
+        ).encode()
+        assert policy.iterations == 63
+        assert _sha256(plan) == "11c622b5ca739c5304282f6d5c12bfdee4d5529a82e67f81eaae930ed1146246"
+        assert _sha256(policy.values.tobytes()) == (
+            "33d8c87263a750b846c69efc7fbc04e7b3a3716bc41fdf50e61a331add964849"
+        )
+        assert _sha256(np.asarray(policy.mean_value_trace, dtype=float).tobytes()) == (
+            "fbcac0d37017dd36e617be0e9c4f06af9c2d04a1da2b2cfb22d146c54e2b515f"
+        )
+        assert _sha256(np.asarray(policy.sup_diff_trace, dtype=float).tobytes()) == (
+            "ab8cb72a55b496bc39f294a70b51940640ca9e6864d51b5b0d4cd68ed85fdec7"
+        )
+
+    def test_each_distinct_input_is_searched_once(self, monkeypatch):
+        inputs = []
+        updates = []
+
+        class CountingPlacement(nv.TrellisPlacement):
+            def __init__(self, action, arrangement, snapshot, *args):
+                inputs.append((tuple(action), tuple(arrangement), np.asarray(snapshot).tobytes()))
+                super().__init__(action, arrangement, snapshot, *args)
+
+        update = nv.ResourceEstimator.update
+
+        def counting_update(self, *args):
+            updates.append(args[0])
+            return update(self, *args)
+
+        monkeypatch.setattr(policy_module, "TrellisPlacement", CountingPlacement)
+        monkeypatch.setattr(nv.ResourceEstimator, "update", counting_update)
+        _reduced_solve(seed=1)
+        # 363 distinct inputs among the 8,568 scorings of this solve; the
+        # estimator still learns from every valid scoring, repeats included
+        assert len(inputs) == len(set(inputs)) == 363
+        assert len(updates) == 5417
 
 
 class TestPolicyArtifact:
