@@ -5,6 +5,7 @@ service catalog objects."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -97,6 +98,9 @@ def _need(data: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    # json reads NaN and Infinity; neither is a usable cost, rate or weight
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     return float(value)
 
 
@@ -124,6 +128,8 @@ def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
             raise ConfigError(f"{path}.matrix: expected a numeric table ({exc})") from exc
         if mat.shape != (total, total):
             raise ConfigError(f"{path}.matrix: expected a {total}x{total} table")
+        if not np.isfinite(mat).all():
+            raise ConfigError(f"{path}.matrix: expected finite numbers")
         return mat
     if "intra_inp" in spec or "inter_inp" in spec:
         intra = _number(_need(spec, "intra_inp", path), f"{path}.intra_inp")
@@ -165,7 +171,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                     servers=tuple(tuple(s) for s in _need(p, "servers", path)),
                 )
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     alpha = _need(infra_spec, "alpha", "infrastructure")
@@ -206,7 +212,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                     vnf_type=_integer(_need(v, "vnf_type", vpath), f"{vpath}.vnf_type"),
                     demands=tuple(_need(v, "demands", vpath)),
                 )
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{vpath}: {exc}") from exc
             if vnf.vnf_type >= infra.num_vnf_types:
                 raise ConfigError(f"{vpath}.vnf_type: {vnf.vnf_type} not covered by deployment_cost")

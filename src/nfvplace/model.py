@@ -8,6 +8,7 @@ arrays treated as read-only after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,11 +68,11 @@ class Infrastructure:
         self.alpha = np.asarray(alpha, dtype=float)
         if self.alpha.ndim != 1 or self.alpha.size == 0:
             raise ValueError("alpha must be a non-empty vector")
-        if np.any(self.alpha < 0) or np.any(self.alpha > 1):
+        if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
             raise ValueError("resource weights must lie in [0, 1]")
         self.beta = float(beta)
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
         self.v_base = float(v_base)
         if not 0.0 < self.v_base < 1.0:
             raise ValueError("v_base must lie in (0, 1)")
@@ -99,8 +100,8 @@ class Infrastructure:
         dep = np.asarray(deployment_cost, dtype=float)
         if dep.ndim != 2 or dep.shape[0] != self.num_inps:
             raise ValueError("deployment_cost must be a (providers x vnf types) table")
-        if np.any(dep < 0):
-            raise ValueError("deployment costs must be non-negative")
+        if not np.all(np.isfinite(dep) & (dep >= 0)):
+            raise ValueError("deployment costs must be finite and non-negative")
         self.deployment_cost = dep
         self.num_vnf_types = int(dep.shape[1])
 
@@ -110,6 +111,8 @@ class Infrastructure:
         lc = np.asarray(link_cost, dtype=float)
         if lc.shape != (s, s):
             raise ValueError("link_cost must be a square servers x servers table")
+        if not np.all(np.isfinite(lc)):
+            raise ValueError("link costs must be finite")
         if not np.allclose(lc, lc.T, atol=COST_TOL):
             raise ValueError("link_cost must be symmetric")
         if np.any(np.abs(np.diag(lc)) > 0):
@@ -180,22 +183,22 @@ class ServiceType:
             raise ValueError("failure_cap must lie in (0, 1)")
         if not 0.0 < self.departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in (0, 1]")
-        if self.bandwidth < 0:
-            raise ValueError("bandwidth must be non-negative")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
+            raise ValueError("bandwidth must be finite and non-negative")
         if not self.vnfs:
             raise ValueError("a service needs at least one VNF")
         if len({len(v.demands) for v in self.vnfs}) != 1:
             raise ValueError("all VNFs of a service must share the resource width")
-        if not self.arrival_pmf or any(p < 0 for p in self.arrival_pmf):
-            raise ValueError("arrival_pmf entries must be non-negative")
+        if not self.arrival_pmf or not all(math.isfinite(p) and p >= 0 for p in self.arrival_pmf):
+            raise ValueError("arrival_pmf entries must be finite and non-negative")
         if abs(sum(self.arrival_pmf) - 1.0) > PROB_TOL:
             raise ValueError("arrival_pmf must sum to one")
-        if self.admission_reward < 0:
-            raise ValueError("admission_reward must be non-negative")
+        if not (math.isfinite(self.admission_reward) and self.admission_reward >= 0):
+            raise ValueError("admission_reward must be finite and non-negative")
         if self.sigma_max < 0:
             raise ValueError("sigma_max must be non-negative")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        if not (math.isfinite(self.penalty) and self.penalty > 0):
+            raise ValueError("penalty must be finite and positive")
 
     @property
     def num_vnfs(self) -> int:

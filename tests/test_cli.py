@@ -264,6 +264,27 @@ class TestErrors:
         assert err["message"].startswith("infrastructure.link_cost: expected one of")
         assert not (tmp_path / "x.csv").exists()
 
+    # each loaded before finite numbers were required, and the trellis then
+    # found no best move and raised out of main
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["infrastructure"].update(link_cost={"default": math.inf}),
+         "infrastructure.link_cost.default"),
+        (lambda cfg: cfg["service_types"][0].update(bandwidth=math.nan), "service_types[0].bandwidth"),
+        (lambda cfg: cfg["service_types"][0].update(penalty=math.nan), "service_types[0].penalty"),
+    ], ids=["link-cost", "bandwidth", "penalty"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, edit, prefix):
+        cfg = small_config_dict()
+        cfg["service_types"][0]["vnfs"] *= 2
+        edit(cfg)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{prefix}: expected a finite number")
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])

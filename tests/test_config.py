@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,39 @@ class TestDiagnostics:
         edit(base)
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(base)
+        assert str(err.value).startswith(prefix)
+
+    # json reads NaN and Infinity: each must fail at load with its field path
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["infrastructure"].update(link_cost={"default": math.inf}),
+         "infrastructure.link_cost.default: expected a finite number"),
+        (lambda cfg: cfg["infrastructure"].update(link_cost={"intra_inp": 0.1, "inter_inp": math.nan}),
+         "infrastructure.link_cost.inter_inp: expected a finite number"),
+        (lambda cfg: cfg["infrastructure"].update(link_cost={"matrix": [[math.inf] * 21] * 21}),
+         "infrastructure.link_cost.matrix: expected finite numbers"),
+        (lambda cfg: cfg["infrastructure"].update(beta=math.inf), "infrastructure.beta: expected a finite number"),
+        (lambda cfg: cfg["infrastructure"].update(alpha=[math.nan]), "infrastructure: resource weights"),
+        (lambda cfg: cfg["infrastructure"]["deployment_cost"][0].__setitem__(0, math.inf),
+         "infrastructure: deployment costs must be finite"),
+        (lambda cfg: cfg["infrastructure"]["inps"][0]["servers"][0].__setitem__(0, math.inf),
+         "infrastructure.inps[0]: cannot convert float infinity"),
+        (lambda cfg: cfg["service_types"][0].update(bandwidth=math.nan),
+         "service_types[0].bandwidth: expected a finite number"),
+        (lambda cfg: cfg["service_types"][0].update(penalty=math.nan),
+         "service_types[0].penalty: expected a finite number"),
+        (lambda cfg: cfg["service_types"][0].update(admission_reward=math.inf),
+         "service_types[0].admission_reward: expected a finite number"),
+        (lambda cfg: cfg["service_types"][0].update(arrival_pmf=[math.nan, 0.5, 0.5]),
+         "service_types[0]: arrival_pmf entries must be finite"),
+        (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[math.inf]),
+         "service_types[0].vnfs[0]: cannot convert float infinity"),
+        (lambda cfg: cfg["mdp"].update(epsilon=math.nan), "mdp.epsilon: expected a finite number"),
+    ], ids=["link-default", "link-inter", "link-matrix", "beta", "alpha", "deployment",
+            "server", "bandwidth", "penalty", "reward", "pmf", "demand", "epsilon"])
+    def test_non_finite_number_rejected(self, base, edit, prefix):
+        edit(base)
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(json.loads(json.dumps(base)))
         assert str(err.value).startswith(prefix)
 
 

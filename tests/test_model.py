@@ -314,3 +314,32 @@ class TestInfrastructure:
         assert nv.InP is not None
         assert infra.server_failure(0) == pytest.approx(0.07)
         assert infra.server_failure(infra.num_servers - 1) == pytest.approx(0.01)
+
+
+class TestFiniteNumbers:
+    """Constructors reject NaN and infinity, which the trellis cannot rank."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": [math.nan]},
+        {"beta": math.inf},
+        {"deployment_cost": [[math.inf]]},
+        {"link_cost": np.array([[0.0, math.nan], [math.nan, 0.0]])},
+        {"link_cost": np.array([[0.0, math.inf], [math.inf, 0.0]])},
+    ], ids=["alpha", "beta", "deployment", "link-nan", "link-inf"])
+    def test_infrastructure(self, kwargs):
+        args = dict(alpha=[1.0], beta=1.0, v_base=0.1, deployment_cost=[[0.0]])
+        args.update(kwargs)
+        with pytest.raises(ValueError):
+            nv.Infrastructure([nv.InP(0.1, ((10,), (10,)))], **args)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth", math.nan), ("bandwidth", math.inf), ("penalty", math.nan),
+        ("penalty", math.inf), ("admission_reward", math.inf), ("arrival_pmf", (math.nan, 1.0)),
+    ], ids=["bandwidth-nan", "bandwidth-inf", "penalty-nan", "penalty-inf", "reward-inf", "pmf-nan"])
+    def test_service_type(self, field, value):
+        args = dict(failure_cap=0.5, departure_prob=0.5, bandwidth=1.0,
+                    vnfs=(nv.VnfSpec(0, (5,)),), arrival_pmf=(0.5, 0.5),
+                    admission_reward=10.0, sigma_max=2)
+        args[field] = value
+        with pytest.raises(ValueError):
+            nv.ServiceType(**args)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
-from nfvplace.trellis import stage_count, stage_states
+from nfvplace.trellis import WHOLE_STAGE_MIN_SERVERS, StageSurvivors, stage_count, stage_states
 
 from helpers import random_batch_inputs
 
@@ -267,3 +267,65 @@ class TestSelfConsistency:
                 continue
             total = sum((s.usage for s in res.services), start=np.zeros_like(snapshot))
             assert np.all(total <= snapshot)
+
+
+class TestStageKernel:
+    """The whole-stage kernel against the pair loop it replaces on wide
+    infrastructures: both are called directly, so narrow setups that
+    ``run`` keeps on the pair loop are compared too."""
+
+    @staticmethod
+    def _search(kernel, batch, catalog, infra):
+        """Everything one search leaves behind, as comparable values."""
+        tp = nv.TrellisPlacement(*batch, catalog, infra)
+        valid = getattr(tp, kernel)()
+        result = tp._read_out(tp.stages) if valid and tp.num_stages else None
+        services = result and [
+            (s.type_index, s.placement, s.cost, s.failure_prob, s.usage.dtype.str, s.usage.tobytes())
+            for s in result.services
+        ]
+        survivors = [
+            [(x, st.cost, st.reliability, st.remaining.dtype.str, st.remaining.tobytes(), st.path)
+             for x, st in stage.items()]
+            for stage in tp.stages
+        ]
+        return valid, result and result.path, services, survivors, tp.evaluations
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
+    def test_bit_equal_to_pair_loop(self, setup, request):
+        infra, catalog = request.getfixturevalue(setup)
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for i in range(40):
+            # up to three services per type, so some batches do not fit
+            batch = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+            if i % 2:
+                action, arrangement, _ = batch
+                batch = (action, arrangement, infra.capacity * rng.uniform(size=infra.capacity.shape))
+            pairs = self._search("_search_pairs", batch, catalog, infra)
+            assert self._search("_search_stages", batch, catalog, infra) == pairs
+            outcomes.add(pairs[0])
+        assert outcomes == {True, False}
+
+    def test_run_picks_kernel_by_server_count(self, bundled, reduced):
+        for infra, catalog in (bundled, reduced):
+            action, arrangement, snapshot = random_batch_inputs(
+                np.random.default_rng(1), infra, catalog
+            )
+            tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra)
+            tp.run()
+            wide = infra.num_servers >= WHOLE_STAGE_MIN_SERVERS
+            assert isinstance(tp.stages[-1], StageSurvivors) == wide
+        assert reduced[0].num_servers < WHOLE_STAGE_MIN_SERVERS <= bundled[0].num_servers
+
+    def test_survivor_lookup(self, bundled):
+        infra, catalog = bundled
+        tp = nv.TrellisPlacement((1, 0, 0, 0), (0,), full_snapshot(infra), catalog, infra)
+        tp._search_stages()
+        stage = tp.stages[2]
+        assert list(stage) == list(range(infra.num_servers + 1))
+        assert stage[3].path[1] == 3 and len(stage[3].path) == 2
+        with pytest.raises(KeyError):
+            tp.stages[1][0]  # main stages have no "no server" state
+        with pytest.raises(ValueError):
+            stage[3].remaining[0] = 0  # lookups share the stage's stock
