@@ -10,7 +10,7 @@ everything on admission ratio, placement cost, and backup overhead
 (`Simulation`).
 """
 
-from .baselines import BaselineId, BaselineOutcome, run_baseline
+from .baselines import BaselineId, BaselineOutcome, BaselineTables, run_baseline
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .datasets import seven_providers, seven_providers_path
 from .mdp import (
@@ -63,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineId",
     "BaselineOutcome",
+    "BaselineTables",
     "ConfigError",
     "CostBreakdown",
     "ExperimentConfig",

@@ -17,7 +17,6 @@ from .model import (
     ResourceLedger,
     ServicePlacement,
     VnfPlacement,
-    VnfSpec,
     service_cost,
     service_failure_probability,
     service_usage,
@@ -62,60 +61,79 @@ class BaselineOutcome:
         return self.placement is not None
 
 
-def _demand(catalog: Catalog, l: int, u: int) -> np.ndarray:
-    return np.asarray(catalog[l].vnfs[u].demands, dtype=np.int64)
+class BaselineTables:
+    """Per-setup lookups the baselines read on every scan, built once from
+    ``(infra, catalog)``: the int64 demand row and the per-server charge
+    list of each (type, VNF), the per-server failure list and the link
+    table as lists.
+
+    A charge is ``d @ unit_cost[inp] + deployment_cost[inp, vnf_type]``
+    with ``d`` the float demand row, a dot product per provider. The
+    trellis forms the same charge as ``unit_cost @ d``; with more than one
+    resource the two can differ in the last bits, so the tables are not
+    shared with it."""
+
+    def __init__(self, infra: Infrastructure, catalog: Catalog) -> None:
+        self.infra = infra
+        self.catalog = catalog
+        inps = infra.server_inp.tolist()
+        self.demands: list[list[np.ndarray]] = []
+        self.charges: list[list[list[float]]] = []
+        for stype in catalog:
+            self.demands.append([np.asarray(spec.demands, dtype=np.int64) for spec in stype.vnfs])
+            rows = []
+            for spec in stype.vnfs:
+                d = np.asarray(spec.demands, dtype=float)
+                per_inp = [
+                    float(d @ infra.unit_cost[i]) + float(infra.deployment_cost[i, spec.vnf_type])
+                    for i in range(infra.num_inps)
+                ]
+                rows.append([per_inp[i] for i in inps])
+            self.charges.append(rows)
+        self.failure = [infra.server_failure(srv) for srv in range(infra.num_servers)]
+        self.link = infra.link_cost.tolist()
 
 
-def _server_charge(infra: Infrastructure, spec: VnfSpec, srv: int) -> float:
-    """Server and deployment charge of hosting one VNF on ``srv``."""
-    inp = int(infra.server_inp[srv])
-    cost = float(np.asarray(spec.demands, dtype=float) @ infra.unit_cost[inp])
-    return cost + float(infra.deployment_cost[inp, spec.vnf_type])
-
-
-def _backup_cost(
-    build: ServiceBuild, u: int, srv: int, infra: Infrastructure, catalog: Catalog
-) -> float:
+def _backup_cost(build: ServiceBuild, u: int, srv: int, tables: BaselineTables) -> float:
     """Placement cost added by giving VNF u a backup on srv."""
-    stype = catalog[build.type_index]
-    cost = _server_charge(infra, stype.vnfs[u], srv)
+    bandwidth = tables.catalog[build.type_index].bandwidth
+    cost = tables.charges[build.type_index][u][srv]
     for v in (u - 1, u + 1):
         if 0 <= v < len(build.mains):
             for neighbor in (build.mains[v], build.backups[v]):
                 if neighbor is not None:
-                    cost += stype.bandwidth * float(infra.link_cost[neighbor, srv])
+                    cost += bandwidth * tables.link[neighbor][srv]
     return cost
 
 
-def _release(build: ServiceBuild, idle: np.ndarray, catalog: Catalog) -> None:
+def _release(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
     """Return every server the build holds to the idle stock."""
+    demands = tables.demands[build.type_index]
     for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
         for srv in (main, backup):
             if srv is not None:
-                idle[srv] += _demand(catalog, build.type_index, u)
+                idle[srv] += demands[u]
 
 
-def _place_mains(
-    l: int, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
-) -> ServiceBuild | None:
+def _place_mains(l: int, idle: np.ndarray, tables: BaselineTables) -> ServiceBuild | None:
     """Cheapest-feasible main for each VNF in chain order; None on failure,
     with any partial usage rolled back."""
-    stype = catalog[l]
+    bandwidth = tables.catalog[l].bandwidth
     build = ServiceBuild(l)
-    for u, spec in enumerate(stype.vnfs):
-        r = _demand(catalog, l, u)
+    for r, charge in zip(tables.demands[l], tables.charges[l]):
+        link = tables.link[build.mains[-1]] if build.mains else None
         best = None
         best_cost = np.inf
-        for srv in range(infra.num_servers):
-            if np.all(idle[srv] >= r):
-                cost = _server_charge(infra, spec, srv)
-                if build.mains:
-                    cost += stype.bandwidth * float(infra.link_cost[build.mains[-1], srv])
+        for srv, fits in enumerate((idle >= r).all(axis=1).tolist()):
+            if fits:
+                cost = charge[srv]
+                if link is not None:
+                    cost += bandwidth * link[srv]
                 if cost < best_cost:
                     best_cost = cost
                     best = srv
         if best is None:
-            _release(build, idle, catalog)
+            _release(build, idle, tables)
             return None
         idle[best] -= r
         build.mains.append(best)
@@ -123,66 +141,77 @@ def _place_mains(
     return build
 
 
+def _failure(build: ServiceBuild, failure: list[float]) -> float:
+    """:func:`service_failure_probability` of the build, read from the
+    failure list in the same float order."""
+    up = 1.0
+    for main, backup in zip(build.mains, build.backups):
+        f = failure[main]
+        if backup is not None:
+            if backup == main:
+                raise ValueError("backup server must differ from the main server")
+            f *= failure[backup]
+        up *= 1.0 - f
+    return 1.0 - up
+
+
 def _failure_with_backup(
-    build: ServiceBuild, u: int, srv: int | None, infra: Infrastructure
+    build: ServiceBuild, u: int, srv: int | None, tables: BaselineTables
 ) -> float:
     saved = build.backups[u]
     build.backups[u] = srv
     try:
-        return service_failure_probability(build.placement().vnfs, infra)
+        return _failure(build, tables.failure)
     finally:
         build.backups[u] = saved
 
 
 def _backup_hosts(
-    build: ServiceBuild, u: int, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
+    build: ServiceBuild, u: int, idle: np.ndarray, tables: BaselineTables
 ) -> list[int]:
     """Servers other than VNF u's main with room for its demand."""
-    r = _demand(catalog, build.type_index, u)
+    r = tables.demands[build.type_index][u]
+    main = build.mains[u]
     return [
         srv
-        for srv in range(infra.num_servers)
-        if srv != build.mains[u] and np.all(idle[srv] >= r)
+        for srv, fits in enumerate((idle >= r).all(axis=1).tolist())
+        if fits and srv != main
     ]
 
 
 def _choose_backup(
-    build: ServiceBuild, u: int, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
+    build: ServiceBuild, u: int, idle: np.ndarray, tables: BaselineTables
 ) -> int | None:
     """Cheapest backup that meets the service target, else the most
     reliable feasible server, else None."""
-    stype = catalog[build.type_index]
-    feasible = _backup_hosts(build, u, idle, infra, catalog)
+    failure_cap = tables.catalog[build.type_index].failure_cap
+    feasible = _backup_hosts(build, u, idle, tables)
     if not feasible:
         return None
     sufficient = [
         srv
         for srv in feasible
-        if _failure_with_backup(build, u, srv, infra) <= stype.failure_cap
+        if _failure_with_backup(build, u, srv, tables) <= failure_cap
     ]
     if sufficient:
-        return min(
-            sufficient,
-            key=lambda srv: (_backup_cost(build, u, srv, infra, catalog), srv),
-        )
-    return min(feasible, key=lambda srv: (infra.server_failure(srv), srv))
+        return min(sufficient, key=lambda srv: (_backup_cost(build, u, srv, tables), srv))
+    return min(feasible, key=lambda srv: (tables.failure[srv], srv))
 
 
-def _smallest_demand_first(build: ServiceBuild, u: int, infra: Infrastructure, catalog: Catalog) -> int:
+def _smallest_demand_first(build: ServiceBuild, u: int, tables: BaselineTables) -> int:
     """min_resource: protect the VNF with the smallest total demand first."""
-    return int(_demand(catalog, build.type_index, u).sum())
+    return int(tables.demands[build.type_index][u].sum())
 
 
-def _least_reliable_first(build: ServiceBuild, u: int, infra: Infrastructure, catalog: Catalog) -> float:
+def _least_reliable_first(build: ServiceBuild, u: int, tables: BaselineTables) -> float:
     """min_reliability and redundant_vnf: protect the VNF most likely to fail first."""
-    return -infra.server_failure(build.mains[u])
+    return -tables.failure[build.mains[u]]
 
 
 def _protect_ranked(
     build: ServiceBuild,
     idle: np.ndarray,
-    infra: Infrastructure,
-    catalog: Catalog,
+    tables: BaselineTables,
     rank,
     abandon: bool = False,
 ) -> bool:
@@ -190,42 +219,40 @@ def _protect_ranked(
     lowest index, until the service meets its target. A VNF with no backup
     host is skipped, or with ``abandon`` ends the attempt. Returns whether
     the target was met."""
-    stype = catalog[build.type_index]
+    failure_cap = tables.catalog[build.type_index].failure_cap
     blocked: set[int] = set()
-    while service_failure_probability(build.placement().vnfs, infra) > stype.failure_cap:
+    while _failure(build, tables.failure) > failure_cap:
         candidates = [
             u for u in range(len(build.mains))
             if build.backups[u] is None and u not in blocked
         ]
         if not candidates:
             return False
-        u = min(candidates, key=lambda u: (rank(build, u, infra, catalog), u))
-        srv = _choose_backup(build, u, idle, infra, catalog)
+        u = min(candidates, key=lambda u: (rank(build, u, tables), u))
+        srv = _choose_backup(build, u, idle, tables)
         if srv is None:
             if abandon:
                 return False
             blocked.add(u)
             continue
         build.backups[u] = srv
-        idle[srv] -= _demand(catalog, build.type_index, u)
+        idle[srv] -= tables.demands[build.type_index][u]
     return True
 
 
-def _protect_cera(
-    build: ServiceBuild, idle: np.ndarray, infra: Infrastructure, catalog: Catalog
-) -> None:
+def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
     """Cost-efficiency driven protection: commit the (VNF, server) pair with
     the best reliability gain per unit of added cost; zero-cost gains rank
     as infinite and go first."""
-    stype = catalog[build.type_index]
-    while (e := service_failure_probability(build.placement().vnfs, infra)) > stype.failure_cap:
+    failure_cap = tables.catalog[build.type_index].failure_cap
+    while (e := _failure(build, tables.failure)) > failure_cap:
         best = None  # (cim, u, srv)
         for u in range(len(build.mains)):
             if build.backups[u] is not None:
                 continue
-            for srv in _backup_hosts(build, u, idle, infra, catalog):
-                gain = e - _failure_with_backup(build, u, srv, infra)
-                cost = _backup_cost(build, u, srv, infra, catalog)
+            for srv in _backup_hosts(build, u, idle, tables):
+                gain = e - _failure_with_backup(build, u, srv, tables)
+                cost = _backup_cost(build, u, srv, tables)
                 if cost <= 0.0:
                     cim = np.inf if gain > 0 else 0.0
                 else:
@@ -236,7 +263,7 @@ def _protect_cera(
             return
         _, u, srv = best
         build.backups[u] = srv
-        idle[srv] -= _demand(catalog, build.type_index, u)
+        idle[srv] -= tables.demands[build.type_index][u]
 
 
 def _outcome(
@@ -260,9 +287,15 @@ def run_baseline(
     ledger: ResourceLedger,
     infra: Infrastructure,
     catalog: Catalog,
+    *,
+    tables: BaselineTables | None = None,
 ) -> list[BaselineOutcome]:
     """Run one backup strategy over the requested services against a ledger
     snapshot. The ledger itself is never mutated.
+
+    ``tables`` are the setup's :class:`BaselineTables`; a caller that runs
+    many requests on one setup builds them once and passes them in, and
+    without them they are built for this call.
 
     A service whose chain of mains cannot be completed is rejected whole.
     ``redundant_vnf`` places and protects each service before the next
@@ -272,27 +305,31 @@ def run_baseline(
     baseline = BaselineId(baseline)
     if baseline is BaselineId.TRELLIS_GREEDY:
         raise ValueError("the trellis strategy places whole batches; call place_batch")
+    if tables is None:
+        tables = BaselineTables(infra, catalog)
+    elif tables.infra is not infra or tables.catalog is not catalog:
+        raise ValueError("baseline tables were built for another infrastructure or catalog")
     idle = ledger.server_idle.copy()
     if baseline is BaselineId.REDUNDANT_VNF:
         builds = []
         for l in type_indices:
-            build = _place_mains(int(l), idle, infra, catalog)
+            build = _place_mains(int(l), idle, tables)
             if build is not None and not _protect_ranked(
-                build, idle, infra, catalog, _least_reliable_first, abandon=True
+                build, idle, tables, _least_reliable_first, abandon=True
             ):
                 # abandoned whole, freeing its capacity for later, typically shorter, chains
-                _release(build, idle, catalog)
+                _release(build, idle, tables)
                 build = None
             builds.append(build)
     else:
-        builds = [_place_mains(int(l), idle, infra, catalog) for l in type_indices]
+        builds = [_place_mains(int(l), idle, tables) for l in type_indices]
         for build in builds:
             if build is None:
                 continue
             if baseline is BaselineId.CERA:
-                _protect_cera(build, idle, infra, catalog)
+                _protect_cera(build, idle, tables)
             elif baseline is BaselineId.MIN_RESOURCE:
-                _protect_ranked(build, idle, infra, catalog, _smallest_demand_first)
+                _protect_ranked(build, idle, tables, _smallest_demand_first)
             else:
-                _protect_ranked(build, idle, infra, catalog, _least_reliable_first)
+                _protect_ranked(build, idle, tables, _least_reliable_first)
     return [_outcome(l, build, infra, catalog) for l, build in zip(type_indices, builds)]

@@ -110,6 +110,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _integers(values, path: str) -> tuple[int, ...]:
+    """A list of integers, each checked with its own path."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{path}: expected a list, got {type(values).__name__}")
+    return tuple(_integer(v, f"{path}[{k}]") for k, v in enumerate(values))
+
+
 def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
     """Accepts exactly one of an explicit matrix, the compact intra/inter
     form or one default for every pair of distinct servers."""
@@ -164,13 +171,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     for i, p in enumerate(inp_specs):
         path = f"infrastructure.inps[{i}]"
         _object(p, path, INP_FIELDS)
+        failure_prob = _number(_need(p, "failure_prob", path), f"{path}.failure_prob")
+        server_specs = _need(p, "servers", path)
+        if not isinstance(server_specs, list):
+            raise ConfigError(f"{path}.servers: expected a list, got {type(server_specs).__name__}")
+        servers = tuple(
+            _integers(row, f"{path}.servers[{j}]") for j, row in enumerate(server_specs)
+        )
         try:
-            inps.append(
-                InP(
-                    failure_prob=_number(_need(p, "failure_prob", path), f"{path}.failure_prob"),
-                    servers=tuple(tuple(s) for s in _need(p, "servers", path)),
-                )
-            )
+            inps.append(InP(failure_prob=failure_prob, servers=servers))
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
@@ -210,7 +219,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             try:
                 vnf = VnfSpec(
                     vnf_type=_integer(_need(v, "vnf_type", vpath), f"{vpath}.vnf_type"),
-                    demands=tuple(_need(v, "demands", vpath)),
+                    demands=_integers(_need(v, "demands", vpath), f"{vpath}.demands"),
                 )
             except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{vpath}: {exc}") from exc

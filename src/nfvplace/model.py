@@ -23,6 +23,14 @@ class LedgerError(RuntimeError):
     """A ledger operation would leave idle resources out of bounds."""
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a fractional value is an error, not truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class InP:
     """One infrastructure provider; all its servers share one failure probability."""
@@ -32,7 +40,8 @@ class InP:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "servers", tuple(tuple(int(c) for c in row) for row in self.servers)
+            self, "servers",
+            tuple(tuple(_whole(c, "server capacities") for c in row) for row in self.servers),
         )
         if not 0.0 <= self.failure_prob < 1.0:
             raise ValueError(f"failure_prob must be in [0, 1), got {self.failure_prob}")
@@ -155,7 +164,7 @@ class VnfSpec:
     demands: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "demands", tuple(int(d) for d in self.demands))
+        object.__setattr__(self, "demands", tuple(_whole(d, "demands") for d in self.demands))
         if self.vnf_type < 0:
             raise ValueError("vnf_type must be non-negative")
         if not self.demands or any(d < 0 for d in self.demands):

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineId, run_baseline
+from .baselines import BaselineId, BaselineTables, run_baseline
 from .model import Catalog, Infrastructure, PlacedService, ResourceLedger, meets_target
 from .policy import Policy
 from .trellis import place_batch
 
 MDP_STRATEGY = "mdp"
 STRATEGY_IDS = (MDP_STRATEGY,) + tuple(b.value for b in BaselineId)
+# strategies that place through place_batch; the others call run_baseline
+BATCH_STRATEGIES = (MDP_STRATEGY, BaselineId.TRELLIS_GREEDY.value)
 
 
 class SimulationError(RuntimeError):
@@ -175,6 +177,8 @@ class Simulation:
         self.catalog = catalog
         self.strategy = strategy
         self.policy = policy
+        # built once per run: the baselines read them on every slot
+        self.tables = None if strategy in BATCH_STRATEGIES else BaselineTables(infra, catalog)
         self.rng = np.random.default_rng(seed)
         self.ledger = ResourceLedger.full(infra)
         self.actives: list[PlacedService] = []
@@ -198,12 +202,14 @@ class Simulation:
             action, arrangement = lam, tuple(l for l, n in enumerate(lam) for _ in range(n))
         if not arrangement:
             placed = []
-        elif self.strategy in (MDP_STRATEGY, BaselineId.TRELLIS_GREEDY.value):
+        elif self.strategy in BATCH_STRATEGIES:
             placed = place_batch(
                 action, arrangement, self.ledger.server_idle, catalog, self.infra
             ).services
         else:
-            outcomes = run_baseline(self.strategy, arrangement, self.ledger, self.infra, catalog)
+            outcomes = run_baseline(
+                self.strategy, arrangement, self.ledger, self.infra, catalog, tables=self.tables
+            )
             placed = [
                 PlacedService(o.type_index, o.placement, o.cost, o.failure_prob, o.usage)
                 for o in outcomes

@@ -1,5 +1,7 @@
 """Static comparison strategies: greedy mains plus backup policies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,121 @@ class TestSharedDiscipline:
             a = nv.run_baseline(baseline, [0, 0], nv.ResourceLedger.full(infra), infra, catalog)
             b = nv.run_baseline(baseline, [0, 0], nv.ResourceLedger.full(infra), infra, catalog)
             assert [o.placement for o in a] == [o.placement for o in b]
+
+
+VNF_TYPES = 4
+
+
+class TestTables:
+    def test_passed_tables_give_equal_outcomes(self, bundled, rng):
+        infra, catalog = bundled
+        tables = nv.BaselineTables(infra, catalog)
+        for _ in range(10):
+            frac = rng.uniform(0.0, 1.0, size=(infra.num_servers, 1))
+            ledger = nv.ResourceLedger(infra.capacity, np.floor(infra.capacity * frac).astype(np.int64))
+            requests = [int(l) for l in rng.integers(len(catalog), size=6)]
+            for baseline in BACKUP_BASELINES:
+                own = nv.run_baseline(baseline, requests, ledger, infra, catalog)
+                passed = nv.run_baseline(baseline, requests, ledger, infra, catalog, tables=tables)
+                for a, b in zip(own, passed, strict=True):
+                    assert (a.type_index, a.placement, a.cost, a.failure_prob) == (
+                        b.type_index, b.placement, b.cost, b.failure_prob)
+                    assert (a.usage is None) == (b.usage is None)
+                    assert a.usage is None or np.array_equal(a.usage, b.usage)
+
+    def test_tables_of_another_setup_rejected(self, bundled, tiny2):
+        infra, catalog = tiny2
+        with pytest.raises(ValueError, match="another infrastructure or catalog"):
+            nv.run_baseline("cera", [0], nv.ResourceLedger.full(infra), infra, catalog,
+                            tables=nv.BaselineTables(*bundled))
+
+
+def multi_resource_setup(seed, num_resources):
+    """Random six-provider infrastructure with ``num_resources`` resource
+    types, free links and four VNF types of fixed demand each.
+
+    Each provider's deployment cost for a VNF type is set so that every
+    server charges the same for it in exact arithmetic; which server the
+    baselines pick then rests on how the charge's floats are formed, so a
+    change in that arithmetic changes outcomes."""
+    rng = np.random.default_rng(seed)
+    v_base = 0.2
+    inps = [
+        nv.InP(float(v), tuple(
+            tuple(int(c) for c in rng.integers(8, 31, size=num_resources))
+            for _ in range(int(rng.integers(1, 4)))
+        ))
+        for v in rng.uniform(0.01, v_base, size=6)
+    ]
+    alpha = rng.uniform(0.2, 1.0, size=num_resources)
+    beta = float(rng.uniform(2.0, 20.0))
+    vnf_demands = [
+        tuple(int(d) for d in rng.integers(1, 6, size=num_resources)) for _ in range(VNF_TYPES)
+    ]
+    flat = nv.Infrastructure(inps, alpha, beta, v_base, np.zeros((len(inps), VNF_TYPES)))
+    charge = np.array([
+        [float(np.asarray(d, dtype=float) @ flat.unit_cost[i]) for d in vnf_demands]
+        for i in range(len(inps))
+    ])
+    infra = nv.Infrastructure(inps, alpha, beta, v_base, charge.max(axis=0) + 1.0 - charge)
+    catalog = tuple(
+        nv.ServiceType(
+            failure_cap=float(rng.uniform(0.005, 0.1)),
+            departure_prob=0.5,
+            bandwidth=1.0,
+            vnfs=tuple(
+                nv.VnfSpec(int(t), vnf_demands[t])
+                for t in rng.integers(0, VNF_TYPES, size=int(rng.integers(1, 5)))
+            ),
+            arrival_pmf=(0.5, 0.5),
+            admission_reward=100.0,
+            sigma_max=2,
+            name=f"r{k}",
+        )
+        for k in range(3)
+    )
+    return infra, catalog
+
+
+def outcome_digest(infra, catalog, seed, cases=25):
+    """SHA-256 over every outcome of the four baselines on ``cases`` random
+    (ledger, request list) pairs: placement, cost and failure probability
+    bits, and usage bytes."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(cases):
+        frac = rng.uniform(0.0, 1.0, size=(infra.num_servers, 1))
+        ledger = nv.ResourceLedger(infra.capacity, np.floor(infra.capacity * frac).astype(np.int64))
+        requests = [int(l) for l in rng.integers(len(catalog), size=int(rng.integers(1, 9)))]
+        for baseline in BACKUP_BASELINES:
+            for o in nv.run_baseline(baseline, requests, ledger, infra, catalog):
+                if not o.placed:
+                    h.update(f"{o.type_index}:-;".encode())
+                    continue
+                pairs = [(vp.main, vp.backup) for vp in o.placement.vnfs]
+                h.update(f"{o.type_index}:{pairs}:{o.cost.hex()}:{o.failure_prob.hex()};".encode())
+                h.update(o.usage.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestReferenceOutcomes:
+    """Every baseline outcome, bit for bit, on one- and multi-resource
+    setups, against digests recorded before the baselines read per-setup
+    tables."""
+
+    DIGESTS = {
+        "bundled": "3fb951a13c9add4dab6648bbed34bad67994e048a3db2e11052858874441c4bf",
+        "reduced": "14304a3d2ee5246b70a5db0ab7ef6c3ec341f545dafb406e0468a4f83871005e",
+        "random-r2": "95b1596802814c0ded314fec965bf89cabee485cb6f709ee543b1092e8207053",
+        "random-r3": "69da1e63be535ba178b96eb9073d1d932a3e536c18a3fd5b1a537c2c0788ff34",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_digest(self, name, bundled, reduced):
+        (infra, catalog), seed = {
+            "bundled": (bundled, 1),
+            "reduced": (reduced, 2),
+            "random-r2": (multi_resource_setup(20, 2), 3),
+            "random-r3": (multi_resource_setup(30, 3), 4),
+        }[name]
+        assert outcome_digest(infra, catalog, seed) == self.DIGESTS[name]

@@ -288,3 +288,23 @@ class TestErrors:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    # int() used to truncate both, so the run used capacity 9 and demand 2
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["infrastructure"]["inps"][0].update(servers=[[9.9]]),
+         "infrastructure.inps[0].servers[0][0]: expected an integer, got float"),
+        (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[2.7]),
+         "service_types[0].vnfs[0].demands[0]: expected an integer, got float"),
+    ], ids=["server", "demand"])
+    def test_fractional_amount_exits_two(self, tmp_path, capsys, edit, message):
+        cfg = small_config_dict()
+        edit(cfg)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == message
+        assert not (tmp_path / "x.csv").exists()

@@ -141,7 +141,7 @@ class TestDiagnostics:
         (lambda cfg: cfg["infrastructure"]["deployment_cost"][0].__setitem__(0, math.inf),
          "infrastructure: deployment costs must be finite"),
         (lambda cfg: cfg["infrastructure"]["inps"][0]["servers"][0].__setitem__(0, math.inf),
-         "infrastructure.inps[0]: cannot convert float infinity"),
+         "infrastructure.inps[0].servers[0][0]: expected an integer, got float"),
         (lambda cfg: cfg["service_types"][0].update(bandwidth=math.nan),
          "service_types[0].bandwidth: expected a finite number"),
         (lambda cfg: cfg["service_types"][0].update(penalty=math.nan),
@@ -151,11 +151,31 @@ class TestDiagnostics:
         (lambda cfg: cfg["service_types"][0].update(arrival_pmf=[math.nan, 0.5, 0.5]),
          "service_types[0]: arrival_pmf entries must be finite"),
         (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[math.inf]),
-         "service_types[0].vnfs[0]: cannot convert float infinity"),
+         "service_types[0].vnfs[0].demands[0]: expected an integer, got float"),
         (lambda cfg: cfg["mdp"].update(epsilon=math.nan), "mdp.epsilon: expected a finite number"),
     ], ids=["link-default", "link-inter", "link-matrix", "beta", "alpha", "deployment",
             "server", "bandwidth", "penalty", "reward", "pmf", "demand", "epsilon"])
     def test_non_finite_number_rejected(self, base, edit, prefix):
+        edit(base)
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(json.loads(json.dumps(base)))
+        assert str(err.value).startswith(prefix)
+
+
+    # int() used to truncate these, so 9.9 loaded as 9 and 2.7 as 2
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["infrastructure"]["inps"][1]["servers"][2].__setitem__(0, 9.9),
+         "infrastructure.inps[1].servers[2][0]: expected an integer, got float"),
+        (lambda cfg: cfg["infrastructure"]["inps"][0]["servers"][0].__setitem__(0, 10.0),
+         "infrastructure.inps[0].servers[0][0]: expected an integer, got float"),
+        (lambda cfg: cfg["infrastructure"]["inps"][0].update(servers=[10]),
+         "infrastructure.inps[0].servers[0]: expected a list, got int"),
+        (lambda cfg: cfg["service_types"][2]["vnfs"][3].update(demands=[2.7]),
+         "service_types[2].vnfs[3].demands[0]: expected an integer, got float"),
+        (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=["20"]),
+         "service_types[0].vnfs[0].demands[0]: expected an integer, got str"),
+    ], ids=["server-fraction", "server-float", "server-row", "demand-fraction", "demand-string"])
+    def test_non_integer_amount_rejected(self, base, edit, prefix):
         edit(base)
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(json.loads(json.dumps(base)))

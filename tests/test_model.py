@@ -343,3 +343,22 @@ class TestFiniteNumbers:
         args[field] = value
         with pytest.raises(ValueError):
             nv.ServiceType(**args)
+
+
+class TestWholeAmounts:
+    """Capacities and demands are whole units: a fraction is an error, not
+    truncated."""
+
+    @pytest.mark.parametrize("servers", [((9.9,),), ((10,), (4.5,))], ids=["one", "second-server"])
+    def test_fractional_capacity_rejected(self, servers):
+        with pytest.raises(ValueError, match="server capacities must be integers"):
+            nv.InP(0.1, servers)
+
+    def test_fractional_demand_rejected(self):
+        with pytest.raises(ValueError, match="demands must be integers"):
+            nv.VnfSpec(0, (2.7,))
+
+    def test_integral_values_are_kept(self):
+        assert nv.InP(0.1, ((10.0, np.int64(3)),)).servers == ((10, 3),)
+        assert nv.VnfSpec(0, (np.int32(2), 5.0)).demands == (2, 5)
+        assert all(type(c) is int for c in nv.VnfSpec(0, (np.int32(2), 5.0)).demands)

@@ -243,4 +243,29 @@ class TestBenchTracing:
         for name in ("trellis.evaluations", "trellis.placed", "baselines.requested",
                      "baselines.placed", "model.failure_prob"):
             assert counts[("sim", name)] > 0, name
+        # the baselines' own failure probes read the per-setup tables, so the
+        # patched function runs once per placed outcome, for its reported figure
+        assert counts[("sim", "model.failure_prob")] == counts[("sim", "baselines.placed")]
+        # every patched attribute is restored on exit
         assert nv.sim.place_batch is nv.place_batch
+        assert nv.sim.run_baseline is nv.run_baseline
+        assert nv.baselines.service_failure_probability is nv.service_failure_probability
+
+
+class TestBaselineTables:
+    def test_built_once_per_run(self, bundled, monkeypatch):
+        infra, catalog = bundled
+        built = []
+        init = nv.BaselineTables.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nv.BaselineTables, "__init__", counting)
+        report = nv.Simulation(infra, catalog, "cera", seed=2).run(50)
+        assert int(report.arrivals.sum()) > 50
+        assert len(built) == 1
+        # strategies that never call a baseline build none
+        nv.Simulation(infra, catalog, "trellis", seed=2).run_slot()
+        assert len(built) == 1
