@@ -56,7 +56,7 @@ from .sim import (
     sample_arrivals,
     sample_departures,
 )
-from .trellis import TrellisPlacement, TrellisResult, place_batch
+from .trellis import PlacementContext, TrellisPlacement, TrellisResult, place_batch
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,7 @@ __all__ = [
     "OracleError",
     "OracleResult",
     "PlacedService",
+    "PlacementContext",
     "PlacementPlan",
     "Policy",
     "ResourceEstimator",

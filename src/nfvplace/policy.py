@@ -20,7 +20,7 @@ import numpy as np
 
 from .mdp import StateSpace, TransitionModel, action_reward
 from .model import Catalog, Infrastructure, meets_target
-from .trellis import TrellisPlacement, TrellisResult
+from .trellis import PlacementContext, TrellisPlacement, TrellisResult
 
 DEFAULT_GAMMA = 0.9
 DEFAULT_NUM_ARRANGEMENTS = 10
@@ -302,6 +302,7 @@ def value_iteration(
 
     rng = np.random.default_rng(seed)
     estimator = ResourceEstimator(space, infra, alpha_init, estimate_discount)
+    context = PlacementContext(catalog, infra)
     usage_shape = (infra.num_servers, infra.num_resources)
 
     arrival_vecs = [space.arrival_vector(i + 1) for i in range(space.num_arrival)]
@@ -350,7 +351,7 @@ def value_iteration(
 
                     key = (action, rho, omega_bytes)
                     if key not in scores:
-                        outcome = TrellisPlacement(action, rho, omega, catalog, infra).run()
+                        outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
                         scores[key] = (
                             (action_reward(action, outcome, catalog),
                              *realized_action(action, outcome, catalog, usage_shape))

@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import BaselineId, BaselineTables, run_baseline
 from .model import Catalog, Infrastructure, PlacedService, ResourceLedger, meets_target
 from .policy import Policy
-from .trellis import place_batch
+from .trellis import PlacementContext, place_batch
 
 MDP_STRATEGY = "mdp"
 STRATEGY_IDS = (MDP_STRATEGY,) + tuple(b.value for b in BaselineId)
@@ -177,8 +177,11 @@ class Simulation:
         self.catalog = catalog
         self.strategy = strategy
         self.policy = policy
-        # built once per run: the baselines read them on every slot
-        self.tables = None if strategy in BATCH_STRATEGIES else BaselineTables(infra, catalog)
+        # built once per run: the strategy reads them on every slot
+        if strategy in BATCH_STRATEGIES:
+            self.context, self.tables = PlacementContext(catalog, infra), None
+        else:
+            self.context, self.tables = None, BaselineTables(infra, catalog)
         self.rng = np.random.default_rng(seed)
         self.ledger = ResourceLedger.full(infra)
         self.actives: list[PlacedService] = []
@@ -204,7 +207,7 @@ class Simulation:
             placed = []
         elif self.strategy in BATCH_STRATEGIES:
             placed = place_batch(
-                action, arrangement, self.ledger.server_idle, catalog, self.infra
+                action, arrangement, self.ledger.server_idle, catalog, self.infra, self.context
             ).services
         else:
             outcomes = run_baseline(

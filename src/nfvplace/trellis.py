@@ -16,7 +16,8 @@ batch.
 
 Wide infrastructures are searched one whole stage at a time, narrow ones
 one (predecessor, state) pair at a time (``WHOLE_STAGE_MIN_SERVERS``);
-both keep bit-equal survivors.
+both keep bit-equal survivors. Tables that depend only on the setup live
+in a :class:`PlacementContext`, built once and shared by every batch.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .model import (
 # rounds, 2-vCPU Xeon), and the six-server reduced setup:
 #   servers  4     6     7     8     10    12    21    reduced (6)
 #   ratio    0.71  0.88  0.95  1.07  1.33  1.58  3.06  0.89
+# These predate PlacementContext. With one context shared by every batch
+# the reduced ratio is 1.01 and the bundled (21 servers) 3.65, so the
+# crossover now sits near 6 servers; the table is due to be re-measured.
 WHOLE_STAGE_MIN_SERVERS = 8
 
 
@@ -118,6 +122,46 @@ class TrellisResult:
         return PlacementPlan(tuple(s.placement for s in self.services))
 
 
+class PlacementContext:
+    """Trellis tables that depend only on ``(catalog, infra)``, built once
+    per setup and shared by every batch placed on it.
+
+    State id 0 is "no server": zero charge, no links and a failure
+    probability of 1, so it never improves reliability.
+    """
+
+    def __init__(self, catalog: Catalog, infra: Infrastructure) -> None:
+        self.catalog = catalog
+        self.infra = infra
+        n = infra.num_servers
+        self.v_state = [1.0] + [infra.server_failure(s) for s in range(n)]
+        self.v_array = np.array(self.v_state)
+        self.link = [[0.0] * (n + 1)] + [[0.0] + row for row in infra.link_cost.tolist()]
+        self.link_array = np.zeros((n + 1, n + 1))
+        self.link_array[1:, 1:] = infra.link_cost
+        # per (type, vnf): the charge of hosting it on each state
+        self.terms: list[list[list[float]]] = []
+        for stype in catalog:
+            rows = []
+            for spec in stype.vnfs:
+                per_inp = infra.unit_cost @ np.asarray(spec.demands, dtype=float)
+                per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
+                rows.append([0.0] + per_inp[infra.server_inp].tolist())
+            self.terms.append(rows)
+        self.term_arrays = [[np.array(row) for row in rows] for rows in self.terms]
+        states = np.arange(n + 1)
+        self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
+        self._demands: dict[np.dtype, list[list[np.ndarray]]] = {}
+
+    def demands(self, dtype: np.dtype) -> list[list[np.ndarray]]:
+        """Per (type, vnf) demand rows in the snapshot's dtype."""
+        rows = self._demands.get(dtype)
+        if rows is None:
+            rows = [[np.asarray(spec.demands, dtype=dtype) for spec in t.vnfs] for t in self.catalog]
+            self._demands[dtype] = rows
+        return rows
+
+
 class TrellisPlacement:
     """One batch placement problem over a fixed arrangement of services.
 
@@ -125,6 +169,8 @@ class TrellisPlacement:
     lists the order they are threaded through the trellis; it must contain
     exactly ``action[l]`` occurrences of each type ``l``. ``snapshot`` is
     the idle server stock the batch may consume (integer or float).
+    ``context`` holds the per-setup tables and must come from these same
+    ``catalog`` and ``infra`` objects; one is built when none is given.
     """
 
     def __init__(
@@ -134,7 +180,10 @@ class TrellisPlacement:
         snapshot: np.ndarray,
         catalog: Catalog,
         infra: Infrastructure,
+        context: PlacementContext | None = None,
     ) -> None:
+        if context is not None and (context.catalog is not catalog or context.infra is not infra):
+            raise ValueError("placement context was built for another catalog or infrastructure")
         if len(action) != len(catalog):
             raise ValueError("action length must match the catalog")
         if any(a < 0 for a in action):
@@ -145,13 +194,15 @@ class TrellisPlacement:
         snap = np.array(snapshot, copy=True)
         if snap.shape != (infra.num_servers, infra.num_resources):
             raise ValueError("snapshot shape must be (servers, resources)")
-        if np.any(snap < 0) or np.any(snap > infra.capacity):
+        # written so that NaN fails too
+        if not np.all((snap >= 0) & (snap <= infra.capacity)):
             raise ValueError("snapshot must lie within [0, capacity]")
 
         self.action = tuple(int(a) for a in action)
         self.arrangement = tuple(int(l) for l in arrangement)
         self.catalog = catalog
         self.infra = infra
+        self.context = context if context is not None else PlacementContext(catalog, infra)
         self._snapshot = snap
         self.evaluations = 0  # (predecessor, state) pairs scored by run()
 
@@ -161,22 +212,10 @@ class TrellisPlacement:
             for u in range(catalog[l].num_vnfs) for backup in (False, True)
         ]
         self.num_stages = len(self._stage_info)
-
-        # Fast lookup tables: state id 0 is "no server" with zero cost, no
-        # links and a failure probability of 1 so it never improves reliability.
-        self._v_state = [1.0] + [infra.server_failure(s) for s in range(infra.num_servers)]
-        self._link = [[0.0] * (infra.num_servers + 1)]
-        self._link += [[0.0] + row for row in infra.link_cost.tolist()]
-
-        self._stage_demand: list[np.ndarray] = []
-        self._stage_term: list[list[float]] = []
-        for l, u, _backup in self._stage_info:
-            spec = catalog[l].vnfs[u]
-            r = np.asarray(spec.demands, dtype=snap.dtype)
-            per_inp = infra.unit_cost @ np.asarray(spec.demands, dtype=float)
-            per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
-            self._stage_term.append([0.0] + per_inp[infra.server_inp].tolist())
-            self._stage_demand.append(r)
+        demands = self.context.demands(snap.dtype)
+        terms = self.context.terms
+        self._stage_demand = [demands[l][u] for l, u, _ in self._stage_info]
+        self._stage_term = [terms[l][u] for l, u, _ in self._stage_info]
 
         self.stages: list[Mapping[int, PathState]] | None = None
 
@@ -192,11 +231,12 @@ class TrellisPlacement:
         chain reliability after the move, ``hinge`` its shortfall penalty."""
         l, u, backup = self._stage_info[m - 1]
         stype = self.catalog[l]
-        link = self._link
+        link = self.context.link
+        v_state = self.context.v_state
         bandwidth = stype.bandwidth
         penalty = stype.penalty
         base = self._stage_term[m - 1][x2]
-        v2 = self._v_state[x2]
+        v2 = v_state[x2]
         target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
         best = None
         best_theta = np.inf
@@ -214,7 +254,7 @@ class TrellisPlacement:
             if not backup:
                 tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
             else:
-                vm = self._v_state[x1]
+                vm = v_state[x1]
                 if u == 0:
                     tau = 1.0 - vm * v2
                 else:
@@ -308,16 +348,11 @@ class TrellisPlacement:
         and keep the first minimum over predecessors, as :meth:`_best_move`
         does pair by pair. Each float is formed in the same order, so the
         survivors are bit-equal to the pair loop's."""
+        ctx = self.context
         n = self.infra.num_servers
         rows = np.arange(n + 1)
-        v_state = np.array(self._v_state)
-        link = np.zeros((n + 1, n + 1))
-        link[1:, 1:] = self.infra.link_cost
-        terms = np.array(self._stage_term)
-        targets = {
-            l: np.where(rows == 0, 1.0, 1.0 - self.catalog[l].failure_cap)
-            for l in set(self.arrangement)
-        }
+        v_state = ctx.v_array
+        link = ctx.link_array
         prev = StageSurvivors(
             rows[:1], np.zeros(1), np.ones(1),
             self._snapshot[None].copy(), np.zeros((1, 0), dtype=rows.dtype),
@@ -327,6 +362,7 @@ class TrellisPlacement:
             l, u, backup = self._stage_info[m - 1]
             stype = self.catalog[l]
             r = self._stage_demand[m - 1]
+            term = ctx.term_arrays[l][u]
             ids, paths = prev.ids, prev.paths
             fits = (prev.remaining >= r).all(axis=2)
             if backup:
@@ -358,9 +394,9 @@ class TrellisPlacement:
                 tau = 1.0 - vm * v2
                 if u > 0:
                     tau = prev.reliability[:, None] * tau / (1.0 - vm)
-            short = targets[l][cols] - tau
+            short = ctx.targets[l][cols] - tau
             hinge = np.where(short > 0, stype.penalty * short, 0.0)
-            theta = terms[m - 1, cols] + route + hinge + prev.cost[:, None]
+            theta = term[cols] + route + hinge + prev.cost[:, None]
             np.putmask(theta, ~mask, np.inf)
             # argmin keeps the first minimum: ties go to the lowest x1
             pick = theta.argmin(axis=0)[live]
@@ -371,7 +407,7 @@ class TrellisPlacement:
             remaining[rows[first:len(x2)], x2[first:] - 1] -= r
             prev = StageSurvivors(
                 x2,
-                prev.cost[pick] + terms[m - 1, x2] + (route[pick, live] if u else 0.0),
+                prev.cost[pick] + term[x2] + (route[pick, live] if u else 0.0),
                 tau[pick, live] if tau.ndim == 2 else tau[live],
                 remaining,
                 np.concatenate((paths[pick], x2[:, None]), axis=1),
@@ -382,31 +418,41 @@ class TrellisPlacement:
     def _read_out(self, stages: list[Mapping[int, PathState]]) -> TrellisResult:
         """Pick the terminal state and unwind its path into per-service records.
 
-        Every state keeps one survivor, so the winner's prefix up to stage
-        ``m - 1`` is that stage's survivor at ``path[m - 2]``; replaying the
-        move from it gives the routing charge each stage added.
+        The pick reads only the final stage's costs and reliabilities. Every
+        state keeps one survivor, so the winner's path fixes each stage's
+        routing charge, recomputed from it in :meth:`_best_move`'s float
+        order.
         """
         last_type = self.catalog[self.arrangement[-1]]
         final = stages[-1]
+        if isinstance(final, StageSurvivors):
+            terminals = zip(final.ids.tolist(), final.cost.tolist(), final.reliability.tolist())
+        else:
+            terminals = ((x, st.cost, st.reliability) for x, st in final.items())
         best_x = -1
         best_val = np.inf
-        for x, st in final.items():
+        for x, cost, reliability in terminals:
             target = 1.0 if x == 0 else 1.0 - last_type.failure_cap
-            short = target - st.reliability
-            val = st.cost + (last_type.penalty * short if short > 0 else 0.0)
+            short = target - reliability
+            val = cost + (last_type.penalty * short if short > 0 else 0.0)
             if val < best_val:
                 best_val = val
                 best_x = x
         path = final[best_x].path
 
+        link = self.context.link
         services: list[PlacedService] = []
-        for m in range(1, self.num_stages + 1):
-            l, u, backup = self._stage_info[m - 1]
-            x1 = path[m - 2] if m > 1 else 0
+        for m, (l, u, backup) in enumerate(self._stage_info, start=1):
             x = path[m - 1]
-            if u == 0 and not backup:
-                first, cost = m - 1, 0.0
-            cost = cost + self._stage_term[m - 1][x] + self._replay(m, x1, x)[2]
+            if u == 0:
+                route = 0.0
+                if not backup:
+                    first, cost = m - 1, 0.0
+            else:
+                route = self.catalog[l].bandwidth * (
+                    link[path[m - 3]][x] + link[path[m - 4] if backup else path[m - 2]][x]
+                )
+            cost = cost + self._stage_term[m - 1][x] + route
             if backup and u == self.catalog[l].num_vnfs - 1:
                 vnfs = tuple(
                     VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)
@@ -428,6 +474,8 @@ def place_batch(
     snapshot: np.ndarray,
     catalog: Catalog,
     infra: Infrastructure,
+    context: PlacementContext | None = None,
 ) -> TrellisResult:
-    """Build and run one trellis placement."""
-    return TrellisPlacement(action, arrangement, snapshot, catalog, infra).run()
+    """Build and run one trellis placement; ``context`` as for
+    :class:`TrellisPlacement`."""
+    return TrellisPlacement(action, arrangement, snapshot, catalog, infra, context).run()

@@ -159,6 +159,22 @@ class TestValueIteration:
         assert not policy.converged
         assert policy.iterations == 7
 
+    def test_one_placement_context_per_call(self, monkeypatch):
+        infra, catalog = reduced_setup()
+        space = nv.build_state_space(catalog)
+        model = nv.TransitionModel(space, catalog)
+        built = []
+        init = nv.PlacementContext.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(nv.PlacementContext, "__init__", counting)
+        for calls in (1, 2):
+            nv.value_iteration(space, model, catalog, infra, max_iterations=3, seed=1)
+            assert len(built) == calls
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

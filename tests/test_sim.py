@@ -269,3 +269,22 @@ class TestBaselineTables:
         # strategies that never call a baseline build none
         nv.Simulation(infra, catalog, "trellis", seed=2).run_slot()
         assert len(built) == 1
+
+
+class TestPlacementContextPerRun:
+    def test_built_once_per_run(self, bundled, monkeypatch):
+        infra, catalog = bundled
+        built = []
+        init = nv.PlacementContext.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nv.PlacementContext, "__init__", counting)
+        report = nv.Simulation(infra, catalog, "trellis", seed=2).run(50)
+        assert int(report.admissions.sum()) > 0
+        assert len(built) == 1
+        # the baseline strategies never place through the trellis
+        nv.Simulation(infra, catalog, "cera", seed=2).run(5)
+        assert len(built) == 1

@@ -1,16 +1,39 @@
 """Layered-graph batch placement: staging, scoring, search, read-out."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import nfvplace as nv
 from nfvplace.trellis import WHOLE_STAGE_MIN_SERVERS, StageSurvivors, stage_count, stage_states
 
-from helpers import random_batch_inputs
+from helpers import random_batch_inputs, reduced_setup
 
 
 def full_snapshot(infra):
     return np.array(infra.capacity, copy=True)
+
+
+def random_batches(infra, catalog, seed, cases=40):
+    """Random batches of up to three services per type, so some do not fit;
+    every other one on a float snapshot."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+        if i % 2:
+            snapshot = infra.capacity * rng.uniform(size=infra.capacity.shape)
+        yield action, arrangement, snapshot
+
+
+def outcome_record(tp, res):
+    """One batch outcome as comparable values, floats as their bits."""
+    services = [
+        (s.type_index, s.placement, s.cost.hex(), s.failure_prob.hex(),
+         s.usage.dtype.str, s.usage.tobytes())
+        for s in res.services
+    ]
+    return res.valid, res.path, tp.evaluations, services
 
 
 class TestStaging:
@@ -232,6 +255,17 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             nv.TrellisPlacement((1,), (0,), np.zeros((1, 1)), catalog, infra)
 
+    @pytest.mark.parametrize("entries", ["one", "all"])
+    def test_nan_snapshot_rejected(self, bundled, entries):
+        infra, catalog = bundled
+        snap = infra.capacity.astype(float)
+        if entries == "one":
+            snap[0, 0] = np.nan
+        else:
+            snap[:] = np.nan
+        with pytest.raises(ValueError, match="within"):
+            nv.TrellisPlacement((1, 0, 0, 0), (0,), snap, catalog, infra)
+
     def test_replay_requires_run(self, tiny2):
         infra, catalog = tiny2
         trellis = nv.TrellisPlacement((1,), (0,), full_snapshot(infra), catalog, infra)
@@ -329,3 +363,53 @@ class TestStageKernel:
             tp.stages[1][0]  # main stages have no "no server" state
         with pytest.raises(ValueError):
             stage[3].remaining[0] = 0  # lookups share the stage's stock
+
+
+class TestReferenceOutcomes:
+    """Every trellis outcome, bit for bit, against digests recorded before
+    the per-setup context and the path-only read-out."""
+
+    DIGESTS = {
+        "bundled": "7461ecbd46f1535134467d52f6bdafc90dcbc16dede01e3bdd69f9daa0bdb22b",
+        "reduced": "75e5c9ee7584639638db264d6ea66949993005a983c2a6419ad769289658e68c",
+        "tiny2": "7543fd81266f60ce3dd9ddda0093cda64ca705a05edaaa5e5b90606f4623300a",
+    }
+
+    @pytest.mark.parametrize("setup", list(DIGESTS))
+    def test_digest(self, setup, request):
+        infra, catalog = request.getfixturevalue(setup)
+        h = hashlib.sha256()
+        valid = set()
+        for batch in random_batches(infra, catalog, seed=11):
+            tp = nv.TrellisPlacement(*batch, catalog, infra)
+            record = outcome_record(tp, tp.run())
+            h.update(repr(record).encode())
+            valid.add(record[0])
+        assert valid == {True, False}
+        assert h.hexdigest() == self.DIGESTS[setup]
+
+
+class TestPlacementContext:
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
+    def test_shared_context_matches_own(self, setup, request):
+        infra, catalog = request.getfixturevalue(setup)
+        # one context serves integer and float snapshots alike
+        context = nv.PlacementContext(catalog, infra)
+        for batch in random_batches(infra, catalog, seed=5, cases=20):
+            own = nv.TrellisPlacement(*batch, catalog, infra)
+            shared = nv.TrellisPlacement(*batch, catalog, infra, context)
+            assert outcome_record(shared, shared.run()) == outcome_record(own, own.run())
+
+    def test_context_of_another_setup_rejected(self, reduced):
+        infra, catalog = reduced
+        other_infra, other_catalog = reduced_setup()
+        batch = ((1, 0), (0,), full_snapshot(infra))
+        # equal content is not enough: the context must come from these objects
+        for context in (
+            nv.PlacementContext(catalog, other_infra),
+            nv.PlacementContext(other_catalog, infra),
+        ):
+            with pytest.raises(ValueError, match="context"):
+                nv.TrellisPlacement(*batch, catalog, infra, context)
+            with pytest.raises(ValueError, match="context"):
+                nv.place_batch(*batch, catalog, infra, context)
