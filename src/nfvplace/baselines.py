@@ -155,15 +155,28 @@ def _failure(build: ServiceBuild, failure: list[float]) -> float:
     return 1.0 - up
 
 
-def _failure_with_backup(
-    build: ServiceBuild, u: int, srv: int | None, tables: BaselineTables
-) -> float:
-    saved = build.backups[u]
-    build.backups[u] = srv
-    try:
-        return _failure(build, tables.failure)
-    finally:
-        build.backups[u] = saved
+def _backup_probe(build: ServiceBuild, failure: list[float]):
+    """``probe(u, srv)``: the failure probability of the build with VNF u,
+    which has no backup yet, backed up on ``srv``, in :func:`_failure`'s
+    float order. The chain's per-VNF survival factors and their
+    left-to-right prefix products are formed once per protect step, so a
+    probe multiplies only from VNF u on."""
+    factors = []
+    prefix = [1.0]
+    for main, backup in zip(build.mains, build.backups):
+        f = failure[main]
+        if backup is not None:
+            f *= failure[backup]
+        factors.append(1.0 - f)
+        prefix.append(prefix[-1] * factors[-1])
+
+    def probe(u: int, srv: int) -> float:
+        up = prefix[u] * (1.0 - failure[build.mains[u]] * failure[srv])
+        for factor in factors[u + 1:]:
+            up *= factor
+        return 1.0 - up
+
+    return probe
 
 
 def _backup_hosts(
@@ -188,11 +201,8 @@ def _choose_backup(
     feasible = _backup_hosts(build, u, idle, tables)
     if not feasible:
         return None
-    sufficient = [
-        srv
-        for srv in feasible
-        if _failure_with_backup(build, u, srv, tables) <= failure_cap
-    ]
+    probe = _backup_probe(build, tables.failure)
+    sufficient = [srv for srv in feasible if probe(u, srv) <= failure_cap]
     if sufficient:
         return min(sufficient, key=lambda srv: (_backup_cost(build, u, srv, tables), srv))
     return min(feasible, key=lambda srv: (tables.failure[srv], srv))
@@ -247,11 +257,12 @@ def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables)
     failure_cap = tables.catalog[build.type_index].failure_cap
     while (e := _failure(build, tables.failure)) > failure_cap:
         best = None  # (cim, u, srv)
+        probe = _backup_probe(build, tables.failure)
         for u in range(len(build.mains)):
             if build.backups[u] is not None:
                 continue
             for srv in _backup_hosts(build, u, idle, tables):
-                gain = e - _failure_with_backup(build, u, srv, tables)
+                gain = e - probe(u, srv)
                 cost = _backup_cost(build, u, srv, tables)
                 if cost <= 0.0:
                     cim = np.inf if gain > 0 else 0.0

@@ -50,6 +50,15 @@ def _load_policy_for(cfg: ExperimentConfig, path: str) -> Policy:
     return policy
 
 
+def _slots(cfg: ExperimentConfig, args) -> int:
+    """Slots to simulate: ``--slots`` when given, else ``sim.slots``."""
+    if args.slots is None:
+        return cfg.sim.slots
+    if args.slots < 1:
+        raise ConfigError(f"--slots: must be positive, got {args.slots}")
+    return args.slots
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.mdp.seed if args.seed is None else args.seed
@@ -99,7 +108,7 @@ def _cmd_simulate(args) -> int:
         if args.policy is None:
             raise ConfigError("the mdp strategy requires --policy")
         policy = _load_policy_for(cfg, args.policy)
-    slots = cfg.sim.slots if args.slots is None else args.slots
+    slots = _slots(cfg, args)
     seed = cfg.sim.seed if args.seed is None else args.seed
     report = run_experiment(
         cfg.infrastructure, cfg.service_types, args.strategy, slots, seed, policy
@@ -142,7 +151,7 @@ def _cmd_compare(args) -> int:
         if args.policy is None:
             raise ConfigError("comparing the mdp strategy requires --policy")
         policy = _load_policy_for(cfg, args.policy)
-    slots = cfg.sim.slots if args.slots is None else args.slots
+    slots = _slots(cfg, args)
 
     reports = {
         (strategy, seed): run_experiment(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -216,6 +217,13 @@ class ServiceType:
     @property
     def lambda_max(self) -> int:
         return len(self.arrival_pmf) - 1
+
+    @cached_property
+    def arrival_cdf(self) -> list[float]:
+        """Cumulative arrival probabilities formed as ``Generator.choice``
+        forms them: the pmf's cumulative sum divided by its last entry."""
+        cdf = np.cumsum(self.arrival_pmf)
+        return (cdf / cdf[-1]).tolist()
 
 
 Catalog = Sequence[ServiceType]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,12 @@ class SimulationError(RuntimeError):
 
 
 def sample_arrivals(rng: np.random.Generator, catalog: Catalog) -> tuple[int, ...]:
-    """Independent per-type arrival counts for one slot."""
-    return tuple(
-        int(rng.choice(len(t.arrival_pmf), p=t.arrival_pmf)) for t in catalog
-    )
+    """Independent per-type arrival counts for one slot: one uniform draw
+    per type, inverted through the type's ``arrival_cdf`` by right bisection.
+    That is ``rng.choice(len(pmf), p=pmf)``'s own algorithm, so the counts
+    and the generator's stream position match it draw for draw."""
+    draws = rng.random(len(catalog)).tolist()
+    return tuple(bisect_right(t.arrival_cdf, u) for t, u in zip(catalog, draws))
 
 
 def sample_departures(rng: np.random.Generator, actives, catalog: Catalog) -> list[int]:

@@ -16,14 +16,16 @@ batch.
 
 Wide infrastructures are searched one whole stage at a time, narrow ones
 one (predecessor, state) pair at a time (``WHOLE_STAGE_MIN_SERVERS``);
-both keep bit-equal survivors. Tables that depend only on the setup live
-in a :class:`PlacementContext`, built once and shared by every batch.
+both keep bit-equal survivors. The whole-stage search keeps a back-pointer
+per survivor instead of its path and traces a path back only when it is
+read. Tables that depend only on the setup live in a
+:class:`PlacementContext`, built once and shared by every batch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +44,18 @@ from .model import (
 # time (``_search_stages``); narrower ones score each (predecessor, state)
 # pair in Python (``_search_pairs``), where numpy's fixed cost per call
 # outweighs the matrix. Pair-loop time over stage-kernel time per batch
-# (construct and run; 150 random batches of the bundled service types on
-# k 80-unit servers over ceil(k/3) providers; median of 6 alternating
-# rounds, 2-vCPU Xeon), and the six-server reduced setup:
-#   servers  4     6     7     8     10    12    21    reduced (6)
-#   ratio    0.71  0.88  0.95  1.07  1.33  1.58  3.06  0.89
-# These predate PlacementContext. With one context shared by every batch
-# the reduced ratio is 1.01 and the bundled (21 servers) 3.65, so the
-# crossover now sits near 6 servers; the table is due to be re-measured.
+# (construct, search and read-out, one shared PlacementContext; 150 random
+# batches of the bundled service types on k 80-unit servers over ceil(k/3)
+# providers, median of 6 alternating rounds; the batches of one seed-1
+# reduced-policy episode and of one seed-1 reduced solve, median of 10;
+# 2-vCPU Xeon):
+#   servers  2     3     4     5     6     7     8     10    12    21
+#   ratio    0.65  0.87  1.05  1.32  1.35  1.54  1.89  2.42  2.83  5.25
+#   reduced (6 servers): simulator batches 1.45, solve batches 0.95
+# A threshold of 5 would put the six-server reduced setup on the stage
+# kernel: reduced-policy then ran 1.24x the slots, but the reduced solve,
+# where the pair loop wins, read 3% slower (median of 10 alternating pairs
+# of 20 s benchmark runs), so the threshold stays above the reduced setup.
 WHOLE_STAGE_MIN_SERVERS = 8
 
 
@@ -77,19 +83,31 @@ class PathState:
     path: tuple[int, ...]
 
 
+def _traceback(records: list[tuple], m: int, i: int) -> tuple[int, ...]:
+    """Server choices of survivor ``i`` at stage ``m``, read back through
+    each stage's back-pointers."""
+    path = []
+    for k in range(m, 0, -1):
+        ids, _, _, _, pick = records[k]
+        path.append(ids.item(i))
+        i = pick.item(i)
+    return tuple(reversed(path))
+
+
 class StageSurvivors(Mapping):
     """One stage's survivors held as arrays, in ascending state order:
     state ids ``(P,)``, cost and reliability ``(P,)``, the remaining stock
-    ``(P, S, R)`` and the server choices ``(P, m)``. Read as a mapping from
-    state id to :class:`PathState`, built only when a state is looked up."""
+    ``(P, S, R)`` and each survivor's predecessor index ``pick`` in the
+    stage before. Read as a mapping from state id to :class:`PathState`,
+    built only when a state is looked up; its path is traced back through
+    the ``pick`` arrays."""
 
-    def __init__(self, ids, cost, reliability, remaining, paths) -> None:
-        self.ids = ids
-        self.cost = cost
-        self.reliability = reliability
-        self.remaining = remaining
+    def __init__(self, records: list[tuple], m: int) -> None:
+        self.ids, self.cost, self.reliability, remaining, self.pick = records[m]
+        self.remaining = remaining[:, 1:]  # drop the state-0 padding
         self.remaining.flags.writeable = False  # lookups hand out views
-        self.paths = paths
+        self._records = records
+        self._m = m
 
     def __getitem__(self, x: int) -> PathState:
         i = int(self.ids.searchsorted(x))
@@ -97,7 +115,7 @@ class StageSurvivors(Mapping):
             raise KeyError(x)
         return PathState(
             float(self.cost[i]), float(self.reliability[i]),
-            self.remaining[i], tuple(self.paths[i].tolist()),
+            self.remaining[i], _traceback(self._records, self._m, i),
         )
 
     def __iter__(self):
@@ -105,6 +123,22 @@ class StageSurvivors(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+class StageSequence(Sequence):
+    """The stage kernel's survivors: one ``(ids, cost, reliability,
+    remaining, pick)`` record per stage, stage 0 first. ``remaining`` is
+    ``(P, S + 1, R)`` with a state-0 row that fits every demand. Indexing
+    wraps a record in a :class:`StageSurvivors` view."""
+
+    def __init__(self, records: list[tuple]) -> None:
+        self.records = records
+
+    def __getitem__(self, m: int) -> StageSurvivors:
+        return StageSurvivors(self.records, range(len(self.records))[m])
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 @dataclass
@@ -135,10 +169,7 @@ class PlacementContext:
         self.infra = infra
         n = infra.num_servers
         self.v_state = [1.0] + [infra.server_failure(s) for s in range(n)]
-        self.v_array = np.array(self.v_state)
         self.link = [[0.0] * (n + 1)] + [[0.0] + row for row in infra.link_cost.tolist()]
-        self.link_array = np.zeros((n + 1, n + 1))
-        self.link_array[1:, 1:] = infra.link_cost
         # per (type, vnf): the charge of hosting it on each state
         self.terms: list[list[list[float]]] = []
         for stype in catalog:
@@ -148,10 +179,21 @@ class PlacementContext:
                 per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
                 rows.append([0.0] + per_inp[infra.server_inp].tolist())
             self.terms.append(rows)
+        self._demands: dict[np.dtype, list[list[np.ndarray]]] = {}
+
+        # Stage-kernel tables. A stage's columns are its candidate states:
+        # 1..S at a main stage, 0..S at a backup stage.
         self.term_arrays = [[np.array(row) for row in rows] for rows in self.terms]
         states = np.arange(n + 1)
         self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
-        self._demands: dict[np.dtype, list[list[np.ndarray]]] = {}
+        v = np.array(self.v_state)
+        self.up = 1.0 - v
+        self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
+        link = np.zeros((n + 1, n + 1))
+        link[1:, 1:] = infra.link_cost
+        self.stage_links = {False: np.ascontiguousarray(link[:, 1:]), True: link}
+        self._stock_tables: dict[np.dtype, tuple[np.generic, list[list[np.ndarray]]]] = {}
+        self._stage_tables: dict[tuple[int, int, bool], tuple] = {}
 
     def demands(self, dtype: np.dtype) -> list[list[np.ndarray]]:
         """Per (type, vnf) demand rows in the snapshot's dtype."""
@@ -160,6 +202,50 @@ class PlacementContext:
             rows = [[np.asarray(spec.demands, dtype=dtype) for spec in t.vnfs] for t in self.catalog]
             self._demands[dtype] = rows
         return rows
+
+    def stock_tables(self, dtype: np.dtype) -> tuple[np.generic, list[list[np.ndarray]]]:
+        """The stage kernel's stock tables in the snapshot's dtype: a stock
+        entry that fits every demand (the kernel's state-0 row), and per
+        (type, vnf) the ``(S + 1, S + 1, R)`` stock each state draws, whose
+        row ``x`` holds the demand at state ``x`` and zeros elsewhere
+        (state 0 draws nothing)."""
+        tables = self._stock_tables.get(dtype)
+        if tables is None:
+            rows = self.demands(dtype)
+            pad = max((row.max() for t in rows for row in t), default=0)
+            n = self.infra.num_servers
+            servers = np.arange(1, n + 1)
+            draws = []
+            for t in rows:
+                draws.append([])
+                for row in t:
+                    draw = np.zeros((n + 1, n + 1, len(row)), dtype=dtype)
+                    draw[servers, servers] = row
+                    draws[-1].append(draw)
+            tables = self._stock_tables[dtype] = (pad, draws)
+        return tables
+
+    def stage_table(self, l: int, u: int, backup: bool) -> tuple:
+        """Stage-kernel constants of VNF ``u`` of type ``l`` at its main or
+        backup stage: the charge row over all states and over the stage's
+        columns, the reliability targets over the columns and, for a
+        chain's first VNF, the score ``term + 0.0 + hinge`` before the path
+        cost is added (over the columns, and per main state at a backup
+        stage), else None."""
+        key = (l, u, backup)
+        table = self._stage_tables.get(key)
+        if table is None:
+            stype = self.catalog[l]
+            term = self.term_arrays[l][u]
+            cols = slice(0 if backup else 1, None)
+            target = self.targets[l][cols]
+            base = None
+            if u == 0:
+                up = self.backup_up if backup else self.up[cols]
+                hinge = np.maximum(target - up, 0.0) * stype.penalty
+                base = term[cols] + 0.0 + hinge
+            table = self._stage_tables[key] = (term, term[cols], target, base)
+        return table
 
 
 class TrellisPlacement:
@@ -347,72 +433,85 @@ class TrellisPlacement:
         (predecessor, state) pair as one matrix, mask the infeasible ones
         and keep the first minimum over predecessors, as :meth:`_best_move`
         does pair by pair. Each float is formed in the same order, so the
-        survivors are bit-equal to the pair loop's."""
+        survivors are bit-equal to the pair loop's.
+
+        A stage keeps only its survivors' arrays and a back-pointer to each
+        one's predecessor; the states of the last three stages along each
+        survivor's path (``ids``, ``back1``, ``back2``) feed the routing
+        charge. The stock carries a state-0 row that fits every demand, so
+        "no backup" needs no special column.
+        """
         ctx = self.context
         n = self.infra.num_servers
         rows = np.arange(n + 1)
-        v_state = ctx.v_array
-        link = ctx.link_array
-        prev = StageSurvivors(
-            rows[:1], np.zeros(1), np.ones(1),
-            self._snapshot[None].copy(), np.zeros((1, 0), dtype=rows.dtype),
-        )
-        self.stages = [prev]
-        for m in range(1, self.num_stages + 1):
-            l, u, backup = self._stage_info[m - 1]
-            stype = self.catalog[l]
+        snap = self._snapshot
+        pad, draws = ctx.stock_tables(snap.dtype)
+        one_resource = snap.shape[1] == 1
+        stock = np.empty((1, n + 1, snap.shape[1]), dtype=snap.dtype)
+        stock[0, 0] = pad
+        stock[0, 1:] = snap
+        ids = back1 = back2 = rows[:1]
+        cost = np.zeros(1)
+        reliability = np.ones(1)
+        records = [(ids, cost, reliability, stock, None)]
+        self.stages = StageSequence(records)
+        for m, (l, u, backup) in enumerate(self._stage_info, start=1):
+            term, term_cols, target, base = ctx.stage_table(l, u, backup)
             r = self._stage_demand[m - 1]
-            term = ctx.term_arrays[l][u]
-            ids, paths = prev.ids, prev.paths
-            fits = (prev.remaining >= r).all(axis=2)
+            fits = stock >= r
+            fits = fits[:, :, 0] if one_resource else fits.all(axis=2)
             if backup:
-                # state 0 ("no backup") is open to every predecessor, and a
-                # backup never shares its main's server
-                cols = slice(0, None)
-                mask = np.empty((len(ids), n + 1), dtype=bool)
-                mask[:, 0] = True
-                mask[:, 1:] = fits
+                # a backup never shares its main's server
+                mask = fits
                 mask[rows[:len(ids)], ids] = False
             else:
-                cols = slice(1, None)
-                mask = fits
+                mask = fits[:, 1:]
             live = mask.any(axis=0).nonzero()[0]
             if not live.size:
                 return False
             self.evaluations += int(np.count_nonzero(mask))
 
-            v2 = v_state[cols]
             if u == 0:
-                route = 0.0
+                if backup:
+                    tau = ctx.backup_up.take(ids, axis=0)
+                    theta = base.take(ids, axis=0) + cost[:, None]
+                else:
+                    tau = ctx.up[1:]
+                    theta = base + cost[:, None]
             else:
-                behind = paths[:, m - 4] if backup else ids
-                route = stype.bandwidth * (link[paths[:, m - 3], cols] + link[behind, cols])
-            if not backup:
-                tau = (1.0 - v2) if u == 0 else prev.reliability[:, None] * (1.0 - v2)
-            else:
-                vm = v_state[ids][:, None]
-                tau = 1.0 - vm * v2
-                if u > 0:
-                    tau = prev.reliability[:, None] * tau / (1.0 - vm)
-            short = ctx.targets[l][cols] - tau
-            hinge = np.where(short > 0, stype.penalty * short, 0.0)
-            theta = term[cols] + route + hinge + prev.cost[:, None]
-            np.putmask(theta, ~mask, np.inf)
+                stype = self.catalog[l]
+                # links from the previous vnf's main and backup: the last
+                # two states at a main stage, the two before at a backup stage
+                link = ctx.stage_links[backup]
+                route = link.take(back1, axis=0)
+                route += link.take(back2 if backup else ids, axis=0)
+                route *= stype.bandwidth
+                if backup:
+                    # swap the trailing main-only factor for the protected one
+                    tau = reliability[:, None] * ctx.backup_up.take(ids, axis=0)
+                    tau /= ctx.up[ids][:, None]
+                else:
+                    tau = reliability[:, None] * ctx.up[1:]
+                hinge = target - tau
+                np.maximum(hinge, 0.0, out=hinge)
+                hinge *= stype.penalty
+                theta = term_cols + route
+                theta += hinge
+                theta += cost[:, None]
             # argmin keeps the first minimum: ties go to the lowest x1
-            pick = theta.argmin(axis=0)[live]
+            pick = np.where(mask, theta, np.inf).argmin(axis=0)[live]
 
-            x2 = rows[cols][live]
-            remaining = prev.remaining[pick]
-            first = 1 if backup else 0  # x2 == 0 takes nothing
-            remaining[rows[first:len(x2)], x2[first:] - 1] -= r
-            prev = StageSurvivors(
-                x2,
-                prev.cost[pick] + term[x2] + (route[pick, live] if u else 0.0),
-                tau[pick, live] if tau.ndim == 2 else tau[live],
-                remaining,
-                np.concatenate((paths[pick], x2[:, None]), axis=1),
-            )
-            self.stages.append(prev)
+            x2 = live if backup else live + 1
+            stock = stock.take(pick, axis=0)
+            stock -= draws[l][u].take(x2, axis=0)
+            # hinge kept out of path cost; the pair loop's "+ 0.0" route of
+            # a first VNF is left out, as no cost is ever -0.0
+            cost = cost[pick] + term[x2]
+            if u:
+                cost += route[pick, live]
+            reliability = tau[pick, live] if tau.ndim == 2 else tau[live]
+            ids, back1, back2 = x2, ids[pick], back1[pick]
+            records.append((ids, cost, reliability, stock, pick))
         return True
 
     def _read_out(self, stages: list[Mapping[int, PathState]]) -> TrellisResult:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
-from helpers import reduced_setup, tiny_two_inps
+from helpers import reduced_setup, tiny_two_inps, two_resource_setup
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,11 @@ def tiny2():
 @pytest.fixture(scope="session")
 def reduced():
     return reduced_setup()
+
+
+@pytest.fixture(scope="session")
+def two_resource():
+    return two_resource_setup()
 
 
 @pytest.fixture()

@@ -94,6 +94,46 @@ def reduced_setup():
     return infra, (short, long)
 
 
+def two_resource_setup():
+    """Nine servers over three providers with two resource types, links of
+    mixed cost, and three service types of one to three VNFs whose demands
+    differ by resource, so a server can fit a VNF on one resource and not
+    on the other."""
+    servers = np.arange(9)
+    link_cost = 0.1 * (np.abs(servers[:, None] - servers[None, :]) % 4)
+    infra = nv.Infrastructure(
+        [
+            nv.InP(0.05, ((12, 20), (12, 20), (12, 20))),
+            nv.InP(0.02, ((16, 12), (16, 12), (8, 30))),
+            nv.InP(0.01, ((20, 20), (20, 20), (20, 20))),
+        ],
+        alpha=[0.6, 0.4],
+        beta=10.0,
+        v_base=0.1,
+        deployment_cost=[[1.0, 2.0], [1.5, 1.0], [2.0, 2.5]],
+        link_cost=link_cost,
+    )
+    specs = [
+        (0.01, 2.0, ((0, (3, 5)), (1, (6, 2)))),
+        (0.03, 1.0, ((1, (2, 2)),)),
+        (0.005, 0.5, ((0, (4, 4)), (1, (1, 6)), (0, (5, 1)))),
+    ]
+    catalog = tuple(
+        nv.ServiceType(
+            failure_cap=cap,
+            departure_prob=0.5,
+            bandwidth=bandwidth,
+            vnfs=tuple(nv.VnfSpec(t, d) for t, d in vnfs),
+            arrival_pmf=(0.5, 0.5),
+            admission_reward=100.0,
+            sigma_max=2,
+            name=f"r{k}",
+        )
+        for k, (cap, bandwidth, vnfs) in enumerate(specs)
+    )
+    return infra, catalog
+
+
 def analytic_setup():
     """Single free server, point-mass arrivals, certain departure.
 

@@ -189,6 +189,22 @@ class TestCompare:
         capsys.readouterr()
 
 
+class TestSlotsOverride:
+    @pytest.mark.parametrize("slots", ["-1", "0"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--strategy", "trellis"],
+        ["compare", "--strategies", "trellis", "--seeds", "1"],
+    ])
+    def test_non_positive_slots_exit_two(self, cfg_path, tmp_path, capsys, command, slots):
+        out = tmp_path / "x.csv"
+        rc = main(command + ["--config", cfg_path, "--slots", slots, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--slots:")
+        assert not out.exists()
+
+
 class TestOracle:
     def test_inline_instance(self, cfg_path, capsys):
         rc = main(["oracle", "--config", cfg_path, "--instance", "0,0"])

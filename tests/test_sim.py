@@ -36,6 +36,28 @@ class TestSampling:
         b = [nv.sample_arrivals(np.random.default_rng(9), catalog) for _ in range(5)]
         assert a == b
 
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "zero_entries"])
+    def test_arrivals_match_generator_choice(self, setup, request):
+        # the inverse-cdf sampler is Generator.choice's own algorithm: the
+        # same counts and the same stream position, slot after slot
+        if setup == "zero_entries":
+            catalog = tuple(
+                nv.ServiceType(0.5, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), pmf, 1.0, 2, name=f"z{i}")
+                for i, pmf in enumerate([
+                    (0.0, 0.5, 0.0, 0.5), (0.2, 0.0, 0.8, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0),
+                ])
+            )
+        else:
+            _, catalog = request.getfixturevalue(setup)
+        for seed in range(50):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(100):
+                expected = tuple(
+                    int(reference.choice(len(t.arrival_pmf), p=t.arrival_pmf)) for t in catalog
+                )
+                assert nv.sample_arrivals(ours, catalog) == expected
+            assert ours.random() == reference.random()
+
     def test_departures_certain_and_impossible(self):
         sure = (nv.ServiceType(0.5, 1.0, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 1.0, 2, name="a"),)
         never = (nv.ServiceType(0.5, 1e-12, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 1.0, 2, name="b"),)

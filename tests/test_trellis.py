@@ -325,8 +325,14 @@ class TestStageKernel:
         ]
         return valid, result and result.path, services, survivors, tp.evaluations
 
-    @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
-    def test_bit_equal_to_pair_loop(self, setup, request):
+    @pytest.mark.parametrize("setup, dtype", [
+        pytest.param(setup, dtype, id=setup if dtype is None else f"{setup}-{dtype}")
+        for dtype in (None, "int32", "float32")
+        for setup in ("bundled", "reduced", "tiny2", "two_resource")
+    ])
+    def test_bit_equal_to_pair_loop(self, setup, dtype, request):
+        # dtype: every snapshot cast to it, since the stage kernel's stock
+        # padding and demand rows follow the snapshot's dtype
         infra, catalog = request.getfixturevalue(setup)
         rng = np.random.default_rng(7)
         outcomes = set()
@@ -336,6 +342,9 @@ class TestStageKernel:
             if i % 2:
                 action, arrangement, _ = batch
                 batch = (action, arrangement, infra.capacity * rng.uniform(size=infra.capacity.shape))
+            if dtype is not None:
+                action, arrangement, snapshot = batch
+                batch = (action, arrangement, snapshot.astype(dtype))
             pairs = self._search("_search_pairs", batch, catalog, infra)
             assert self._search("_search_stages", batch, catalog, infra) == pairs
             outcomes.add(pairs[0])
@@ -351,6 +360,31 @@ class TestStageKernel:
             wide = infra.num_servers >= WHOLE_STAGE_MIN_SERVERS
             assert isinstance(tp.stages[-1], StageSurvivors) == wide
         assert reduced[0].num_servers < WHOLE_STAGE_MIN_SERVERS <= bundled[0].num_servers
+
+    def test_middle_stage_lookup_after_run(self, bundled):
+        # run() leaves only back-pointers behind; survivors looked up at a
+        # middle stage afterwards must trace back to the pair loop's paths
+        infra, catalog = bundled
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(10):
+            batch = random_batch_inputs(rng, infra, catalog)
+            kernel = nv.TrellisPlacement(*batch, catalog, infra)
+            pairs = nv.TrellisPlacement(*batch, catalog, infra)
+            if not kernel.run().valid or kernel.num_stages < 4:
+                continue
+            pairs._search_pairs()
+            m = kernel.num_stages // 2
+            assert isinstance(kernel.stages[m], StageSurvivors)
+            assert list(kernel.stages[m]) == list(pairs.stages[m])
+            for x, st in pairs.stages[m].items():
+                looked_up = kernel.stages[m][x]
+                assert len(looked_up.path) == m
+                assert looked_up.path == st.path
+                assert (looked_up.cost, looked_up.reliability) == (st.cost, st.reliability)
+                assert np.array_equal(looked_up.remaining, st.remaining)
+            checked += 1
+        assert checked >= 5
 
     def test_survivor_lookup(self, bundled):
         infra, catalog = bundled
