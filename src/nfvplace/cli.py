@@ -59,9 +59,18 @@ def _slots(cfg: ExperimentConfig, args) -> int:
     return args.slots
 
 
+def _seed(cfg_seed: int, args) -> int:
+    """Seed to run with: ``--seed`` when given, else the config's."""
+    if args.seed is None:
+        return cfg_seed
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    seed = cfg.mdp.seed if args.seed is None else args.seed
+    seed = _seed(cfg.mdp.seed, args)
     space = build_state_space(cfg.service_types, cap=cfg.mdp.state_space_cap)
     model = TransitionModel(space, cfg.service_types)
     policy = value_iteration(
@@ -81,11 +90,11 @@ def _cmd_solve(args) -> int:
     policy.save(args.out)
     trace_path = f"{args.out}.trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,mean_value,sup_diff\n")
-        for i, (mv, sd) in enumerate(
-            zip(policy.mean_value_trace, policy.sup_diff_trace), start=1
+        fh.write("iteration,mean_value,sup_diff,trellis_searches,memo_hits,continuations\n")
+        for i, (mv, sd, counts) in enumerate(
+            zip(policy.mean_value_trace, policy.sup_diff_trace, policy.sweep_counts), start=1
         ):
-            fh.write(f"{i},{mv!r},{sd!r}\n")
+            fh.write(f"{i},{mv!r},{sd!r},{','.join(map(str, counts))}\n")
     _emit(
         {
             "command": "solve",
@@ -109,7 +118,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("the mdp strategy requires --policy")
         policy = _load_policy_for(cfg, args.policy)
     slots = _slots(cfg, args)
-    seed = cfg.sim.seed if args.seed is None else args.seed
+    seed = _seed(cfg.sim.seed, args)
     report = run_experiment(
         cfg.infrastructure, cfg.service_types, args.strategy, slots, seed, policy
     )
@@ -146,6 +155,9 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"--seeds: {exc}") from exc
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"--seeds: must be non-negative, got {seed}")
     policy = None
     if MDP_STRATEGY in strategies:
         if args.policy is None:

@@ -14,7 +14,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,11 +75,9 @@ class ResourceEstimator:
         """
         idx = eta_next - 1
         a = self.alpha[idx]
-        sample = source - usage
-        blended = a * sample + (1.0 - a) * self.estimates[idx]
+        blended = a * (source - usage) + (1.0 - a) * self.estimates[idx]
         # convex combination; clipping only trims float drift at the edges
-        np.clip(blended, 0.0, self.capacity, out=blended)
-        self.estimates[idx] = blended
+        np.minimum(np.maximum(blended, 0.0, out=blended), self.capacity, out=self.estimates[idx])
         self.alpha[idx] *= self.discount
 
 
@@ -136,6 +134,14 @@ class _ArrangementLedger:
             self.best = arrangement
 
 
+class SweepCounts(NamedTuple):
+    """Deterministic work counts of one value-iteration sweep."""
+
+    trellis_searches: int
+    memo_hits: int
+    continuations: int
+
+
 @dataclass
 class Policy:
     """Solved admission policy plus everything needed to audit the run."""
@@ -154,6 +160,9 @@ class Policy:
     mean_value_trace: list[float]
     sup_diff_trace: list[float]
     fingerprint: str | None = None
+    # per-sweep work of the solve that produced this policy; not saved, so
+    # a loaded policy has none
+    sweep_counts: tuple[SweepCounts, ...] = field(default=(), compare=False)
     _space: StateSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -287,7 +296,9 @@ def value_iteration(
     The trellis search runs once per distinct (action, arrangement,
     snapshot) input of the call; a repeated input reuses that outcome,
     but still updates the estimator and the arrangement ledger, so the
-    result is the same as scoring every input afresh.
+    result is the same as scoring every input afresh. Within a sweep, the
+    expected previous-sweep value after each distinct post-admission active
+    vector is computed once; ``Policy.sweep_counts`` records both savings.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -304,13 +315,16 @@ def value_iteration(
     estimator = ResourceEstimator(space, infra, alpha_init, estimate_discount)
     context = PlacementContext(catalog, infra)
     usage_shape = (infra.num_servers, infra.num_resources)
+    strides = space.active_strides
 
     arrival_vecs = [space.arrival_vector(i + 1) for i in range(space.num_arrival)]
     active_vecs = [space.active_vector(j + 1) for j in range(space.num_active)]
-    actions_by_state: list[list[tuple[int, ...]] | None] = [None] * space.size
-    pools: dict[tuple[int, tuple[int, ...]], _ArrangementLedger] = {}
+    # per state, built on its first visit: (action, arrangement ledger) per
+    # feasible action, in feasible_actions order
+    plans: list[list[tuple[tuple[int, ...], _ArrangementLedger]] | None] = [None] * space.size
     # trellis outcome per exact (action, arrangement, snapshot bytes) input:
-    # (reward, admitted counts, usage), or None for an invalid batch
+    # (reward, admitted counts' active-ordinal offset, usage), or None for
+    # an invalid batch
     scores: dict[tuple[tuple[int, ...], tuple[int, ...], bytes], tuple | None] = {}
 
     values = np.zeros(space.size)
@@ -318,6 +332,7 @@ def value_iteration(
     best_arrangements: list[tuple[int, ...]] = [()] * space.size
     mean_trace: list[float] = []
     diff_trace: list[float] = []
+    sweep_counts: list[SweepCounts] = []
     converged = False
     iterations = 0
 
@@ -325,68 +340,74 @@ def value_iteration(
         prev_matrix = values.reshape(space.num_arrival, space.num_active)
         expected_prev = model.arrival_probs @ prev_matrix  # over destination actives
         new_values = np.empty_like(values)
+        # expected previous-sweep value per post-admission active ordinal
+        continuation: dict[int, float] = {}
+        searches = memo_hits = 0
 
         for i, lam in enumerate(arrival_vecs):
             base_sid = i * space.num_active
             for j, sigma in enumerate(active_vecs):
                 sid = base_sid + j
-                actions = actions_by_state[sid]
-                if actions is None:
-                    actions = space.feasible_actions(lam, sigma)
-                    actions_by_state[sid] = actions
-                eta = space.active_index(sigma)
+                plan = plans[sid]
+                if plan is None:
+                    plan = plans[sid] = []
+                    for action in space.feasible_actions(lam, sigma):
+                        drawn = generate_arrangements(action, num_arrangements, rng)
+                        plan.append((action, _ArrangementLedger(deque(drawn), drawn[0])))
+                eta = j + 1
                 omega = estimator.snapshot(eta)
                 omega_bytes = omega.tobytes()
 
                 best_q = -np.inf
-                best_action = actions[0]
-                best_rho: tuple[int, ...] = ()
-                for action in actions:
-                    ledger = pools.get((sid, action))
-                    if ledger is None:
-                        drawn = generate_arrangements(action, num_arrangements, rng)
-                        ledger = _ArrangementLedger(deque(drawn), drawn[0])
-                        pools[(sid, action)] = ledger
+                best_action, best_ledger = plan[0]
+                for action, ledger in plan:
                     rho = ledger.next_arrangement()
-
                     key = (action, rho, omega_bytes)
-                    if key not in scores:
+                    if key in scores:
+                        memo_hits += 1
+                        scored = scores[key]
+                    else:
+                        searches += 1
                         outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
-                        scores[key] = (
-                            (action_reward(action, outcome, catalog),
-                             *realized_action(action, outcome, catalog, usage_shape))
-                            if outcome.valid else None
-                        )
-                    scored = scores[key]
+                        if outcome.valid:
+                            admitted, used = realized_action(action, outcome, catalog, usage_shape)
+                            offset = sum(a * d for a, d in zip(admitted, strides))
+                            scored = (action_reward(action, outcome, catalog), offset, used)
+                        else:
+                            scored = None
+                        scores[key] = scored
                     if scored is not None:
-                        reward, admitted, used = scored
+                        reward, offset, used = scored
                         # states with different sigma share snapshot bytes,
-                        # so the destination is never taken from the memo
-                        source = tuple(s + a for s, a in zip(sigma, admitted))
-                        estimator.update(space.active_index(source), omega, used)
+                        # so the memo keeps an offset from eta, not a state;
+                        # feasible actions keep sigma + admitted in bounds
+                        dest = eta + offset
+                        estimator.update(dest, omega, used)
                         ledger.record(reward, rho)
                     else:
                         reward = 0.0
-                        source = sigma
-                    q = reward + gamma * float(
-                        model.departure_row(source) @ expected_prev
-                    )
+                        dest = eta
+                    c = continuation.get(dest)
+                    if c is None:
+                        c = continuation[dest] = float(
+                            model.departure_row(active_vecs[dest - 1]) @ expected_prev
+                        )
+                    q = reward + gamma * c
                     if q > best_q:
                         best_q = q
-                        best_action = action
-                        incumbent = pools[(sid, action)]
-                        best_rho = (
-                            incumbent.best if incumbent.best is not None else incumbent.first
-                        )
+                        best_action, best_ledger = action, ledger
                 new_values[sid] = best_q
                 best_actions[sid] = best_action
-                best_arrangements[sid] = best_rho
+                best_arrangements[sid] = (
+                    best_ledger.best if best_ledger.best is not None else best_ledger.first
+                )
 
         diff = float(np.max(np.abs(new_values - values)))
         values = new_values
         iterations = sweep
         mean_trace.append(float(np.mean(values)))
         diff_trace.append(diff)
+        sweep_counts.append(SweepCounts(searches, memo_hits, len(continuation)))
         if sweep >= 2 and diff < epsilon:
             converged = True
             break
@@ -406,4 +427,5 @@ def value_iteration(
         mean_value_trace=mean_trace,
         sup_diff_trace=diff_trace,
         fingerprint=fingerprint,
+        sweep_counts=tuple(sweep_counts),
     )

@@ -37,7 +37,6 @@ from .model import (
     ServicePlacement,
     VnfPlacement,
     service_failure_probability,
-    service_usage,
 )
 
 # Batches on at least this many servers are searched one whole stage at a
@@ -180,6 +179,13 @@ class PlacementContext:
                 rows.append([0.0] + per_inp[infra.server_inp].tolist())
             self.terms.append(rows)
         self._demands: dict[np.dtype, list[list[np.ndarray]]] = {}
+        # per type: the int64 demand of each of its stages, main then backup
+        # per VNF, so a placed service's usage is one scatter-add over the
+        # states of its path (state 0, no backup, collects the rest)
+        self.stage_usage = [
+            np.repeat(np.array(rows).reshape(-1, infra.num_resources), 2, axis=0)
+            for rows in self.demands(np.dtype(np.int64))
+        ]
 
         # Stage-kernel tables. A stage's columns are its candidate states:
         # 1..S at a main stage, 0..S at a backup stage.
@@ -540,6 +546,7 @@ class TrellisPlacement:
         path = final[best_x].path
 
         link = self.context.link
+        usage_shape = (self.infra.num_servers + 1, self.infra.num_resources)
         services: list[PlacedService] = []
         for m, (l, u, backup) in enumerate(self._stage_info, start=1):
             x = path[m - 1]
@@ -557,11 +564,12 @@ class TrellisPlacement:
                     VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)
                     for i in range(first, m, 2)
                 )
-                placement = ServicePlacement(l, vnfs)
+                usage = np.zeros(usage_shape, dtype=np.int64)
+                np.add.at(usage, list(path[first:m]), self.context.stage_usage[l])
                 services.append(PlacedService(
-                    l, placement, cost,
+                    l, ServicePlacement(l, vnfs), cost,
                     service_failure_probability(vnfs, self.infra),
-                    service_usage(placement, self.infra, self.catalog),
+                    usage[1:],
                 ))
 
         return TrellisResult(True, services, path)

@@ -54,8 +54,13 @@ class TestSolve:
         policy = nv.Policy.load(out)
         assert policy.fingerprint == nv.load_config(cfg_path).fingerprint
         trace = (tmp_path / "policy.json.trace.csv").read_text().splitlines()
-        assert trace[0] == "iteration,mean_value,sup_diff"
+        assert trace[0] == (
+            "iteration,mean_value,sup_diff,trellis_searches,memo_hits,continuations"
+        )
         assert len(trace) == policy.iterations + 1
+        # every sweep scores the same (state, action) pairs, searched or memoized
+        scorings = {sum(map(int, row.split(",")[3:5])) for row in trace[1:]}
+        assert len(scorings) == 1
 
     def test_repeat_solve_is_byte_identical(self, cfg_path, tmp_path):
         a = tmp_path / "a.json"
@@ -202,6 +207,22 @@ class TestSlotsOverride:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith("--slots:")
+        assert not out.exists()
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("command, flag", [
+        (["solve", "--seed", "-1"], "--seed"),
+        (["simulate", "--strategy", "trellis", "--slots", "5", "--seed", "-1"], "--seed"),
+        (["compare", "--strategies", "trellis", "--slots", "5", "--seeds", "1,-3"], "--seeds"),
+    ], ids=["solve", "simulate", "compare"])
+    def test_negative_seed_exits_two(self, cfg_path, tmp_path, capsys, command, flag):
+        out = tmp_path / "x.out"
+        rc = main(command + ["--config", cfg_path, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{flag}:")
         assert not out.exists()
 
 

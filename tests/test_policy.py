@@ -247,6 +247,104 @@ class TestReducedSolveReference:
         assert len(updates) == 5417
 
 
+    def test_each_continuation_value_is_computed_once_per_sweep(self, monkeypatch):
+        rows = []
+        constructions = []
+        updates = []
+        departure_row = nv.TransitionModel.departure_row
+        init = nv.TrellisPlacement.__init__
+        update = nv.ResourceEstimator.update
+
+        def counting_row(self, source):
+            rows.append(tuple(source))
+            return departure_row(self, source)
+
+        def counting_init(self, *args):
+            constructions.append(args[0])
+            init(self, *args)
+
+        def counting_update(self, *args):
+            updates.append(args[0])
+            return update(self, *args)
+
+        monkeypatch.setattr(nv.TransitionModel, "departure_row", counting_row)
+        monkeypatch.setattr(nv.TrellisPlacement, "__init__", counting_init)
+        monkeypatch.setattr(nv.ResourceEstimator, "update", counting_update)
+        policy = _reduced_solve(seed=1)
+        counts = policy.sweep_counts
+        assert len(counts) == policy.iterations == 63
+        # one departure row per distinct post-admission source per sweep,
+        # against one per scoring (8,568) before
+        assert len(rows) == sum(c.continuations for c in counts) == 1134
+        assert max(c.continuations for c in counts) <= 18
+        # every sweep scores each (state, action) pair once
+        infra, catalog = reduced_setup()
+        space = nv.build_state_space(catalog)
+        pairs = sum(len(space.feasible_actions(*space.state_of(sid))) for sid in range(space.size))
+        assert all(c.trellis_searches + c.memo_hits == pairs for c in counts)
+        assert len(constructions) == sum(c.trellis_searches for c in counts) == 363
+        assert len(updates) == 5417
+
+
+def _rung_solve(num_types: int, seed: int = 1) -> nv.Policy:
+    """Solve the bundled setup restricted to its first ``num_types``
+    service types, with the default solver settings."""
+    cfg = nv.seven_providers()
+    catalog = cfg.service_types[:num_types]
+    space = nv.build_state_space(catalog)
+    return nv.value_iteration(
+        space, nv.TransitionModel(space, catalog), catalog, cfg.infrastructure, seed=seed
+    )
+
+
+# SHA-256 of the plan (actions, arrangements), the values, the mean-value
+# trace and the sup-diff trace of the bundled setup restricted to its first
+# 2 and 3 service types (324 and 5,832 states), seed 1, recorded with a
+# departure row and an arrangement-pool lookup per scoring; with the
+# sweep count of each solve.
+RUNG_SOLVE_BITS = {
+    2: (66, (
+        "8bc055bdabe4274146438b9885a3f92dd8a17195850b7474c1ae6ea1bc47b14a",
+        "8fcf9aa44284c4074ec74cfa97d99ca90570d5897966c2a1ab9fff33a997c81e",
+        "d2720672263ea8e637d7dce73eeb07a13e2281482d40fb2f60530d667b3b0329",
+        "9b55ea17fa6448a10d206089b50e119cfd5edb7203cefb4973ba1cc0fd04f60e",
+    )),
+    3: (67, (
+        "59941184ab6a61bdecce366890fd21841f5e466566e6568eeafeecd2edcd145c",
+        "ca6f70c613a6f55641e01f2ccf01e8f15ccb4570c4b7e642b1dbd9a552ddf4f9",
+        "9fd04c04c10b2f48af72deaa66472ffbe9d7ed8bc0a4e59b46fe24b39b51ae52",
+        "d13f8fa004d39b404ae1c2693109f333ee65c4e3a5df11cabc3c0e3c644c884a",
+    )),
+}
+
+
+class TestBundledRungReference:
+    """Rungs of the bundled setup's solve ladder, pinned bit for bit."""
+
+    @staticmethod
+    def _check(num_types: int) -> None:
+        sweeps, bits = RUNG_SOLVE_BITS[num_types]
+        policy = _rung_solve(num_types)
+        plan = json.dumps(
+            [[list(a) for a in policy.actions], [list(r) for r in policy.arrangements]]
+        ).encode()
+        assert policy.converged
+        assert policy.iterations == sweeps
+        assert (
+            _sha256(plan),
+            _sha256(policy.values.tobytes()),
+            _sha256(np.asarray(policy.mean_value_trace, dtype=float).tobytes()),
+            _sha256(np.asarray(policy.sup_diff_trace, dtype=float).tobytes()),
+        ) == bits
+
+    def test_two_types(self):
+        self._check(2)
+
+    @pytest.mark.slow
+    def test_three_types(self):
+        self._check(3)
+
+
 class TestPolicyArtifact:
     def test_save_load_round_trip(self, tmp_path):
         infra, catalog = analytic_setup()
@@ -259,6 +357,9 @@ class TestPolicyArtifact:
         policy.save(path)
         loaded = nv.Policy.load(path)
         assert loaded.fingerprint == "abc123"
+        # the per-sweep work counts describe the run, not the policy
+        assert policy.sweep_counts and loaded.sweep_counts == ()
+        assert "sweep_counts" not in json.loads(path.read_text())
         assert loaded.gamma == policy.gamma
         assert np.array_equal(loaded.values, policy.values)
         for lam in ((0,), (1,)):
