@@ -59,7 +59,7 @@ class ResourceEstimator:
         )
         idle_id = space.active_index((0,) * space.num_types) - 1
         self.estimates[idle_id] = self.capacity
-        self.alpha = np.full(space.num_active, float(alpha_init))
+        self.alpha = [float(alpha_init)] * space.num_active
         self.discount = float(discount)
 
     def snapshot(self, eta: int) -> np.ndarray:
@@ -75,10 +75,14 @@ class ResourceEstimator:
         """
         idx = eta_next - 1
         a = self.alpha[idx]
-        blended = a * (source - usage) + (1.0 - a) * self.estimates[idx]
-        # convex combination; clipping only trims float drift at the edges
-        np.minimum(np.maximum(blended, 0.0, out=blended), self.capacity, out=self.estimates[idx])
-        self.alpha[idx] *= self.discount
+        # convex combination, summed in place with its terms swapped (float
+        # addition commutes, so the bits stay); clipping only trims float
+        # drift at the edges
+        row = self.estimates[idx]
+        row *= 1.0 - a
+        row += a * (source - usage)
+        np.minimum(np.maximum(row, 0.0, out=row), self.capacity, out=row)
+        self.alpha[idx] = a * self.discount
 
 
 def realized_action(
@@ -109,7 +113,7 @@ def generate_arrangements(
     pool: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for _ in range(count):
-        perm = tuple(int(x) for x in rng.permutation(stv))
+        perm = tuple(rng.permutation(stv).tolist())
         if perm not in seen:
             seen.add(perm)
             pool.append(perm)

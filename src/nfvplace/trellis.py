@@ -14,17 +14,16 @@ the path cost is stored, so stored costs stay pure placement cost; the
 final state selection re-applies the hinge for the last service in the
 batch.
 
-Wide infrastructures are searched one whole stage at a time, narrow ones
-one (predecessor, state) pair at a time (``WHOLE_STAGE_MIN_SERVERS``);
-both keep bit-equal survivors. The whole-stage search keeps a back-pointer
-per survivor instead of its path and traces a path back only when it is
-read. Tables that depend only on the setup live in a
-:class:`PlacementContext`, built once and shared by every batch.
+Every batch is searched one whole stage at a time, as in Forney's Viterbi
+decoder: each stage scores every (predecessor, state) pair as one matrix,
+and each survivor keeps a back-pointer to its predecessor instead of its
+path, which is traced back only when it is read. Tables that depend only
+on the setup live in a :class:`PlacementContext`, built once and shared
+by every batch.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -38,24 +37,6 @@ from .model import (
     VnfPlacement,
     service_failure_probability,
 )
-
-# Batches on at least this many servers are searched one whole stage at a
-# time (``_search_stages``); narrower ones score each (predecessor, state)
-# pair in Python (``_search_pairs``), where numpy's fixed cost per call
-# outweighs the matrix. Pair-loop time over stage-kernel time per batch
-# (construct, search and read-out, one shared PlacementContext; 150 random
-# batches of the bundled service types on k 80-unit servers over ceil(k/3)
-# providers, median of 6 alternating rounds; the batches of one seed-1
-# reduced-policy episode and of one seed-1 reduced solve, median of 10;
-# 2-vCPU Xeon):
-#   servers  2     3     4     5     6     7     8     10    12    21
-#   ratio    0.65  0.87  1.05  1.32  1.35  1.54  1.89  2.42  2.83  5.25
-#   reduced (6 servers): simulator batches 1.45, solve batches 0.95
-# A threshold of 5 would put the six-server reduced setup on the stage
-# kernel: reduced-policy then ran 1.24x the slots, but the reduced solve,
-# where the pair loop wins, read 3% slower (median of 10 alternating pairs
-# of 20 s benchmark runs), so the threshold stays above the reduced setup.
-WHOLE_STAGE_MIN_SERVERS = 8
 
 
 def stage_count(arrangement: tuple[int, ...], catalog: Catalog) -> int:
@@ -198,7 +179,9 @@ class PlacementContext:
         link = np.zeros((n + 1, n + 1))
         link[1:, 1:] = infra.link_cost
         self.stage_links = {False: np.ascontiguousarray(link[:, 1:]), True: link}
-        self._stock_tables: dict[np.dtype, tuple[np.generic, list[list[np.ndarray]]]] = {}
+        # the stock of the kernel's state-0 row: it fits every demand
+        self.pad = max((max(spec.demands) for t in catalog for spec in t.vnfs), default=0)
+        self._stock_draws: dict[np.dtype, list[list[np.ndarray]]] = {}
         self._stage_tables: dict[tuple[int, int, bool], tuple] = {}
 
     def demands(self, dtype: np.dtype) -> list[list[np.ndarray]]:
@@ -209,27 +192,22 @@ class PlacementContext:
             self._demands[dtype] = rows
         return rows
 
-    def stock_tables(self, dtype: np.dtype) -> tuple[np.generic, list[list[np.ndarray]]]:
-        """The stage kernel's stock tables in the snapshot's dtype: a stock
-        entry that fits every demand (the kernel's state-0 row), and per
-        (type, vnf) the ``(S + 1, S + 1, R)`` stock each state draws, whose
-        row ``x`` holds the demand at state ``x`` and zeros elsewhere
-        (state 0 draws nothing)."""
-        tables = self._stock_tables.get(dtype)
-        if tables is None:
-            rows = self.demands(dtype)
-            pad = max((row.max() for t in rows for row in t), default=0)
+    def stock_draws(self, dtype: np.dtype) -> list[list[np.ndarray]]:
+        """Per (type, vnf) the ``(S + 1, S + 1, R)`` stock each state draws
+        in the snapshot's dtype: row ``x`` holds the demand at state ``x``
+        and zeros elsewhere (state 0 draws nothing)."""
+        draws = self._stock_draws.get(dtype)
+        if draws is None:
             n = self.infra.num_servers
             servers = np.arange(1, n + 1)
-            draws = []
-            for t in rows:
+            draws = self._stock_draws[dtype] = []
+            for t in self.demands(dtype):
                 draws.append([])
                 for row in t:
                     draw = np.zeros((n + 1, n + 1, len(row)), dtype=dtype)
                     draw[servers, servers] = row
                     draws[-1].append(draw)
-            tables = self._stock_tables[dtype] = (pad, draws)
-        return tables
+        return draws
 
     def stage_table(self, l: int, u: int, backup: bool) -> tuple:
         """Stage-kernel constants of VNF ``u`` of type ``l`` at its main or
@@ -280,10 +258,14 @@ class TrellisPlacement:
             raise ValueError("action length must match the catalog")
         if any(a < 0 for a in action):
             raise ValueError("action counts must be non-negative")
-        expected = Counter({l: a for l, a in enumerate(action) if a > 0})
-        if Counter(arrangement) != expected:
+        arrangement = tuple(arrangement)
+        # equal lengths and equal counts of every type leave no room for an
+        # entry outside the catalog
+        if len(arrangement) != sum(action) or any(
+            arrangement.count(l) != a for l, a in enumerate(action)
+        ):
             raise ValueError("arrangement must contain action[l] services of each type l")
-        snap = np.array(snapshot, copy=True)
+        snap = np.asarray(snapshot)
         if snap.shape != (infra.num_servers, infra.num_resources):
             raise ValueError("snapshot shape must be (servers, resources)")
         # written so that NaN fails too
@@ -295,7 +277,10 @@ class TrellisPlacement:
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)
-        self._snapshot = snap
+        # stage 0's stock: a copy of the snapshot behind the state-0 row
+        self._stock = np.empty((1, snap.shape[0] + 1, snap.shape[1]), dtype=snap.dtype)
+        self._stock[0, 0] = self.context.pad
+        self._stock[0, 1:] = snap
         self.evaluations = 0  # (predecessor, state) pairs scored by run()
 
         # Stage table: (type, vnf index, backup stage?), main before backup.
@@ -304,30 +289,26 @@ class TrellisPlacement:
             for u in range(catalog[l].num_vnfs) for backup in (False, True)
         ]
         self.num_stages = len(self._stage_info)
-        demands = self.context.demands(snap.dtype)
-        terms = self.context.terms
-        self._stage_demand = [demands[l][u] for l, u, _ in self._stage_info]
-        self._stage_term = [terms[l][u] for l, u, _ in self._stage_info]
-
-        self.stages: list[Mapping[int, PathState]] | None = None
+        self.stages: StageSequence | None = None
 
     # -- scoring --------------------------------------------------------
 
     def _best_move(
         self, m: int, preds: list[tuple[int, PathState]], x2: int
     ) -> tuple[float, int, float, float, float]:
-        """Add-compare-select for state ``x2`` at stage ``m``: score the move
-        from each ``(x1, survivor)`` predecessor and return the best
-        ``(theta, x1, route, tau, hinge)``, ties to the first predecessor.
-        ``route`` charges the links ``x2`` creates, ``tau`` is the service's
-        chain reliability after the move, ``hinge`` its shortfall penalty."""
+        """Add-compare-select for state ``x2`` at stage ``m``, one pair at a
+        time: score the move from each ``(x1, survivor)`` predecessor and
+        return the best ``(theta, x1, route, tau, hinge)``, ties to the first
+        predecessor. ``route`` charges the links ``x2`` creates, ``tau`` is
+        the service's chain reliability after the move, ``hinge`` its
+        shortfall penalty. The stage kernel forms each float in this order."""
         l, u, backup = self._stage_info[m - 1]
         stype = self.catalog[l]
         link = self.context.link
         v_state = self.context.v_state
         bandwidth = stype.bandwidth
         penalty = stype.penalty
-        base = self._stage_term[m - 1][x2]
+        base = self.context.terms[l][u][x2]
         v2 = v_state[x2]
         target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
         best = None
@@ -384,62 +365,22 @@ class TrellisPlacement:
 
     def run(self) -> TrellisResult:
         """Search the trellis and read out the best batch placement."""
-        if self.infra.num_servers >= WHOLE_STAGE_MIN_SERVERS:
-            valid = self._search_stages()
-        else:
-            valid = self._search_pairs()
-        if not valid:
-            return TrellisResult(False, [], ())
-        if self.num_stages == 0:
+        # stage 0: state 0 alone, at cost 0 and reliability 1
+        records = [(np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), self._stock, None)]
+        self.stages = StageSequence(records)
+        if not self.num_stages:
             return TrellisResult(True, [], ())
-        return self._read_out(self.stages)
+        if not self._search(records):
+            return TrellisResult(False, [], ())
+        return self._read_out(records)
 
-    def _search_pairs(self) -> bool:
-        """Build ``self.stages`` state by state with :meth:`_best_move`;
-        False when a main stage has no feasible server."""
-        stages: list[Mapping[int, PathState]] = [
-            {0: PathState(0.0, 1.0, self._snapshot.copy(), ())}
-        ]
-        self.stages = stages
-        for m in range(1, self.num_stages + 1):
-            backup = self._stage_info[m - 1][2]
-            r = self._stage_demand[m - 1]
-            term = self._stage_term[m - 1]
-            prev = stages[m - 1]
-            feas = {x1: (st.remaining >= r).all(axis=1).tolist() for x1, st in prev.items()}
-            cur: dict[int, PathState] = {}
-
-            for x2 in stage_states(m, self.infra):
-                if x2 == 0:
-                    preds = list(prev.items())
-                else:
-                    preds = [
-                        (x1, st) for x1, st in prev.items()
-                        if feas[x1][x2 - 1] and not (backup and x1 == x2)
-                    ]
-                if not preds:
-                    continue  # state removed at this stage
-                self.evaluations += len(preds)
-                _, x1, route, tau, _ = self._best_move(m, preds, x2)
-                chosen = prev[x1]
-                remaining = chosen.remaining.copy()
-                if x2 != 0:
-                    remaining[x2 - 1] -= r
-                cost = chosen.cost + term[x2] + route  # hinge kept out of path cost
-                cur[x2] = PathState(cost, tau, remaining, chosen.path + (x2,))
-
-            if not cur:
-                # only main stages can empty out: even stages always keep state 0
-                return False
-            stages.append(cur)
-        return True
-
-    def _search_stages(self) -> bool:
-        """Build ``self.stages`` one whole stage at a time: score every
-        (predecessor, state) pair as one matrix, mask the infeasible ones
-        and keep the first minimum over predecessors, as :meth:`_best_move`
-        does pair by pair. Each float is formed in the same order, so the
-        survivors are bit-equal to the pair loop's.
+    def _search(self, records: list[tuple]) -> bool:
+        """Append one survivor record per stage to ``records``, one whole
+        stage at a time: score every (predecessor, state) pair as one
+        matrix, mask the infeasible ones and keep the first minimum over
+        predecessors, as :meth:`_best_move` does pair by pair, forming each
+        float in the same order. False when a main stage has no feasible
+        server.
 
         A stage keeps only its survivors' arrays and a back-pointer to each
         one's predecessor; the states of the last three stages along each
@@ -448,28 +389,19 @@ class TrellisPlacement:
         "no backup" needs no special column.
         """
         ctx = self.context
-        n = self.infra.num_servers
-        rows = np.arange(n + 1)
-        snap = self._snapshot
-        pad, draws = ctx.stock_tables(snap.dtype)
-        one_resource = snap.shape[1] == 1
-        stock = np.empty((1, n + 1, snap.shape[1]), dtype=snap.dtype)
-        stock[0, 0] = pad
-        stock[0, 1:] = snap
-        ids = back1 = back2 = rows[:1]
-        cost = np.zeros(1)
-        reliability = np.ones(1)
-        records = [(ids, cost, reliability, stock, None)]
-        self.stages = StageSequence(records)
-        for m, (l, u, backup) in enumerate(self._stage_info, start=1):
+        ids, cost, reliability, stock, _ = records[0]
+        back1 = back2 = ids
+        demands = ctx.demands(stock.dtype)
+        draws = ctx.stock_draws(stock.dtype)
+        one_resource = stock.shape[2] == 1
+        for l, u, backup in self._stage_info:
             term, term_cols, target, base = ctx.stage_table(l, u, backup)
-            r = self._stage_demand[m - 1]
-            fits = stock >= r
+            fits = stock >= demands[l][u]
             fits = fits[:, :, 0] if one_resource else fits.all(axis=2)
             if backup:
                 # a backup never shares its main's server
                 mask = fits
-                mask[rows[:len(ids)], ids] = False
+                mask[np.arange(len(ids)), ids] = False
             else:
                 mask = fits[:, 1:]
             live = mask.any(axis=0).nonzero()[0]
@@ -510,7 +442,7 @@ class TrellisPlacement:
             x2 = live if backup else live + 1
             stock = stock.take(pick, axis=0)
             stock -= draws[l][u].take(x2, axis=0)
-            # hinge kept out of path cost; the pair loop's "+ 0.0" route of
+            # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
             # a first VNF is left out, as no cost is ever -0.0
             cost = cost[pick] + term[x2]
             if u:
@@ -520,32 +452,25 @@ class TrellisPlacement:
             records.append((ids, cost, reliability, stock, pick))
         return True
 
-    def _read_out(self, stages: list[Mapping[int, PathState]]) -> TrellisResult:
+    def _read_out(self, records: list[tuple]) -> TrellisResult:
         """Pick the terminal state and unwind its path into per-service records.
 
-        The pick reads only the final stage's costs and reliabilities. Every
-        state keeps one survivor, so the winner's path fixes each stage's
-        routing charge, recomputed from it in :meth:`_best_move`'s float
-        order.
+        The pick reads only the final stage's costs and reliabilities, with
+        the last service's hinge added back, and traces the winner's path
+        through the back-pointers. Every state keeps one survivor, so that
+        path fixes each stage's routing charge, recomputed from it in
+        :meth:`_best_move`'s float order.
         """
-        last_type = self.catalog[self.arrangement[-1]]
-        final = stages[-1]
-        if isinstance(final, StageSurvivors):
-            terminals = zip(final.ids.tolist(), final.cost.tolist(), final.reliability.tolist())
-        else:
-            terminals = ((x, st.cost, st.reliability) for x, st in final.items())
-        best_x = -1
-        best_val = np.inf
-        for x, cost, reliability in terminals:
-            target = 1.0 if x == 0 else 1.0 - last_type.failure_cap
-            short = target - reliability
-            val = cost + (last_type.penalty * short if short > 0 else 0.0)
-            if val < best_val:
-                best_val = val
-                best_x = x
-        path = final[best_x].path
+        ctx = self.context
+        ids, final_cost, reliability, _, _ = records[-1]
+        last = self.arrangement[-1]
+        hinge = ctx.targets[last][ids] - reliability
+        np.maximum(hinge, 0.0, out=hinge)
+        hinge *= self.catalog[last].penalty
+        # argmin keeps the first minimum, as a strict "<" scan in state order
+        path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
 
-        link = self.context.link
+        link, terms = ctx.link, ctx.terms
         usage_shape = (self.infra.num_servers + 1, self.infra.num_resources)
         services: list[PlacedService] = []
         for m, (l, u, backup) in enumerate(self._stage_info, start=1):
@@ -558,14 +483,14 @@ class TrellisPlacement:
                 route = self.catalog[l].bandwidth * (
                     link[path[m - 3]][x] + link[path[m - 4] if backup else path[m - 2]][x]
                 )
-            cost = cost + self._stage_term[m - 1][x] + route
+            cost = cost + terms[l][u][x] + route
             if backup and u == self.catalog[l].num_vnfs - 1:
                 vnfs = tuple(
                     VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)
                     for i in range(first, m, 2)
                 )
                 usage = np.zeros(usage_shape, dtype=np.int64)
-                np.add.at(usage, list(path[first:m]), self.context.stage_usage[l])
+                np.add.at(usage, list(path[first:m]), ctx.stage_usage[l])
                 services.append(PlacedService(
                     l, ServicePlacement(l, vnfs), cost,
                     service_failure_probability(vnfs, self.infra),

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 import nfvplace as nv
+from nfvplace.trellis import PathState, stage_states
 
 
 def tiny_two_inps():
@@ -280,3 +281,61 @@ def random_batch_inputs(rng, infra, catalog, max_per_type=2):
     frac = rng.uniform(0.2, 1.0)
     snapshot = np.floor(infra.capacity * frac).astype(np.int64)
     return action, arrangement, snapshot
+
+
+def search_pairs(tp, snapshot):
+    """Reference trellis search for the batch of ``tp`` on ``snapshot``,
+    one (predecessor, state) pair at a time through ``tp._best_move``.
+
+    Returns ``(valid, stages, path, evaluations)``: the stages built, each
+    a dict from state id to :class:`PathState` with its full path, the
+    winner's path (empty when nothing is placed) and the pairs scored.
+    ``tp`` itself is left as it was.
+    """
+    ctx = tp.context
+    snap = np.array(snapshot, copy=True)
+    demands = ctx.demands(snap.dtype)
+    stages = [{0: PathState(0.0, 1.0, snap, ())}]
+    evaluations = 0
+    for m, (l, u, backup) in enumerate(tp._stage_info, start=1):
+        r = demands[l][u]
+        term = ctx.terms[l][u]
+        prev = stages[-1]
+        feas = {x1: (st.remaining >= r).all(axis=1).tolist() for x1, st in prev.items()}
+        cur = {}
+        for x2 in stage_states(m, tp.infra):
+            if x2 == 0:
+                preds = list(prev.items())
+            else:
+                preds = [
+                    (x1, st) for x1, st in prev.items()
+                    if feas[x1][x2 - 1] and not (backup and x1 == x2)
+                ]
+            if not preds:
+                continue  # state removed at this stage
+            evaluations += len(preds)
+            _, x1, route, tau, _ = tp._best_move(m, preds, x2)
+            chosen = prev[x1]
+            remaining = chosen.remaining.copy()
+            if x2 != 0:
+                remaining[x2 - 1] -= r
+            cost = chosen.cost + term[x2] + route  # hinge kept out of path cost
+            cur[x2] = PathState(cost, tau, remaining, chosen.path + (x2,))
+        if not cur:
+            # only main stages can empty out: even stages always keep state 0
+            return False, stages, (), evaluations
+        stages.append(cur)
+
+    path = ()
+    if tp.num_stages:
+        # the terminal state with the last service's hinge added back,
+        # ties to the lowest state id
+        last = tp.catalog[tp.arrangement[-1]]
+        best_val = np.inf
+        for x, st in stages[-1].items():
+            target = 1.0 if x == 0 else 1.0 - last.failure_cap
+            short = target - st.reliability
+            val = st.cost + (last.penalty * short if short > 0 else 0.0)
+            if val < best_val:
+                best_val, path = val, st.path
+    return True, stages, path, evaluations

@@ -1,5 +1,7 @@
 """Slotted arrivals/departures loop and its metric accounting."""
 
+import hashlib
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -149,6 +151,32 @@ class TestDeterminism:
         a = nv.run_experiment(infra, catalog, "trellis", 300, 17)
         b = nv.run_experiment(infra, catalog, "trellis", 300, 18)
         assert not np.array_equal(a.arrivals, b.arrivals)
+
+
+class TestReferenceRuns:
+    """Seed-1 simulator outputs, pinned by the SHA-256 of the sorted JSON of
+    ``MetricsReport.summary()``, recorded while the six-server reduced setup
+    was still searched one (predecessor, state) pair at a time."""
+
+    @staticmethod
+    def _digest(report):
+        return hashlib.sha256(json.dumps(report.summary(), sort_keys=True).encode()).hexdigest()
+
+    def test_reduced_policy_run(self, reduced):
+        infra, catalog = reduced
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=1)
+        report = nv.run_experiment(infra, catalog, "mdp", 2000, 1, policy=policy)
+        assert self._digest(report) == (
+            "82c98bcf2b486d227ecaf85a8e9d4358714ab3b9212f6c709d5385447db53b82"
+        )
+
+    def test_bundled_trellis_run(self, bundled):
+        infra, catalog = bundled
+        report = nv.run_experiment(infra, catalog, "trellis", 100, 1)
+        assert self._digest(report) == (
+            "0ea983f72fd3317259e55274a84118cc457fcacb682b2d28787646d0c70b2181"
+        )
 
 
 class TestConservationAndErrors:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
-from nfvplace.trellis import WHOLE_STAGE_MIN_SERVERS, StageSurvivors, stage_count, stage_states
+from nfvplace.trellis import StageSurvivors, stage_count, stage_states
 
-from helpers import random_batch_inputs, reduced_setup
+from helpers import random_batch_inputs, reduced_setup, search_pairs
 
 
 def full_snapshot(infra):
@@ -245,6 +245,29 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             nv.TrellisPlacement((2,), (0,), full_snapshot(infra), catalog, infra)
 
+    @pytest.mark.parametrize("entry", [1, -1])
+    def test_arrangement_entry_outside_catalog_rejected(self, tiny2, entry):
+        # the length and the count of type 0 cannot both match with an
+        # entry that names no type; -1 would index the catalog from the end
+        infra, catalog = tiny2
+        with pytest.raises(ValueError, match="arrangement"):
+            nv.TrellisPlacement((1,), (entry,), full_snapshot(infra), catalog, infra)
+        with pytest.raises(ValueError, match="arrangement"):
+            nv.TrellisPlacement((1,), (0, entry), full_snapshot(infra), catalog, infra)
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
+    def test_zero_action_is_valid_and_places_nothing(self, setup, request):
+        infra, catalog = request.getfixturevalue(setup)
+        snapshot = full_snapshot(infra)
+        tp = nv.TrellisPlacement((0,) * len(catalog), (), snapshot, catalog, infra)
+        res = tp.run()
+        assert (res.valid, res.services, res.path, tp.evaluations) == (True, [], (), 0)
+        # the trellis is its origin stage alone: state 0 holding the snapshot
+        assert len(tp.stages) == 1 and list(tp.stages[0]) == [0]
+        origin = tp.stages[0][0]
+        assert (origin.cost, origin.reliability, origin.path) == (0.0, 1.0, ())
+        assert np.array_equal(origin.remaining, snapshot)
+
     def test_negative_action_rejected(self, tiny2):
         infra, catalog = tiny2
         with pytest.raises(ValueError):
@@ -304,26 +327,18 @@ class TestSelfConsistency:
 
 
 class TestStageKernel:
-    """The whole-stage kernel against the pair loop it replaces on wide
-    infrastructures: both are called directly, so narrow setups that
-    ``run`` keeps on the pair loop are compared too."""
+    """``run``'s stage kernel against the pair-by-pair reference search
+    (``helpers.search_pairs``): survivors, the winner's path, validity and
+    scored pairs, bit for bit. Services are read out of the winner's path
+    alone, and ``TestReferenceOutcomes`` pins them."""
 
     @staticmethod
-    def _search(kernel, batch, catalog, infra):
-        """Everything one search leaves behind, as comparable values."""
-        tp = nv.TrellisPlacement(*batch, catalog, infra)
-        valid = getattr(tp, kernel)()
-        result = tp._read_out(tp.stages) if valid and tp.num_stages else None
-        services = result and [
-            (s.type_index, s.placement, s.cost, s.failure_prob, s.usage.dtype.str, s.usage.tobytes())
-            for s in result.services
-        ]
-        survivors = [
+    def _survivors(stages):
+        return [
             [(x, st.cost, st.reliability, st.remaining.dtype.str, st.remaining.tobytes(), st.path)
              for x, st in stage.items()]
-            for stage in tp.stages
+            for stage in stages
         ]
-        return valid, result and result.path, services, survivors, tp.evaluations
 
     @pytest.mark.parametrize("setup, dtype", [
         pytest.param(setup, dtype, id=setup if dtype is None else f"{setup}-{dtype}")
@@ -338,28 +353,29 @@ class TestStageKernel:
         outcomes = set()
         for i in range(40):
             # up to three services per type, so some batches do not fit
-            batch = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+            action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog, max_per_type=3)
             if i % 2:
-                action, arrangement, _ = batch
-                batch = (action, arrangement, infra.capacity * rng.uniform(size=infra.capacity.shape))
+                snapshot = infra.capacity * rng.uniform(size=infra.capacity.shape)
             if dtype is not None:
-                action, arrangement, snapshot = batch
-                batch = (action, arrangement, snapshot.astype(dtype))
-            pairs = self._search("_search_pairs", batch, catalog, infra)
-            assert self._search("_search_stages", batch, catalog, infra) == pairs
-            outcomes.add(pairs[0])
+                snapshot = snapshot.astype(dtype)
+            tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra)
+            result = tp.run()
+            valid, stages, path, evaluations = search_pairs(tp, snapshot)
+            assert (result.valid, result.path, tp.evaluations) == (valid, path, evaluations)
+            assert self._survivors(tp.stages) == self._survivors(stages)
+            outcomes.add(valid)
         assert outcomes == {True, False}
 
-    def test_run_picks_kernel_by_server_count(self, bundled, reduced):
-        for infra, catalog in (bundled, reduced):
+    def test_run_leaves_stage_survivors(self, bundled, reduced, tiny2, two_resource):
+        # one kernel at every width: no server count keeps the pair loop
+        for infra, catalog in (bundled, reduced, tiny2, two_resource):
             action, arrangement, snapshot = random_batch_inputs(
                 np.random.default_rng(1), infra, catalog
             )
             tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra)
             tp.run()
-            wide = infra.num_servers >= WHOLE_STAGE_MIN_SERVERS
-            assert isinstance(tp.stages[-1], StageSurvivors) == wide
-        assert reduced[0].num_servers < WHOLE_STAGE_MIN_SERVERS <= bundled[0].num_servers
+            assert len(tp.stages) > 1
+            assert all(isinstance(stage, StageSurvivors) for stage in tp.stages)
 
     def test_middle_stage_lookup_after_run(self, bundled):
         # run() leaves only back-pointers behind; survivors looked up at a
@@ -370,14 +386,13 @@ class TestStageKernel:
         for _ in range(10):
             batch = random_batch_inputs(rng, infra, catalog)
             kernel = nv.TrellisPlacement(*batch, catalog, infra)
-            pairs = nv.TrellisPlacement(*batch, catalog, infra)
             if not kernel.run().valid or kernel.num_stages < 4:
                 continue
-            pairs._search_pairs()
+            _, pairs, _, _ = search_pairs(kernel, batch[2])
             m = kernel.num_stages // 2
             assert isinstance(kernel.stages[m], StageSurvivors)
-            assert list(kernel.stages[m]) == list(pairs.stages[m])
-            for x, st in pairs.stages[m].items():
+            assert list(kernel.stages[m]) == list(pairs[m])
+            for x, st in pairs[m].items():
                 looked_up = kernel.stages[m][x]
                 assert len(looked_up.path) == m
                 assert looked_up.path == st.path
@@ -389,7 +404,7 @@ class TestStageKernel:
     def test_survivor_lookup(self, bundled):
         infra, catalog = bundled
         tp = nv.TrellisPlacement((1, 0, 0, 0), (0,), full_snapshot(infra), catalog, infra)
-        tp._search_stages()
+        tp.run()
         stage = tp.stages[2]
         assert list(stage) == list(range(infra.num_servers + 1))
         assert stage[3].path[1] == 3 and len(stage[3].path) == 2
