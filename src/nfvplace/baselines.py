@@ -5,8 +5,11 @@ places through :func:`nfvplace.trellis.place_batch`."""
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -17,9 +20,7 @@ from .model import (
     ResourceLedger,
     ServicePlacement,
     VnfPlacement,
-    service_cost,
     service_failure_probability,
-    service_usage,
 )
 
 
@@ -39,12 +40,6 @@ class ServiceBuild:
     mains: list[int] = field(default_factory=list)
     backups: list[int | None] = field(default_factory=list)
 
-    def placement(self) -> ServicePlacement:
-        return ServicePlacement(
-            self.type_index,
-            tuple(VnfPlacement(m, b) for m, b in zip(self.mains, self.backups)),
-        )
-
 
 @dataclass
 class BaselineOutcome:
@@ -63,47 +58,50 @@ class BaselineOutcome:
 
 class BaselineTables:
     """Per-setup lookups the baselines read on every scan, built once from
-    ``(infra, catalog)``: the int64 demand row and the per-server charge
-    list of each (type, VNF), the per-server failure list and the link
-    table as lists.
-
-    A charge is ``d @ unit_cost[inp] + deployment_cost[inp, vnf_type]``
-    with ``d`` the float demand row, a dot product per provider. The
-    trellis forms the same charge as ``unit_cost @ d``; with more than one
-    resource the two can differ in the last bits, so the tables are not
-    shared with it."""
+    ``(infra, catalog)``: per type the int64 demand rows and their totals;
+    per (type, VNF) per-server lists of the server term ``d @
+    unit_cost[inp]`` (``d`` the float demand row), the deployment term and
+    their sum, the charge, each formed as :func:`service_cost` forms it;
+    the per-server failure and provider lists and the link table as lists.
+    The trellis forms the server term as ``unit_cost @ d``; with more than
+    one resource the two can differ in the last bits, so it has its own."""
 
     def __init__(self, infra: Infrastructure, catalog: Catalog) -> None:
         self.infra = infra
         self.catalog = catalog
         inps = infra.server_inp.tolist()
-        self.demands: list[list[np.ndarray]] = []
-        self.charges: list[list[list[float]]] = []
-        for stype in catalog:
-            self.demands.append([np.asarray(spec.demands, dtype=np.int64) for spec in stype.vnfs])
-            rows = []
-            for spec in stype.vnfs:
-                d = np.asarray(spec.demands, dtype=float)
-                per_inp = [
-                    float(d @ infra.unit_cost[i]) + float(infra.deployment_cost[i, spec.vnf_type])
-                    for i in range(infra.num_inps)
-                ]
-                rows.append([per_inp[i] for i in inps])
-            self.charges.append(rows)
+        self.demands = [np.array([v.demands for v in t.vnfs], dtype=np.int64) for t in catalog]
+        self.demand_sums = [rows.sum(axis=1).tolist() for rows in self.demands]
+        self.server_terms = [
+            [[float(np.asarray(v.demands, dtype=float) @ infra.unit_cost[i]) for i in inps] for v in t.vnfs]
+            for t in catalog
+        ]
+        self.deploy_terms = [
+            [[float(infra.deployment_cost[i, v.vnf_type]) for i in inps] for v in t.vnfs] for t in catalog
+        ]
+        self.charges = [
+            [[a + b for a, b in zip(*rows)] for rows in zip(*terms)]
+            for terms in zip(self.server_terms, self.deploy_terms)
+        ]
         self.failure = [infra.server_failure(srv) for srv in range(infra.num_servers)]
+        self.inps, self.inp_failure = inps, infra.v.tolist()
         self.link = infra.link_cost.tolist()
+        self._main_orders = [[[None] * infra.num_servers for _ in t.vnfs] for t in catalog]
 
-
-def _backup_cost(build: ServiceBuild, u: int, srv: int, tables: BaselineTables) -> float:
-    """Placement cost added by giving VNF u a backup on srv."""
-    bandwidth = tables.catalog[build.type_index].bandwidth
-    cost = tables.charges[build.type_index][u][srv]
-    for v in (u - 1, u + 1):
-        if 0 <= v < len(build.mains):
-            for neighbor in (build.mains[v], build.backups[v]):
-                if neighbor is not None:
-                    cost += bandwidth * tables.link[neighbor][srv]
-    return cost
+    def main_order(self, l: int, u: int, prev: int) -> array:
+        """Servers by the cost of VNF u of type l as a main, after a main on
+        ``prev`` when u > 0, ties to the lowest index, without the infinite
+        or NaN costs a strict-``<`` scan never picks. Built on first use
+        and kept compact: a run's tables live as long as the run."""
+        orders = self._main_orders[l][u]
+        if orders[prev] is None:
+            costs = self.charges[l][u]
+            if u:
+                bandwidth = self.catalog[l].bandwidth
+                costs = [c + bandwidth * x for c, x in zip(costs, self.link[prev])]
+            hosts = (srv for srv, c in enumerate(costs) if c < math.inf)
+            orders[prev] = array("I", sorted(hosts, key=costs.__getitem__))
+        return orders[prev]
 
 
 def _release(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
@@ -115,24 +113,25 @@ def _release(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> N
                 idle[srv] += demands[u]
 
 
+def _fits(idle: np.ndarray, demand: tuple[int, ...]) -> list[bool]:
+    """Whether each server's idle stock covers ``demand``, one comparison
+    per resource column."""
+    fits = idle[:, 0] >= demand[0]
+    for j in range(1, len(demand)):
+        fits &= idle[:, j] >= demand[j]
+    return fits.tolist()
+
+
 def _place_mains(l: int, idle: np.ndarray, tables: BaselineTables) -> ServiceBuild | None:
     """Cheapest-feasible main for each VNF in chain order; None on failure,
     with any partial usage rolled back."""
-    bandwidth = tables.catalog[l].bandwidth
     build = ServiceBuild(l)
-    for r, charge in zip(tables.demands[l], tables.charges[l]):
-        link = tables.link[build.mains[-1]] if build.mains else None
-        best = None
-        best_cost = np.inf
-        for srv, fits in enumerate((idle >= r).all(axis=1).tolist()):
-            if fits:
-                cost = charge[srv]
-                if link is not None:
-                    cost += bandwidth * link[srv]
-                if cost < best_cost:
-                    best_cost = cost
-                    best = srv
-        if best is None:
+    for u, (spec, r) in enumerate(zip(tables.catalog[l].vnfs, tables.demands[l])):
+        fits = _fits(idle, spec.demands)
+        for best in tables.main_order(l, u, build.mains[-1] if build.mains else 0):
+            if fits[best]:
+                break
+        else:
             _release(build, idle, tables)
             return None
         idle[best] -= r
@@ -141,76 +140,68 @@ def _place_mains(l: int, idle: np.ndarray, tables: BaselineTables) -> ServiceBui
     return build
 
 
-def _failure(build: ServiceBuild, failure: list[float]) -> float:
-    """:func:`service_failure_probability` of the build, read from the
-    failure list in the same float order."""
-    up = 1.0
-    for main, backup in zip(build.mains, build.backups):
-        f = failure[main]
-        if backup is not None:
-            if backup == main:
-                raise ValueError("backup server must differ from the main server")
-            f *= failure[backup]
-        up *= 1.0 - f
-    return 1.0 - up
+def _survival(build: ServiceBuild, failure: list[float]) -> tuple[float, list[float]]:
+    """The build's failure probability and each VNF's survival factor,
+    ``1 - f`` with ``f`` its main's failure probability times its backup's,
+    in :func:`service_failure_probability`'s float order."""
+    factors = [1.0 - (failure[m] if b is None else failure[m] * failure[b])
+               for m, b in zip(build.mains, build.backups)]
+    return 1.0 - math.prod(factors), factors
 
 
-def _backup_probe(build: ServiceBuild, failure: list[float]):
-    """``probe(u, srv)``: the failure probability of the build with VNF u,
-    which has no backup yet, backed up on ``srv``, in :func:`_failure`'s
-    float order. The chain's per-VNF survival factors and their
-    left-to-right prefix products are formed once per protect step, so a
-    probe multiplies only from VNF u on."""
-    factors = []
-    prefix = [1.0]
-    for main, backup in zip(build.mains, build.backups):
-        f = failure[main]
-        if backup is not None:
-            f *= failure[backup]
-        factors.append(1.0 - f)
-        prefix.append(prefix[-1] * factors[-1])
-
-    def probe(u: int, srv: int) -> float:
-        up = prefix[u] * (1.0 - failure[build.mains[u]] * failure[srv])
-        for factor in factors[u + 1:]:
-            up *= factor
-        return 1.0 - up
-
-    return probe
-
-
-def _backup_hosts(
-    build: ServiceBuild, u: int, idle: np.ndarray, tables: BaselineTables
-) -> list[int]:
-    """Servers other than VNF u's main with room for its demand."""
-    r = tables.demands[build.type_index][u]
+def _backup_scan(
+    build: ServiceBuild, u: int, factors: list[float], idle: np.ndarray, tables: BaselineTables
+) -> tuple[list[int], list[float]]:
+    """Servers other than VNF u's main with room for its demand, and the
+    build's failure probability with VNF u, which has no backup yet, backed
+    up on each, from the build's survival ``factors`` in their order."""
     main = build.mains[u]
-    return [
-        srv
-        for srv, fits in enumerate((idle >= r).all(axis=1).tolist())
-        if fits and srv != main
-    ]
+    head = math.prod(factors[:u])
+    # a host's figure depends on it only through its provider's failure
+    # probability, so it is formed once per provider
+    ups = [head * (1.0 - tables.failure[main] * v) for v in tables.inp_failure]
+    for factor in factors[u + 1:]:
+        ups = [up * factor for up in ups]
+    fits = _fits(idle, tables.catalog[build.type_index].vnfs[u].demands)
+    hosts = list(compress(range(len(fits)), fits))
+    if fits[main]:
+        hosts.remove(main)
+    return hosts, [1.0 - ups[tables.inps[srv]] for srv in hosts]
+
+
+def _backup_prices(
+    build: ServiceBuild, u: int, hosts: list[int], tables: BaselineTables
+) -> list[float]:
+    """Placement cost added by giving VNF u a backup on each of ``hosts``:
+    its charge plus the links to VNF u - 1's and u + 1's servers, in order."""
+    bandwidth = tables.catalog[build.type_index].bandwidth
+    charge = tables.charges[build.type_index][u]
+    rows = [tables.link[srv] for v in (u - 1, u + 1) if 0 <= v < len(build.mains)
+            for srv in (build.mains[v], build.backups[v]) if srv is not None]
+    prices = [charge[srv] for srv in hosts]
+    for row in rows:
+        prices = [cost + bandwidth * row[srv] for cost, srv in zip(prices, hosts)]
+    return prices
 
 
 def _choose_backup(
-    build: ServiceBuild, u: int, idle: np.ndarray, tables: BaselineTables
+    build: ServiceBuild, u: int, factors: list[float], idle: np.ndarray, tables: BaselineTables
 ) -> int | None:
     """Cheapest backup that meets the service target, else the most
     reliable feasible server, else None."""
     failure_cap = tables.catalog[build.type_index].failure_cap
-    feasible = _backup_hosts(build, u, idle, tables)
-    if not feasible:
+    hosts, failures = _backup_scan(build, u, factors, idle, tables)
+    if not hosts:
         return None
-    probe = _backup_probe(build, tables.failure)
-    sufficient = [srv for srv in feasible if probe(u, srv) <= failure_cap]
+    sufficient = [srv for srv, e in zip(hosts, failures) if e <= failure_cap]
     if sufficient:
-        return min(sufficient, key=lambda srv: (_backup_cost(build, u, srv, tables), srv))
-    return min(feasible, key=lambda srv: (tables.failure[srv], srv))
+        return min(zip(_backup_prices(build, u, sufficient, tables), sufficient))[1]
+    return min((tables.failure[srv], srv) for srv in hosts)[1]
 
 
 def _smallest_demand_first(build: ServiceBuild, u: int, tables: BaselineTables) -> int:
     """min_resource: protect the VNF with the smallest total demand first."""
-    return int(tables.demands[build.type_index][u].sum())
+    return tables.demand_sums[build.type_index][u]
 
 
 def _least_reliable_first(build: ServiceBuild, u: int, tables: BaselineTables) -> float:
@@ -225,29 +216,25 @@ def _protect_ranked(
     rank,
     abandon: bool = False,
 ) -> bool:
-    """Back up the backup-less VNF that ``rank`` orders first, ties to the
-    lowest index, until the service meets its target. A VNF with no backup
-    host is skipped, or with ``abandon`` ends the attempt. Returns whether
-    the target was met."""
+    """Back up the VNFs of a build that has no backups yet in ``rank``
+    order, ties to the lowest index, until the service meets its target. A
+    VNF with no backup host is skipped, or with ``abandon`` ends the
+    attempt. Returns whether the target was met. A rank reads only mains
+    and demands, which backups leave as they are, so one order serves
+    every step."""
     failure_cap = tables.catalog[build.type_index].failure_cap
-    blocked: set[int] = set()
-    while _failure(build, tables.failure) > failure_cap:
-        candidates = [
-            u for u in range(len(build.mains))
-            if build.backups[u] is None and u not in blocked
-        ]
-        if not candidates:
-            return False
-        u = min(candidates, key=lambda u: (rank(build, u, tables), u))
-        srv = _choose_backup(build, u, idle, tables)
+    for u in sorted(range(len(build.mains)), key=lambda u: (rank(build, u, tables), u)):
+        e, factors = _survival(build, tables.failure)
+        if e <= failure_cap:
+            return True
+        srv = _choose_backup(build, u, factors, idle, tables)
         if srv is None:
             if abandon:
                 return False
-            blocked.add(u)
             continue
         build.backups[u] = srv
         idle[srv] -= tables.demands[build.type_index][u]
-    return True
+    return _survival(build, tables.failure)[0] <= failure_cap
 
 
 def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
@@ -255,15 +242,15 @@ def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables)
     the best reliability gain per unit of added cost; zero-cost gains rank
     as infinite and go first."""
     failure_cap = tables.catalog[build.type_index].failure_cap
-    while (e := _failure(build, tables.failure)) > failure_cap:
+    while (survival := _survival(build, tables.failure))[0] > failure_cap:
+        e, factors = survival
         best = None  # (cim, u, srv)
-        probe = _backup_probe(build, tables.failure)
         for u in range(len(build.mains)):
             if build.backups[u] is not None:
                 continue
-            for srv in _backup_hosts(build, u, idle, tables):
-                gain = e - probe(u, srv)
-                cost = _backup_cost(build, u, srv, tables)
+            hosts, failures = _backup_scan(build, u, factors, idle, tables)
+            for srv, f, cost in zip(hosts, failures, _backup_prices(build, u, hosts, tables)):
+                gain = e - f
                 if cost <= 0.0:
                     cim = np.inf if gain > 0 else 0.0
                 else:
@@ -277,19 +264,31 @@ def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables)
         idle[srv] -= tables.demands[build.type_index][u]
 
 
-def _outcome(
-    l: int, build: ServiceBuild | None, infra: Infrastructure, catalog: Catalog
-) -> BaselineOutcome:
+def _outcome(l: int, build: ServiceBuild | None, tables: BaselineTables) -> BaselineOutcome:
+    """The build's figures: its cost summed from the table terms in
+    :func:`service_cost`'s accumulators and order, and its usage."""
     if build is None:
-        return BaselineOutcome(int(l), None, None, None, None)
-    placement = build.placement()
-    return BaselineOutcome(
-        type_index=build.type_index,
-        placement=placement,
-        cost=service_cost(placement, infra, catalog).total,
-        failure_prob=service_failure_probability(placement.vnfs, infra),
-        usage=service_usage(placement, infra, catalog),
-    )
+        return BaselineOutcome(l, None, None, None, None)
+    bandwidth, infra = tables.catalog[l].bandwidth, tables.infra
+    server = forward = deploy = 0.0
+    servers, vnfs = [], []
+    prev: tuple[int, ...] = ()
+    for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
+        hosts = (main,) if backup is None else (main, backup)
+        for srv in hosts:
+            server += tables.server_terms[l][u][srv]
+            deploy += tables.deploy_terms[l][u][srv]
+            servers.append(srv)
+            vnfs.append(u)
+        for a in prev:
+            for b in hosts:
+                forward += bandwidth * tables.link[a][b]
+        prev = hosts
+    usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
+    np.add.at(usage, servers, tables.demands[l][vnfs])
+    placement = ServicePlacement(l, tuple(VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
+    failure_prob = service_failure_probability(placement.vnfs, infra)
+    return BaselineOutcome(l, placement, server + forward + deploy, failure_prob, usage)
 
 
 def run_baseline(
@@ -320,11 +319,15 @@ def run_baseline(
         tables = BaselineTables(infra, catalog)
     elif tables.infra is not infra or tables.catalog is not catalog:
         raise ValueError("baseline tables were built for another infrastructure or catalog")
+    for l in type_indices:
+        if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < len(catalog):
+            raise ValueError(f"type index {l!r} is not an integer in range({len(catalog)})")
+    type_indices = [int(l) for l in type_indices]
     idle = ledger.server_idle.copy()
     if baseline is BaselineId.REDUNDANT_VNF:
         builds = []
         for l in type_indices:
-            build = _place_mains(int(l), idle, tables)
+            build = _place_mains(l, idle, tables)
             if build is not None and not _protect_ranked(
                 build, idle, tables, _least_reliable_first, abandon=True
             ):
@@ -333,7 +336,7 @@ def run_baseline(
                 build = None
             builds.append(build)
     else:
-        builds = [_place_mains(int(l), idle, tables) for l in type_indices]
+        builds = [_place_mains(l, idle, tables) for l in type_indices]
         for build in builds:
             if build is None:
                 continue
@@ -343,4 +346,4 @@ def run_baseline(
                 _protect_ranked(build, idle, tables, _smallest_demand_first)
             else:
                 _protect_ranked(build, idle, tables, _least_reliable_first)
-    return [_outcome(l, build, infra, catalog) for l, build in zip(type_indices, builds)]
+    return [_outcome(l, build, tables) for l, build in zip(type_indices, builds)]

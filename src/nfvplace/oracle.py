@@ -112,36 +112,38 @@ def best_placement(
     caps = []
     penalties = []
     bandwidths = []
+    parts = []
     for t in type_indices:
         stype = catalog[t]
         demands.append([np.asarray(v.demands) for v in stype.vnfs])
         caps.append(stype.failure_cap)
         penalties.append(stype.penalty)
         bandwidths.append(stype.bandwidth)
+        # per server: what hosting the VNF there costs, charge plus deployment
+        parts.append([
+            [
+                float(d @ infra.unit_cost[i]) + infra.deployment_cost[i, v.vnf_type]
+                for i in infra.server_inp.tolist()
+            ]
+            for d, v in zip(demands[-1], stype.vnfs)
+        ])
 
     v_of = [infra.server_failure(s) for s in range(infra.num_servers)]
-    link = infra.link_cost
+    link = infra.link_cost.tolist()
+    pairs = _per_vnf_options(infra)
 
     def assign_cost(svc: int, u: int, m: int, b, prev) -> float:
-        stype = catalog[type_indices[svc]]
-        vspec = stype.vnfs[u]
-        d = demands[svc][u]
-        m_inp = int(infra.server_inp[m])
-        cost = float(d @ infra.unit_cost[m_inp]) + infra.deployment_cost[
-            m_inp, vspec.vnf_type
-        ]
+        part = parts[svc][u]
+        cost = part[m]
         if b is not None:
-            b_inp = int(infra.server_inp[b])
-            cost += float(d @ infra.unit_cost[b_inp]) + infra.deployment_cost[
-                b_inp, vspec.vnf_type
-            ]
+            cost += part[b]
         if prev is not None:
             pm, pb = prev
             ends = [m] + ([b] if b is not None else [])
             starts = [pm] + ([pb] if pb is not None else [])
             for a_ in starts:
                 for c_ in ends:
-                    cost += bandwidths[svc] * link[a_, c_]
+                    cost += bandwidths[svc] * link[a_][c_]
         return cost
 
     best = {
@@ -183,11 +185,10 @@ def best_placement(
             return
 
         d = demands[svc][u]
+        short = (remaining < d).any(axis=1).tolist()
         options = []
-        for m, b in _per_vnf_options(infra):
-            if np.any(remaining[m] < d):
-                continue
-            if b is not None and np.any(remaining[b] < d):
+        for m, b in pairs:
+            if short[m] or (b is not None and short[b]):
                 continue
             step = assign_cost(svc, u, m, b, prev)
             options.append((step, m, b))

@@ -339,3 +339,40 @@ def search_pairs(tp, snapshot):
             if val < best_val:
                 best_val, path = val, st.path
     return True, stages, path, evaluations
+
+
+def backup_probe(build, failure):
+    """Reference for the baselines' backup scan: ``probe(u, srv)``, the
+    failure probability of ``build`` with VNF u, which has no backup yet,
+    backed up on ``srv``, one server per call. The chain's per-VNF survival
+    factors and their left-to-right prefix products are formed once, so a
+    probe multiplies only from VNF u on."""
+    factors = []
+    prefix = [1.0]
+    for main, backup in zip(build.mains, build.backups):
+        f = failure[main]
+        if backup is not None:
+            f *= failure[backup]
+        factors.append(1.0 - f)
+        prefix.append(prefix[-1] * factors[-1])
+
+    def probe(u, srv):
+        up = prefix[u] * (1.0 - failure[build.mains[u]] * failure[srv])
+        for factor in factors[u + 1:]:
+            up *= factor
+        return 1.0 - up
+
+    return probe
+
+
+def backup_cost(build, u, srv, tables):
+    """Reference for the baselines' backup pricing: the placement cost added
+    by giving VNF u a backup on ``srv``, one server per call."""
+    bandwidth = tables.catalog[build.type_index].bandwidth
+    cost = tables.charges[build.type_index][u][srv]
+    for v in (u - 1, u + 1):
+        if 0 <= v < len(build.mains):
+            for neighbor in (build.mains[v], build.backups[v]):
+                if neighbor is not None:
+                    cost += bandwidth * tables.link[neighbor][srv]
+    return cost

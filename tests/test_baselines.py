@@ -1,13 +1,15 @@
 """Static comparison strategies: greedy mains plus backup policies."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 import nfvplace as nv
+import nfvplace.baselines as nb
 
-from helpers import random_tiny_instance
+from helpers import backup_cost, backup_probe, random_tiny_instance, two_resource_setup
 
 BACKUP_BASELINES = ["min_resource", "min_reliability", "cera", "redundant_vnf"]
 
@@ -32,6 +34,28 @@ class TestIds:
         infra, catalog = tiny2
         with pytest.raises(ValueError):
             nv.run_baseline("trellis", [0], nv.ResourceLedger.full(infra), infra, catalog)
+
+
+class TestTypeIndices:
+    @pytest.mark.parametrize("entry", [4, 9, -1, 1.5, 1.0, True, "1", None])
+    def test_entry_outside_catalog_rejected(self, bundled, entry):
+        # a negative index must not wrap to the catalog's last type, nor a
+        # float truncate to a type
+        infra, catalog = bundled
+        ledger = nv.ResourceLedger.full(infra)
+        for baseline in BACKUP_BASELINES:
+            with pytest.raises(ValueError, match=f"type index {re.escape(repr(entry))} "):
+                nv.run_baseline(baseline, [0, entry], ledger, infra, catalog)
+
+    def test_numpy_integers_accepted(self, bundled):
+        infra, catalog = bundled
+        ledger = nv.ResourceLedger.full(infra)
+        for baseline in BACKUP_BASELINES:
+            plain = nv.run_baseline(baseline, [1, 3], ledger, infra, catalog)
+            numpy = nv.run_baseline(baseline, np.array([1, 3]), ledger, infra, catalog)
+            assert [o.type_index for o in numpy] == [1, 3]
+            assert all(type(o.type_index) is int for o in numpy)
+            assert [o.placement for o in numpy] == [o.placement for o in plain]
 
 
 class TestGreedyMains:
@@ -335,3 +359,126 @@ class TestReferenceOutcomes:
             "random-r3": (multi_resource_setup(30, 3), 4),
         }[name]
         assert outcome_digest(infra, catalog, seed) == self.DIGESTS[name]
+
+
+def place_mains_reference(l, idle, tables):
+    """Cheapest-feasible mains of one service by a strict-< scan over every
+    server in index order, the first VNF priced by its charge and every
+    later one by its charge plus the bandwidth times the link from the
+    previous main; None when a VNF has no room. ``idle`` is consumed."""
+    bandwidth = tables.catalog[l].bandwidth
+    mains = []
+    for r, charge in zip(tables.demands[l], tables.charges[l]):
+        link = tables.link[mains[-1]] if mains else None
+        best, best_cost = None, np.inf
+        for srv, fits in enumerate((idle >= r).all(axis=1).tolist()):
+            if fits:
+                cost = charge[srv]
+                if link is not None:
+                    cost += bandwidth * link[srv]
+                if cost < best_cost:
+                    best, best_cost = srv, cost
+        if best is None:
+            return None
+        idle[best] -= r
+        mains.append(best)
+    return mains
+
+
+def random_build(rng, infra, catalog):
+    """A build of a random type: random mains, and a backup distinct from
+    its main on each VNF with probability 1/2, except one VNF left without
+    a backup. Capacity is ignored."""
+    l = int(rng.integers(len(catalog)))
+    n, s = catalog[l].num_vnfs, infra.num_servers
+    mains = [int(m) for m in rng.integers(s, size=n)]
+    backups = [
+        int((m + rng.integers(1, s)) % s) if s > 1 and rng.random() < 0.5 else None for m in mains
+    ]
+    backups[int(rng.integers(n))] = None
+    return nb.ServiceBuild(l, mains, backups)
+
+
+SCAN_SETUPS = ["bundled", "reduced", "two_resource", "random-r2", "random-r3"]
+
+
+class TestBackupScan:
+    """The backup scan, its pricing, the main choice and the outcome
+    figures against per-server reference forms, bit for bit."""
+
+    @staticmethod
+    def _setup(name, bundled, reduced):
+        return {
+            "bundled": lambda: bundled,
+            "reduced": lambda: reduced,
+            "two_resource": two_resource_setup,
+            "random-r2": lambda: multi_resource_setup(20, 2),
+            "random-r3": lambda: multi_resource_setup(30, 3),
+        }[name]()
+
+    @staticmethod
+    def _idle(rng, infra):
+        frac = rng.uniform(0.0, 1.0, size=(infra.num_servers, 1))
+        return np.floor(infra.capacity * frac).astype(np.int64)
+
+    @pytest.mark.parametrize("name", SCAN_SETUPS)
+    def test_scan_and_prices_match_per_server_reference(self, name, bundled, reduced):
+        infra, catalog = self._setup(name, bundled, reduced)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(8)
+        scanned = 0
+        for _ in range(150):
+            build = random_build(rng, infra, catalog)
+            idle = self._idle(rng, infra)
+            e, factors = nb._survival(build, tables.failure)
+            placement = nv.ServicePlacement(build.type_index, tuple(
+                nv.VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
+            assert e.hex() == nv.service_failure_probability(placement.vnfs, infra).hex()
+            probe = backup_probe(build, tables.failure)
+            for u, backup in enumerate(build.backups):
+                if backup is not None:
+                    continue
+                hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
+                r = tables.demands[build.type_index][u]
+                assert hosts == [
+                    srv for srv, fits in enumerate((idle >= r).all(axis=1).tolist())
+                    if fits and srv != build.mains[u]
+                ]
+                assert [f.hex() for f in failures] == [probe(u, srv).hex() for srv in hosts]
+                prices = nb._backup_prices(build, u, hosts, tables)
+                assert [c.hex() for c in prices] == [
+                    backup_cost(build, u, srv, tables).hex() for srv in hosts
+                ]
+                scanned += len(hosts)
+        assert scanned > 500
+
+    @pytest.mark.parametrize("name", SCAN_SETUPS)
+    def test_mains_match_strict_scan(self, name, bundled, reduced):
+        infra, catalog = self._setup(name, bundled, reduced)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(9)
+        placed = 0
+        for _ in range(150):
+            l = int(rng.integers(len(catalog)))
+            idle = self._idle(rng, infra)
+            want = place_mains_reference(l, idle.copy(), tables)
+            got = nb._place_mains(l, idle, tables)
+            assert (got and got.mains) == want
+            placed += want is not None
+        assert placed > 20
+
+    @pytest.mark.parametrize("name", SCAN_SETUPS)
+    def test_outcome_figures_bit_equal_to_model(self, name, bundled, reduced):
+        infra, catalog = self._setup(name, bundled, reduced)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            build = random_build(rng, infra, catalog)
+            o = nb._outcome(build.type_index, build, tables)
+            assert o.placement == nv.ServicePlacement(build.type_index, tuple(
+                nv.VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
+            assert o.cost.hex() == nv.service_cost(o.placement, infra, catalog).total.hex()
+            assert o.failure_prob.hex() == (
+                nv.service_failure_probability(o.placement.vnfs, infra).hex())
+            assert o.usage.dtype == np.int64
+            assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))

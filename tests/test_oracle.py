@@ -1,9 +1,16 @@
-"""The exhaustive oracle stays independent of the trellis search."""
+"""The exhaustive oracle stays independent of the trellis search, and its
+search is pinned node for node."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nfvplace as nv
+from nfvplace.oracle import best_placement
+
+from helpers import random_tiny_instance, reduced_setup, two_resource_setup
 
 PACKAGE = Path(nv.__file__).parent
 
@@ -46,3 +53,51 @@ def test_oracle_shares_no_trellis_machinery():
             frontier.append(dep)
     assert "trellis" not in reached, sorted(reached)
     assert "__init__" not in reached, sorted(reached)
+
+
+# (instance, objective) -> (nodes, objective bits, plan as (main, backup)
+# pairs per service, failure probability bits), recorded while every search
+# node still rebuilt its option list and priced each option from the model
+# arrays
+ORACLE_REFERENCE = {
+    ("tiny14-0", "penalized"): (151, "0x1.f437ae98a9f7bp+15", (((0, 1), (0, None)), ((0, 1), (1, None))), ("0x1.ff729c19af55cp-3", "0x1.ff729c19af55cp-3")),
+    ("tiny14-0", "reliable"): (40, "inf", None, ()),
+    ("tiny14-1", "penalized"): (395, "0x1.a0911110fd3d3p+12", (((1, None), (0, None), (0, None)), ((0, 1), (1, None), (1, None))), ("0x1.538d0fe722220p-4", "0x1.d17bd99d7d540p-5")),
+    ("tiny14-1", "reliable"): (298, "inf", None, ()),
+    ("tiny14-2", "penalized"): (4720, "0x1.1ecb723aa362cp+6", (((0, None), (0, 1), (2, None)), ((1, None), (2, None), (2, None))), ("0x1.1d3a45ae85450p-2", "0x1.274c3bc6d7392p-2")),
+    ("tiny14-2", "reliable"): (4529, "0x1.1ecb723aa362cp+6", (((0, None), (0, 1), (2, None)), ((1, None), (2, None), (2, None))), ("0x1.1d3a45ae85450p-2", "0x1.274c3bc6d7392p-2")),
+    ("tiny14-3", "penalized"): (30257, "0x1.3f1f2340118c2p+5", (((0, 2), (0, 2), (0, 2)), ((0, 2), (0, 2), (0, 1))), ("0x1.4a6ff4e639fd0p-3", "0x1.4210ed3363dc4p-3")),
+    ("tiny14-3", "reliable"): (20587, "0x1.3f1f2340118c2p+5", (((0, 2), (0, 2), (0, 2)), ((0, 2), (0, 2), (0, 1))), ("0x1.4a6ff4e639fd0p-3", "0x1.4210ed3363dc4p-3")),
+    ("two_resource", "penalized"): (6353, "0x1.0b83218d5c9cap+5", (((0, 1), (0, 1)),), ("0x1.474538ef34d00p-8",)),
+    ("two_resource", "reliable"): (5884, "0x1.0b83218d5c9cap+5", (((0, 1), (0, 1)),), ("0x1.474538ef34d00p-8",)),
+    ("reduced", "penalized"): (62582, "0x1.c2f5ba1f4c7f4p+4", (((4, None),), ((4, None), (4, None), (4, None))), ("0x1.47ae147ae1480p-7", "0x1.e69f05ea24ce0p-6")),
+    ("reduced", "reliable"): (42556, "0x1.c2f5ba1f4c7f4p+4", (((4, None),), ((4, None), (4, None), (4, None))), ("0x1.47ae147ae1480p-7", "0x1.e69f05ea24ce0p-6")),
+}
+
+
+def _oracle_instances():
+    """The first four random tiny instances of seed 14, the two-resource
+    setup with its two-VNF type and the reduced setup with one service of
+    each type: one or two resources, free and priced links."""
+    rng = np.random.default_rng(14)
+    out = {}
+    for k in range(4):
+        infra, catalog, type_indices = random_tiny_instance(rng)
+        out[f"tiny14-{k}"] = (infra, catalog, type_indices)
+    out["two_resource"] = (*two_resource_setup(), [0])
+    out["reduced"] = (*reduced_setup(), [0, 1])
+    return out
+
+
+def test_search_pinned_node_for_node():
+    instances = _oracle_instances()
+    for (name, objective), (nodes, bits, plan, failures) in ORACLE_REFERENCE.items():
+        infra, catalog, type_indices = instances[name]
+        result = best_placement(type_indices, catalog, infra, infra.capacity.copy(), objective=objective)
+        got_plan = None if result.plan is None else tuple(
+            tuple((vp.main, vp.backup) for vp in svc.vnfs) for svc in result.plan.services
+        )
+        assert (result.nodes, float(result.objective).hex(), got_plan) == (nodes, bits, plan), (
+            name, objective)
+        assert tuple(f.hex() for f in result.failure_probs) == failures
+        assert result.valid == (plan is not None)

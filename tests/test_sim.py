@@ -178,6 +178,22 @@ class TestReferenceRuns:
             "0ea983f72fd3317259e55274a84118cc457fcacb682b2d28787646d0c70b2181"
         )
 
+    # 250 bundled slots per heuristic, as one seven-heuristics benchmark
+    # episode runs them, recorded while the backup choice still priced and
+    # probed one server per call
+    HEURISTIC_DIGESTS = {
+        "min_resource": "7d06f7c54c748e3e0d145c90c8acd981dffccff2e8b8d2a87ef54bd22c302f67",
+        "min_reliability": "83c66f371e2d188db912e9610caa2771c5d22e87b891a97b03e572072bd138d5",
+        "cera": "2ba4f62ab1e3bfa27b219d32315496ea71d503d2deee99935efccd6b4291b607",
+        "redundant_vnf": "20046ac032fa3e55ca4d00019e50cb85cfd17f6f44ac7ec0c31e38c9006cf964",
+    }
+
+    @pytest.mark.parametrize("strategy", list(HEURISTIC_DIGESTS))
+    def test_bundled_heuristic_run(self, bundled, strategy):
+        infra, catalog = bundled
+        report = nv.run_experiment(infra, catalog, strategy, 250, 1)
+        assert self._digest(report) == self.HEURISTIC_DIGESTS[strategy]
+
 
 class TestConservationAndErrors:
     def test_long_run_keeps_books_balanced(self, reduced):
