@@ -105,6 +105,10 @@ def _cmd_solve(args) -> int:
             "fingerprint": cfg.fingerprint,
             "policy": str(args.out),
             "trace": trace_path,
+            # why the policy declines: states whose action admits nothing,
+            # and occupied states the solve never estimated
+            "zero_action_states": sum(1 for action in policy.actions if not any(action)),
+            "unestimated_actives": policy.unestimated_actives,
         }
     )
     return 0

@@ -268,6 +268,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     if not 0.0 < mdp.gamma < 1.0:
         raise ConfigError("mdp.gamma: must lie in (0, 1)")
+    if mdp.epsilon is not None and mdp.epsilon <= 0.0:
+        raise ConfigError("mdp.epsilon: must be positive")
+    if mdp.num_arrangements < 1:
+        raise ConfigError("mdp.num_arrangements: must be at least 1")
+    if not 0.0 < mdp.alpha_init <= 1.0:
+        raise ConfigError("mdp.alpha_init: must lie in (0, 1]")
+    if not 0.0 < mdp.estimate_discount < 1.0:
+        raise ConfigError("mdp.estimate_discount: must lie in (0, 1)")
+    if mdp.max_iterations < 2:
+        raise ConfigError("mdp.max_iterations: must allow at least two sweeps")
 
     sim_spec = _object(data.get("sim", {}), "sim", SIM_FIELDS)
     sim = SimParams(

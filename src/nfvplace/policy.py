@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+import struct
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -28,6 +28,9 @@ DEFAULT_ALPHA_INIT = 1.0
 DEFAULT_ESTIMATE_DISCOUNT = 0.5
 DEFAULT_MAX_ITERATIONS = 500
 
+# a memo entry of None is a scored invalid batch, so a miss needs its own mark
+_UNSCORED = object()
+
 POLICY_FORMAT = "nfvplace-policy"
 POLICY_VERSION = 1
 
@@ -37,8 +40,12 @@ class ResourceEstimator:
 
     Estimates are indexed by the active-count ordinal. The empty system is
     pinned to full capacity; every other state starts at zero and is pulled
-    toward observed (source minus consumed) snapshots with a step that
+    toward observed (source minus consumed) samples with a step that
     halves on every update by default.
+
+    Each estimate is held as one flat row of floats in (server, resource)
+    row-major order, with its float64 bytes kept as the state's memo key;
+    the key is formed again only after an update has touched the row.
     """
 
     def __init__(
@@ -53,36 +60,58 @@ class ResourceEstimator:
         if not 0.0 < discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
         self.space = space
-        self.capacity = infra.capacity.astype(float)
-        self.estimates = np.zeros(
-            (space.num_active, infra.num_servers, infra.num_resources)
-        )
-        idle_id = space.active_index((0,) * space.num_types) - 1
-        self.estimates[idle_id] = self.capacity
+        self.shape = (infra.num_servers, infra.num_resources)
+        self.capacity = infra.capacity.astype(float).ravel().tolist()
+        self._pack = struct.Struct(f"{len(self.capacity)}d").pack
+        # untouched rows share one row and one key; an update replaces both
+        zeros = [0.0] * len(self.capacity)
+        self.rows = [zeros] * space.num_active
+        self.keys: list[bytes | None] = [self._pack(*zeros)] * space.num_active
+        self.idle_id = space.active_index((0,) * space.num_types) - 1
+        self.rows[self.idle_id] = list(self.capacity)
+        self.keys[self.idle_id] = None
         self.alpha = [float(alpha_init)] * space.num_active
         self.discount = float(discount)
 
     def snapshot(self, eta: int) -> np.ndarray:
         """Copy of the estimate for active ordinal ``eta`` (1-based)."""
-        return self.estimates[eta - 1].copy()
+        return np.array(self.rows[eta - 1]).reshape(self.shape)
 
-    def update(self, eta_next: int, source: np.ndarray, usage: np.ndarray) -> None:
-        """Blend an observed outcome into the destination state's estimate.
+    def key(self, eta: int) -> bytes:
+        """``snapshot(eta).tobytes()``, formed once per change of the row."""
+        idx = eta - 1
+        key = self.keys[idx]
+        if key is None:
+            key = self.keys[idx] = self._pack(*self.rows[idx])
+        return key
 
-        ``source`` is the idle snapshot the placement consumed from and
-        ``usage`` what the reliable admissions actually took, so their
-        difference is a fresh sample of idle stock at the destination.
+    def update(self, eta_next: int, sample: Sequence[float]) -> None:
+        """Blend an observed sample into the destination state's estimate.
+
+        ``sample`` is the idle snapshot the placement consumed from minus
+        what the reliable admissions actually took, flattened in row-major
+        order: a fresh sample of idle stock at the destination.
         """
         idx = eta_next - 1
         a = self.alpha[idx]
-        # convex combination, summed in place with its terms swapped (float
-        # addition commutes, so the bits stay); clipping only trims float
-        # drift at the edges
-        row = self.estimates[idx]
-        row *= 1.0 - a
-        row += a * (source - usage)
-        np.minimum(np.maximum(row, 0.0, out=row), self.capacity, out=row)
+        b = 1.0 - a
+        # convex combination, clipped to [0, capacity] only to trim float
+        # drift at the edges; the same operations in the same order as
+        # numpy's ``minimum(maximum(r * (1 - a) + a * o, 0.0), capacity)``,
+        # which also turns -0.0 into 0.0
+        self.rows[idx] = [
+            c if (v := r * b + a * o) > c else (v if v > 0.0 else 0.0)
+            for r, o, c in zip(self.rows[idx], sample, self.capacity)
+        ]
+        self.keys[idx] = None
         self.alpha[idx] = a * self.discount
+
+    def unestimated(self) -> int:
+        """Non-empty active states whose estimate still holds no idle stock,
+        so every admission scored from them is invalid. Their step counts
+        say nothing: the empty admission is a valid scoring that blends a
+        state's own snapshot back into it."""
+        return sum(1 for j, row in enumerate(self.rows) if j != self.idle_id and not any(row))
 
 
 def realized_action(
@@ -120,17 +149,24 @@ def generate_arrangements(
     return pool
 
 
-@dataclass
+@dataclass(slots=True)
 class _ArrangementLedger:
-    queue: deque
-    first: tuple[int, ...]
+    """The drawn orders of one (state, action), each handed out once from a
+    cursor; then the best-scoring order so far (the first until one scores)."""
+
+    pool: list[tuple[int, ...]]
+    cursor: int = 0
     best_reward: float = 0.0
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.best = self.pool[0]
 
     def next_arrangement(self) -> tuple[int, ...]:
-        if self.queue:
-            return self.queue.popleft()
-        return self.best if self.best is not None else self.first
+        if self.cursor < len(self.pool):
+            self.cursor += 1
+            return self.pool[self.cursor - 1]
+        return self.best
 
     def record(self, reward: float, arrangement: tuple[int, ...]) -> None:
         if self.best_reward <= reward:
@@ -164,9 +200,11 @@ class Policy:
     mean_value_trace: list[float]
     sup_diff_trace: list[float]
     fingerprint: str | None = None
-    # per-sweep work of the solve that produced this policy; not saved, so
-    # a loaded policy has none
+    # per-sweep work of the solve that produced this policy, and its count
+    # of non-empty active states whose idle estimate stayed at zero; not
+    # saved, so a loaded policy has neither
     sweep_counts: tuple[SweepCounts, ...] = field(default=(), compare=False)
+    unestimated_actives: int | None = field(default=None, compare=False)
     _space: StateSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -327,8 +365,8 @@ def value_iteration(
     # feasible action, in feasible_actions order
     plans: list[list[tuple[tuple[int, ...], _ArrangementLedger]] | None] = [None] * space.size
     # trellis outcome per exact (action, arrangement, snapshot bytes) input:
-    # (reward, admitted counts' active-ordinal offset, usage), or None for
-    # an invalid batch
+    # (reward, admitted counts' active-ordinal offset, observed idle sample
+    # as update takes it), or None for an invalid batch
     scores: dict[tuple[tuple[int, ...], tuple[int, ...], bytes], tuple | None] = {}
 
     values = np.zeros(space.size)
@@ -357,36 +395,39 @@ def value_iteration(
                     plan = plans[sid] = []
                     for action in space.feasible_actions(lam, sigma):
                         drawn = generate_arrangements(action, num_arrangements, rng)
-                        plan.append((action, _ArrangementLedger(deque(drawn), drawn[0])))
+                        plan.append((action, _ArrangementLedger(drawn)))
                 eta = j + 1
-                omega = estimator.snapshot(eta)
-                omega_bytes = omega.tobytes()
+                omega_bytes = estimator.key(eta)
 
                 best_q = -np.inf
                 best_action, best_ledger = plan[0]
                 for action, ledger in plan:
                     rho = ledger.next_arrangement()
                     key = (action, rho, omega_bytes)
-                    if key in scores:
+                    scored = scores.get(key, _UNSCORED)
+                    if scored is not _UNSCORED:
                         memo_hits += 1
-                        scored = scores[key]
                     else:
                         searches += 1
+                        # the estimate as this state's visit began: an
+                        # update from an earlier action may have moved it
+                        omega = np.frombuffer(omega_bytes).reshape(usage_shape)
                         outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
                         if outcome.valid:
                             admitted, used = realized_action(action, outcome, catalog, usage_shape)
                             offset = sum(a * d for a, d in zip(admitted, strides))
-                            scored = (action_reward(action, outcome, catalog), offset, used)
+                            sample = (omega - used).ravel().tolist()
+                            scored = (action_reward(action, outcome, catalog), offset, sample)
                         else:
                             scored = None
                         scores[key] = scored
                     if scored is not None:
-                        reward, offset, used = scored
+                        reward, offset, sample = scored
                         # states with different sigma share snapshot bytes,
                         # so the memo keeps an offset from eta, not a state;
                         # feasible actions keep sigma + admitted in bounds
                         dest = eta + offset
-                        estimator.update(dest, omega, used)
+                        estimator.update(dest, sample)
                         ledger.record(reward, rho)
                     else:
                         reward = 0.0
@@ -402,9 +443,7 @@ def value_iteration(
                         best_action, best_ledger = action, ledger
                 new_values[sid] = best_q
                 best_actions[sid] = best_action
-                best_arrangements[sid] = (
-                    best_ledger.best if best_ledger.best is not None else best_ledger.first
-                )
+                best_arrangements[sid] = best_ledger.best
 
         diff = float(np.max(np.abs(new_values - values)))
         values = new_values
@@ -432,4 +471,5 @@ def value_iteration(
         sup_diff_trace=diff_trace,
         fingerprint=fingerprint,
         sweep_counts=tuple(sweep_counts),
+        unestimated_actives=estimator.unestimated(),
     )

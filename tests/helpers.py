@@ -6,6 +6,7 @@ suites. Everything here is deterministic given the caller's rng.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -376,3 +377,34 @@ def backup_cost(build, u, srv, tables):
                 if neighbor is not None:
                     cost += bandwidth * tables.link[neighbor][srv]
     return cost
+
+
+def numpy_blend(row, a, source, usage, capacity):
+    """Reference for ``ResourceEstimator.update``: one estimate (an (S, R)
+    float64 array) blended in place toward ``source - usage`` with step
+    ``a`` and clipped to ``[0, capacity]``, by numpy whole-array ops."""
+    row *= 1.0 - a
+    row += a * (source - usage)
+    np.minimum(np.maximum(row, 0.0, out=row), capacity, out=row)
+
+
+class DequeLedger:
+    """Reference for the solver's arrangement ledger: the drawn orders in a
+    deque, popped once each, then the best-scoring order so far, or the
+    first drawn while nothing has scored."""
+
+    def __init__(self, drawn):
+        self.queue = deque(drawn)
+        self.first = drawn[0]
+        self.best_reward = 0.0
+        self.best = None
+
+    def next_arrangement(self):
+        if self.queue:
+            return self.queue.popleft()
+        return self.best if self.best is not None else self.first
+
+    def record(self, reward, arrangement):
+        if self.best_reward <= reward:
+            self.best_reward = reward
+            self.best = arrangement

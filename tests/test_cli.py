@@ -51,6 +51,10 @@ class TestSolve:
         assert main(["solve", "--config", cfg_path, "--out", out]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
+        # only the empty system admits its arrival, so no admission ever
+        # lands in the full state and its estimate stays at zero
+        assert payload["zero_action_states"] == 5
+        assert payload["unestimated_actives"] == 1
         policy = nv.Policy.load(out)
         assert policy.fingerprint == nv.load_config(cfg_path).fingerprint
         trace = (tmp_path / "policy.json.trace.csv").read_text().splitlines()
@@ -300,6 +304,30 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith("infrastructure.link_cost: expected one of")
         assert not (tmp_path / "x.csv").exists()
+
+    # solve used to exit 1 without the field's path; simulate and compare
+    # ran with the bad value
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["simulate", "--strategy", "trellis", "--slots", "5"],
+        ["compare", "--strategies", "trellis", "--slots", "5", "--seeds", "1"],
+    ], ids=["solve", "simulate", "compare"])
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_init", 0.0), ("estimate_discount", 1.0), ("num_arrangements", 0),
+        ("max_iterations", 1), ("epsilon", -1.0),
+    ], ids=["alpha_init", "estimate_discount", "num_arrangements", "max_iterations", "epsilon"])
+    def test_solver_parameter_out_of_range_exits_two(self, tmp_path, capsys, command, field, value):
+        cfg = small_config_dict()
+        cfg["mdp"][field] = value
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.out"
+        rc = main(command + ["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"mdp.{field}: ")
+        assert not out.exists()
 
     # each loaded before finite numbers were required, and the trellis then
     # found no best move and raised out of main

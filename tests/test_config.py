@@ -162,6 +162,30 @@ class TestDiagnostics:
         assert str(err.value).startswith(prefix)
 
 
+    # each loaded before; solve then failed inside the solver without the
+    # field's path, and simulate and compare ran with it
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha_init", 0.0, "must lie in (0, 1]"),
+        ("alpha_init", 1.5, "must lie in (0, 1]"),
+        ("estimate_discount", 0.0, "must lie in (0, 1)"),
+        ("estimate_discount", 1.0, "must lie in (0, 1)"),
+        ("num_arrangements", 0, "must be at least 1"),
+        ("max_iterations", 1, "must allow at least two sweeps"),
+        ("epsilon", 0.0, "must be positive"),
+        ("epsilon", -1e-3, "must be positive"),
+    ], ids=["alpha-zero", "alpha-above-one", "discount-zero", "discount-one",
+            "arrangements", "iterations", "epsilon-zero", "epsilon-negative"])
+    def test_solver_parameter_out_of_range_rejected(self, base, field, value, message):
+        base["mdp"][field] = value
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(base)
+        assert str(err.value) == f"mdp.{field}: {message}"
+
+    def test_solver_parameter_bounds_load(self, base):
+        base["mdp"].update(alpha_init=1.0, max_iterations=2, num_arrangements=1, epsilon=1e-12)
+        mdp = nv.parse_config(base).mdp
+        assert (mdp.alpha_init, mdp.max_iterations, mdp.num_arrangements) == (1.0, 2, 1)
+
     # int() used to truncate these, so 9.9 loaded as 9 and 2.7 as 2
     @pytest.mark.parametrize("edit, prefix", [
         (lambda cfg: cfg["infrastructure"]["inps"][1]["servers"][2].__setitem__(0, 9.9),

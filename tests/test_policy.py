@@ -13,7 +13,14 @@ from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
 from nfvplace.policy import realized_action
 
-from helpers import analytic_setup, reduced_setup, tiny_two_inps
+from helpers import (
+    DequeLedger,
+    analytic_setup,
+    numpy_blend,
+    reduced_setup,
+    tiny_two_inps,
+    two_resource_setup,
+)
 
 
 def big_server_setup():
@@ -33,9 +40,9 @@ class TestResourceEstimator:
         infra, catalog = big_server_setup()
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
-        est.update(1, np.array([[100.0]]), np.array([[40.0]]))
+        est.update(1, [100.0 - 40.0])
         assert est.snapshot(1)[0, 0] == pytest.approx(60.0)
-        est.update(1, np.array([[80.0]]), np.array([[30.0]]))
+        est.update(1, [80.0 - 30.0])
         assert est.snapshot(1)[0, 0] == pytest.approx(55.0)
 
     def test_empty_state_pinned_to_capacity(self):
@@ -55,7 +62,7 @@ class TestResourceEstimator:
         infra, catalog = big_server_setup()
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
-        est.update(2, np.array([[5000.0]]), np.array([[0.0]]))
+        est.update(2, [5000.0 - 0.0])
         assert est.snapshot(2)[0, 0] <= infra.capacity[0, 0]
 
     def test_step_bounds_checked(self):
@@ -65,6 +72,45 @@ class TestResourceEstimator:
             nv.ResourceEstimator(space, infra, alpha_init=0.0)
         with pytest.raises(ValueError):
             nv.ResourceEstimator(space, infra, discount=1.0)
+
+    @pytest.mark.parametrize("infra", [
+        reduced_setup()[0], nv.seven_providers().infrastructure, two_resource_setup()[0],
+    ], ids=["6x1", "21x1", "9x2"])
+    def test_blend_bit_equal_to_numpy(self, infra):
+        # five active ordinals; the estimator reads only their count
+        svc = nv.ServiceType(0.5, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 4, name="s")
+        space = nv.build_state_space((svc,))
+        est = nv.ResourceEstimator(space, infra)
+        capacity = infra.capacity.astype(float)
+        ref = np.zeros((space.num_active,) + capacity.shape)
+        ref[space.active_index((0,)) - 1] = capacity
+        alpha = [1.0] * space.num_active
+        rng = np.random.default_rng(capacity.size)
+        below = above = 0
+        sources = [
+            lambda: capacity,  # at capacity
+            lambda: capacity + rng.integers(1, 50, capacity.shape),  # above it
+            lambda: rng.uniform(0.0, 1.0, capacity.shape) * capacity,
+            lambda: ref[rng.integers(space.num_active)].copy(),  # another estimate
+        ]
+        for step in range(80):
+            eta = int(rng.integers(1, space.num_active + 1))
+            source = sources[step % len(sources)]()
+            # usage above the source drives entries to the 0 clip
+            usage = np.floor(rng.uniform(0.0, 1.5, capacity.shape) * capacity) * (step % 3 != 0)
+            # the first update of each row steps with a = 1.0
+            raw = ref[eta - 1] * (1.0 - alpha[eta - 1]) + alpha[eta - 1] * (source - usage)
+            below += int((raw < 0.0).sum())
+            above += int((raw > capacity).sum())
+            numpy_blend(ref[eta - 1], alpha[eta - 1], source, usage, capacity)
+            alpha[eta - 1] *= 0.5
+            est.update(eta, (source - usage).ravel().tolist())
+            for k in range(1, space.num_active + 1):
+                assert est.snapshot(k).tobytes() == ref[k - 1].tobytes(), (step, k)
+                assert est.key(k) == est.snapshot(k).tobytes()
+        assert est.alpha == alpha
+        # both clips fired
+        assert below > 0 and above > 0
 
 
 class TestArrangements:
@@ -92,6 +138,28 @@ class TestArrangements:
     def test_empty_action_yields_empty_arrangement(self):
         rng = np.random.default_rng(3)
         assert nv.generate_arrangements((0, 0), 5, rng) == [()]
+
+
+class TestArrangementLedger:
+    def test_matches_deque_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            action = tuple(int(x) for x in rng.integers(0, 3, 3))
+            drawn = nv.generate_arrangements(action, int(rng.integers(1, 6)), rng)
+            ledger = policy_module._ArrangementLedger(list(drawn))
+            ref = DequeLedger(drawn)
+            for _ in range(int(rng.integers(1, 25))):
+                if rng.random() < 0.5:
+                    assert ledger.next_arrangement() == ref.next_arrangement()
+                else:
+                    # ties at 0.0 and below it exercise the <= rule
+                    reward = float(rng.choice([-1.0, 0.0, 0.0, rng.uniform(0.0, 5.0)]))
+                    arrangement = drawn[int(rng.integers(len(drawn)))]
+                    ledger.record(reward, arrangement)
+                    ref.record(reward, arrangement)
+                # the solver reads the incumbent order from ``best``
+                assert ledger.best == (ref.best if ref.best is not None else ref.first)
+                assert ledger.best_reward == ref.best_reward
 
 
 class TestRealizedAction:
@@ -174,6 +242,24 @@ class TestValueIteration:
         for calls in (1, 2):
             nv.value_iteration(space, model, catalog, infra, max_iterations=3, seed=1)
             assert len(built) == calls
+
+    def test_unestimated_actives_are_the_states_no_idle_sample_reached(self, monkeypatch):
+        # an estimate leaves its zero start only through a sample that holds
+        # idle stock; the empty admission blends each state's own estimate
+        # back into it, so it reaches every state
+        reached = set()
+        update = nv.ResourceEstimator.update
+
+        def recording_update(self, eta, sample):
+            if any(o > 0.0 for o in sample):
+                reached.add(eta)
+            return update(self, eta, sample)
+
+        monkeypatch.setattr(nv.ResourceEstimator, "update", recording_update)
+        policy = _rung_solve(2)
+        space = nv.build_state_space(nv.seven_providers().service_types[:2])
+        occupied = set(range(1, space.num_active + 1)) - {space.active_index((0, 0))}
+        assert policy.unestimated_actives == len(occupied - reached) == 24
 
 
 def _sha256(data: bytes) -> str:
@@ -286,6 +372,43 @@ class TestReducedSolveReference:
         assert len(updates) == 5417
 
 
+# SHA-256 of the plan, values, mean-value trace and sup-diff trace of the
+# reduced solve at seed 1 with alpha_init 0.7 and estimate_discount 0.9,
+# recorded with a numpy (S, R) estimate per state and one snapshot copy per
+# state visit. With these steps, blending a state's own estimate back into
+# it (the empty admission, scored first) moves its last bits.
+SLOW_STEP_SOLVE_BITS = (64, (
+    "c771009453d00c76602418394b2503f623b384cfd4b0044ffb60200d709b4437",
+    "0b1c8b438ea1347a48e7a352f04acf57ab199663efddb681ed2503a371ddfd42",
+    "49be977f78acc983b184dda951a0da1e7e196ffffe2b99a74543609cda44374e",
+    "bc56db5b8c4d7a673e8f1d9393350bf2f607f1b2892ad48cf88040fd56cf7a61",
+))
+
+
+class TestSlowStepSolveReference:
+    def test_searches_score_the_estimate_as_the_visit_began(self):
+        # a search that read the estimate after an earlier action of the
+        # same visit had updated it would file its outcome under the wrong
+        # memo key; this solve then takes 65 sweeps instead of 64
+        infra, catalog = reduced_setup()
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(
+            space, nv.TransitionModel(space, catalog), catalog, infra,
+            seed=1, alpha_init=0.7, estimate_discount=0.9,
+        )
+        plan = json.dumps(
+            [[list(a) for a in policy.actions], [list(r) for r in policy.arrangements]]
+        ).encode()
+        sweeps, bits = SLOW_STEP_SOLVE_BITS
+        assert policy.iterations == sweeps
+        assert (
+            _sha256(plan),
+            _sha256(policy.values.tobytes()),
+            _sha256(np.asarray(policy.mean_value_trace, dtype=float).tobytes()),
+            _sha256(np.asarray(policy.sup_diff_trace, dtype=float).tobytes()),
+        ) == bits
+
+
 def _rung_solve(num_types: int, seed: int = 1) -> nv.Policy:
     """Solve the bundled setup restricted to its first ``num_types``
     service types, with the default solver settings."""
@@ -357,9 +480,11 @@ class TestPolicyArtifact:
         policy.save(path)
         loaded = nv.Policy.load(path)
         assert loaded.fingerprint == "abc123"
-        # the per-sweep work counts describe the run, not the policy
+        # the per-sweep work counts and the estimate coverage describe the
+        # run, not the policy
         assert policy.sweep_counts and loaded.sweep_counts == ()
-        assert "sweep_counts" not in json.loads(path.read_text())
+        assert policy.unestimated_actives == 0 and loaded.unestimated_actives is None
+        assert not {"sweep_counts", "unestimated_actives"} & json.loads(path.read_text()).keys()
         assert loaded.gamma == policy.gamma
         assert np.array_equal(loaded.values, policy.values)
         for lam in ((0,), (1,)):
