@@ -34,7 +34,6 @@ from .model import (
     VnfPlacement,
     VnfSpec,
     placement_cost,
-    plan_usage,
     service_cost,
     service_failure_probability,
     service_usage,
@@ -101,7 +100,6 @@ __all__ = [
     "parse_config",
     "place_batch",
     "placement_cost",
-    "plan_usage",
     "run_baseline",
     "run_experiment",
     "sample_arrivals",

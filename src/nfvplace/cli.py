@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -50,27 +51,28 @@ def _load_policy_for(cfg: ExperimentConfig, path: str) -> Policy:
     return policy
 
 
-def _slots(cfg: ExperimentConfig, args) -> int:
-    """Slots to simulate: ``--slots`` when given, else ``sim.slots``."""
-    if args.slots is None:
-        return cfg.sim.slots
-    if args.slots < 1:
-        raise ConfigError(f"--slots: must be positive, got {args.slots}")
-    return args.slots
+def _setting(params, name: str, flag: str, value):
+    """Setting ``name`` of ``params``, or ``value`` from ``flag`` when that
+    was given, checked by the same rules as the config field."""
+    if value is None:
+        return getattr(params, name)
+    try:
+        return getattr(replace(params, **{name: value}), name)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {str(exc).partition(': ')[2]}, got {value}") from exc
 
 
-def _seed(cfg_seed: int, args) -> int:
-    """Seed to run with: ``--seed`` when given, else the config's."""
-    if args.seed is None:
-        return cfg_seed
-    if args.seed < 0:
-        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
-    return args.seed
+def _distinct(entries: list, flag: str) -> None:
+    """Rejects a list that names an entry twice: each repeat would add an
+    identical run to the grid and count again in its statistics."""
+    for k, entry in enumerate(entries):
+        if entry in entries[:k]:
+            raise ConfigError(f"{flag}: {entry} repeated")
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(cfg.mdp.seed, args)
+    seed = _setting(cfg.mdp, "seed", "--seed", args.seed)
     space = build_state_space(cfg.service_types, cap=cfg.mdp.state_space_cap)
     model = TransitionModel(space, cfg.service_types)
     policy = value_iteration(
@@ -121,8 +123,8 @@ def _cmd_simulate(args) -> int:
         if args.policy is None:
             raise ConfigError("the mdp strategy requires --policy")
         policy = _load_policy_for(cfg, args.policy)
-    slots = _slots(cfg, args)
-    seed = _seed(cfg.sim.seed, args)
+    slots = _setting(cfg.sim, "slots", "--slots", args.slots)
+    seed = _setting(cfg.sim, "seed", "--seed", args.seed)
     report = run_experiment(
         cfg.infrastructure, cfg.service_types, args.strategy, slots, seed, policy
     )
@@ -153,6 +155,7 @@ def _cmd_compare(args) -> int:
     for s in strategies:
         if s not in STRATEGY_IDS:
             raise ConfigError(f"unknown strategy {s!r}; choose from {STRATEGY_IDS}")
+    _distinct(strategies, "--strategies")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
@@ -160,14 +163,14 @@ def _cmd_compare(args) -> int:
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
     for seed in seeds:
-        if seed < 0:
-            raise ConfigError(f"--seeds: must be non-negative, got {seed}")
+        _setting(cfg.sim, "seed", "--seeds", seed)
+    _distinct(seeds, "--seeds")
     policy = None
     if MDP_STRATEGY in strategies:
         if args.policy is None:
             raise ConfigError("comparing the mdp strategy requires --policy")
         policy = _load_policy_for(cfg, args.policy)
-    slots = _slots(cfg, args)
+    slots = _setting(cfg.sim, "slots", "--slots", args.slots)
 
     reports = {
         (strategy, seed): run_experiment(

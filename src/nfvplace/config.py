@@ -6,43 +6,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .mdp import DEFAULT_STATE_CAP, build_state_space
+from .mdp import build_state_space
 from .model import DEFAULT_PENALTY, InP, Infrastructure, ServiceType, VnfSpec
-from .policy import (
-    DEFAULT_ALPHA_INIT,
-    DEFAULT_ESTIMATE_DISCOUNT,
-    DEFAULT_GAMMA,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_NUM_ARRANGEMENTS,
-    catalog_fingerprint,
-)
+from .policy import MdpParams, catalog_fingerprint
+from .sim import SimParams
 
 
 class ConfigError(Exception):
     """A configuration file failed to parse or validate."""
-
-
-@dataclass(frozen=True)
-class MdpParams:
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float | None = None
-    num_arrangements: int = DEFAULT_NUM_ARRANGEMENTS
-    alpha_init: float = DEFAULT_ALPHA_INIT
-    estimate_discount: float = DEFAULT_ESTIMATE_DISCOUNT
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    state_space_cap: int = DEFAULT_STATE_CAP
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class SimParams:
-    slots: int = 1000
-    seed: int = 0
 
 
 @dataclass
@@ -58,7 +34,7 @@ class ExperimentConfig:
 # the keys each config object may hold; any other key is an error
 TOP_FIELDS = {"infrastructure", "service_types", "mdp", "sim"}
 INFRA_FIELDS = {"inps", "alpha", "beta", "v_base", "deployment_cost", "link_cost"}
-INP_FIELDS = {"failure_prob", "servers"}
+INP_FIELDS = {f.name for f in fields(InP)}
 # a link table is given in exactly one of these forms
 LINK_TABLE_FORMS = {
     "matrix": ("matrix",),
@@ -66,13 +42,8 @@ LINK_TABLE_FORMS = {
     "default": ("default",),
 }
 LINK_TABLE_FIELDS = {key for keys in LINK_TABLE_FORMS.values() for key in keys}
-TYPE_FIELDS = {
-    "name", "failure_cap", "departure_prob", "bandwidth", "vnfs", "arrival_pmf",
-    "admission_reward", "sigma_max", "penalty",
-}
-VNF_FIELDS = {"vnf_type", "demands"}
-MDP_FIELDS = {f.name for f in fields(MdpParams)}
-SIM_FIELDS = {f.name for f in fields(SimParams)}
+TYPE_FIELDS = {f.name for f in fields(ServiceType)}
+VNF_FIELDS = {f.name for f in fields(VnfSpec)}
 
 
 def _at(path: str, key: str) -> str:
@@ -115,6 +86,23 @@ def _integers(values, path: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ConfigError(f"{path}: expected a list, got {type(values).__name__}")
     return tuple(_integer(v, f"{path}[{k}]") for k, v in enumerate(values))
+
+
+def _settings(cls, spec, path: str):
+    """A settings section read into the dataclass ``cls``: each field given
+    is checked against its declared type, a missing one (or ``null`` where
+    the default is ``None``) keeps its default, and ``cls`` checks ranges."""
+    _object(spec, path, {f.name for f in fields(cls)})
+    values = {}
+    for f in fields(cls):
+        if f.name in spec and not (spec[f.name] is None and f.default is None):
+            # annotations are postponed, so a field's type is its source text
+            read = _integer if f.type == "int" else _number
+            values[f.name] = read(spec[f.name], f"{path}.{f.name}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _expand_link_table(spec, inps: list[InP], path: str) -> np.ndarray:
@@ -244,48 +232,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         types.append(stype)
 
-    mdp_spec = _object(data.get("mdp", {}), "mdp", MDP_FIELDS)
-    mdp = MdpParams(
-        gamma=_number(mdp_spec.get("gamma", DEFAULT_GAMMA), "mdp.gamma"),
-        epsilon=(
-            None if mdp_spec.get("epsilon") is None
-            else _number(mdp_spec["epsilon"], "mdp.epsilon")
-        ),
-        num_arrangements=_integer(
-            mdp_spec.get("num_arrangements", DEFAULT_NUM_ARRANGEMENTS), "mdp.num_arrangements"
-        ),
-        alpha_init=_number(mdp_spec.get("alpha_init", DEFAULT_ALPHA_INIT), "mdp.alpha_init"),
-        estimate_discount=_number(
-            mdp_spec.get("estimate_discount", DEFAULT_ESTIMATE_DISCOUNT), "mdp.estimate_discount"
-        ),
-        max_iterations=_integer(
-            mdp_spec.get("max_iterations", DEFAULT_MAX_ITERATIONS), "mdp.max_iterations"
-        ),
-        state_space_cap=_integer(
-            mdp_spec.get("state_space_cap", DEFAULT_STATE_CAP), "mdp.state_space_cap"
-        ),
-        seed=_integer(mdp_spec.get("seed", 0), "mdp.seed"),
-    )
-    if not 0.0 < mdp.gamma < 1.0:
-        raise ConfigError("mdp.gamma: must lie in (0, 1)")
-    if mdp.epsilon is not None and mdp.epsilon <= 0.0:
-        raise ConfigError("mdp.epsilon: must be positive")
-    if mdp.num_arrangements < 1:
-        raise ConfigError("mdp.num_arrangements: must be at least 1")
-    if not 0.0 < mdp.alpha_init <= 1.0:
-        raise ConfigError("mdp.alpha_init: must lie in (0, 1]")
-    if not 0.0 < mdp.estimate_discount < 1.0:
-        raise ConfigError("mdp.estimate_discount: must lie in (0, 1)")
-    if mdp.max_iterations < 2:
-        raise ConfigError("mdp.max_iterations: must allow at least two sweeps")
-
-    sim_spec = _object(data.get("sim", {}), "sim", SIM_FIELDS)
-    sim = SimParams(
-        slots=_integer(sim_spec.get("slots", 1000), "sim.slots"),
-        seed=_integer(sim_spec.get("seed", 0), "sim.seed"),
-    )
-    if sim.slots < 1:
-        raise ConfigError("sim.slots: must be positive")
+    mdp = _settings(MdpParams, data.get("mdp", {}), "mdp")
+    sim = _settings(SimParams, data.get("sim", {}), "sim")
 
     try:
         build_state_space(types, mdp.state_space_cap)
@@ -339,17 +287,8 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
             }
             for t in cfg.service_types
         ],
-        "mdp": {
-            "gamma": cfg.mdp.gamma,
-            "epsilon": cfg.mdp.epsilon,
-            "num_arrangements": cfg.mdp.num_arrangements,
-            "alpha_init": cfg.mdp.alpha_init,
-            "estimate_discount": cfg.mdp.estimate_discount,
-            "max_iterations": cfg.mdp.max_iterations,
-            "state_space_cap": cfg.mdp.state_space_cap,
-            "seed": cfg.mdp.seed,
-        },
-        "sim": {"slots": cfg.sim.slots, "seed": cfg.sim.seed},
+        "mdp": asdict(cfg.mdp),
+        "sim": asdict(cfg.sim),
     }
 
 

@@ -357,11 +357,14 @@ def service_usage(placement: ServicePlacement, infra: Infrastructure, catalog: C
     return usage
 
 
-def plan_usage(plan: PlacementPlan, infra: Infrastructure, catalog: Catalog) -> np.ndarray:
-    usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
-    for placement in plan.services:
-        usage += service_usage(placement, infra, catalog)
-    return usage
+def _whole_table(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 table; a fractional entry is an error, not truncated."""
+    table = np.asarray(values)
+    if table.dtype.kind not in "biu":
+        whole = np.isfinite(table) & (table == np.trunc(table))
+        if not whole.all():
+            raise LedgerError(f"{name} must hold integers, got {table[~whole][0].item()!r}")
+    return table.astype(np.int64)
 
 
 class ResourceLedger:
@@ -372,10 +375,10 @@ class ResourceLedger:
     """
 
     def __init__(self, server_capacity, server_idle=None) -> None:
-        self.server_capacity = np.array(server_capacity, dtype=np.int64)
+        self.server_capacity = _whole_table(server_capacity, "server capacity")
         self.server_idle = (
             self.server_capacity.copy() if server_idle is None
-            else np.array(server_idle, dtype=np.int64)
+            else _whole_table(server_idle, "server idle table")
         )
         if self.server_idle.shape != self.server_capacity.shape:
             raise LedgerError("server idle table shape does not match capacity")
@@ -388,6 +391,8 @@ class ResourceLedger:
 
     def allocate(self, usage: np.ndarray) -> None:
         """Consume server resources; rejects requests exceeding idle stock."""
+        if usage.dtype.kind != "i":
+            usage = _whole_table(usage, "usage")
         if np.any(usage < 0):
             raise LedgerError("usage must be non-negative")
         if np.any(usage > self.server_idle):
@@ -396,6 +401,8 @@ class ResourceLedger:
 
     def release(self, usage: np.ndarray) -> None:
         """Return server resources; rejects releases exceeding capacity."""
+        if usage.dtype.kind != "i":
+            usage = _whole_table(usage, "usage")
         if np.any(usage < 0):
             raise LedgerError("usage must be non-negative")
         freed = self.server_idle + np.asarray(usage, dtype=np.int64)
@@ -426,25 +433,32 @@ def validate_plan(
     no link is checked. An empty report means the plan is admissible.
     """
     violations: list[Violation] = []
+    # only services that pass coverage and distinctness are summed and rated
+    usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
+    reliability: list[Violation] = []
     for si, placement in enumerate(plan.services):
         stype = catalog[placement.type_index]
         if len(placement.vnfs) != stype.num_vnfs:
             violations.append(Violation("chain-coverage", si, "placement does not cover every VNF"))
             continue
-        for u, vp in enumerate(placement.vnfs):
-            if vp.backup is not None and vp.backup == vp.main:
-                violations.append(
-                    Violation("distinct-servers", si, f"vnf {u} backs up onto its own main server")
+        shared = [u for u, vp in enumerate(placement.vnfs) if vp.backup == vp.main]
+        for u in shared:
+            violations.append(
+                Violation("distinct-servers", si, f"vnf {u} backs up onto its own main server")
+            )
+        if shared:
+            continue
+        usage += service_usage(placement, infra, catalog)
+        e = service_failure_probability(placement.vnfs, infra)
+        if e > stype.failure_cap:
+            reliability.append(
+                Violation(
+                    "reliability",
+                    si,
+                    f"failure probability {e:.6g} exceeds cap {stype.failure_cap:.6g}",
                 )
+            )
 
-    def pair_ok(p: ServicePlacement) -> bool:
-        return len(p.vnfs) == len(catalog[p.type_index].vnfs) and all(
-            vp.backup is None or vp.backup != vp.main for vp in p.vnfs
-        )
-
-    checkable = PlacementPlan(tuple(p for p in plan.services if pair_ok(p)))
-
-    usage = plan_usage(checkable, infra, catalog)
     over = usage > ledger.server_idle
     for sid, j in zip(*np.nonzero(over)):
         violations.append(
@@ -455,18 +469,4 @@ def validate_plan(
                 f"exceeds idle {int(ledger.server_idle[sid, j])}",
             )
         )
-
-    for si, placement in enumerate(plan.services):
-        if not pair_ok(placement):
-            continue
-        stype = catalog[placement.type_index]
-        e = service_failure_probability(placement.vnfs, infra)
-        if e > stype.failure_cap:
-            violations.append(
-                Violation(
-                    "reliability",
-                    si,
-                    f"failure probability {e:.6g} exceeds cap {stype.failure_cap:.6g}",
-                )
-            )
-    return violations
+    return violations + reliability

@@ -18,21 +18,44 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mdp import StateSpace, TransitionModel, action_reward
+from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel, action_reward
 from .model import Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
-
-DEFAULT_GAMMA = 0.9
-DEFAULT_NUM_ARRANGEMENTS = 10
-DEFAULT_ALPHA_INIT = 1.0
-DEFAULT_ESTIMATE_DISCOUNT = 0.5
-DEFAULT_MAX_ITERATIONS = 500
 
 # a memo entry of None is a scored invalid batch, so a miss needs its own mark
 _UNSCORED = object()
 
 POLICY_FORMAT = "nfvplace-policy"
 POLICY_VERSION = 1
+
+
+@dataclass(frozen=True)
+class MdpParams:
+    """The solver's settings, each with its default and its range; a value
+    out of range raises ``ValueError("<field>: <rule>")``. ``epsilon=None``
+    asks for one thousandth of the largest admission reward."""
+
+    gamma: float = 0.9
+    epsilon: float | None = None
+    num_arrangements: int = 10
+    alpha_init: float = 1.0
+    estimate_discount: float = 0.5
+    max_iterations: int = 500
+    state_space_cap: int = DEFAULT_STATE_CAP
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("gamma", 0.0 < self.gamma < 1.0, "must lie in (0, 1)"),
+            ("epsilon", self.epsilon is None or self.epsilon > 0.0, "must be positive"),
+            ("num_arrangements", self.num_arrangements >= 1, "must be at least 1"),
+            ("alpha_init", 0.0 < self.alpha_init <= 1.0, "must lie in (0, 1]"),
+            ("estimate_discount", 0.0 < self.estimate_discount < 1.0, "must lie in (0, 1)"),
+            ("max_iterations", self.max_iterations >= 2, "must allow at least two sweeps"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: {rule}")
 
 
 class ResourceEstimator:
@@ -52,13 +75,10 @@ class ResourceEstimator:
         self,
         space: StateSpace,
         infra: Infrastructure,
-        alpha_init: float = DEFAULT_ALPHA_INIT,
-        discount: float = DEFAULT_ESTIMATE_DISCOUNT,
+        alpha_init: float = MdpParams.alpha_init,
+        discount: float = MdpParams.estimate_discount,
     ) -> None:
-        if not 0.0 < alpha_init <= 1.0:
-            raise ValueError("alpha_init must lie in (0, 1]")
-        if not 0.0 < discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
+        MdpParams(alpha_init=alpha_init, estimate_discount=discount)  # range check
         self.space = space
         self.shape = (infra.num_servers, infra.num_resources)
         self.capacity = infra.capacity.astype(float).ravel().tolist()
@@ -174,6 +194,26 @@ class _ArrangementLedger:
             self.best = arrangement
 
 
+# the Python type each JSON type reads as; a bool is not a number
+_JSON_TYPES = {
+    "an integer": int, "a number": (int, float), "a bool": bool, "a string": str, "a list": list,
+}
+
+
+def _json(value, expected: str, name: str):
+    """``value`` once it holds the JSON type ``expected``, else a
+    ``ValueError`` that starts with ``name``."""
+    kind = _JSON_TYPES[expected]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def _json_list(values, expected: str, name: str) -> list:
+    """A JSON list whose entries each hold the type ``expected``."""
+    return [_json(v, expected, f"{name}[{k}]") for k, v in enumerate(_json(values, "a list", name))]
+
+
 class SweepCounts(NamedTuple):
     """Deterministic work counts of one value-iteration sweep."""
 
@@ -278,22 +318,43 @@ class Policy:
         for f in fields(cls):
             if f.init and f.default is MISSING and f.name not in payload:
                 raise ValueError(f"{f.name}: missing from policy artifact {path}")
+
+        def read(name: str, expected: str):
+            return _json(payload[name], expected, name)
+
+        def read_list(name: str, expected: str) -> list:
+            return _json_list(payload[name], expected, name)
+
+        def read_rows(name: str) -> list[tuple[int, ...]]:
+            return [
+                tuple(_json_list(row, "an integer", f"{name}[{k}]"))
+                for k, row in enumerate(read_list(name, "a list"))
+            ]
+
+        fingerprint = payload.get("fingerprint")
         try:
+            # the stored solver settings obey the same rules as a config's
+            params = MdpParams(
+                gamma=float(read("gamma", "a number")),
+                epsilon=float(read("epsilon", "a number")),
+                num_arrangements=read("num_arrangements", "an integer"),
+                seed=read("seed", "an integer"),
+            )
             return cls(
-                sigma_max=tuple(payload["sigma_max"]),
-                lambda_max=tuple(payload["lambda_max"]),
-                actions=[tuple(a) for a in payload["actions"]],
-                arrangements=[tuple(r) for r in payload["arrangements"]],
-                values=np.array([float(v) for v in payload["values"]]),
-                gamma=float(payload["gamma"]),
-                epsilon=float(payload["epsilon"]),
-                seed=int(payload["seed"]),
-                num_arrangements=int(payload["num_arrangements"]),
-                iterations=int(payload["iterations"]),
-                converged=bool(payload["converged"]),
-                mean_value_trace=[float(v) for v in payload["mean_value_trace"]],
-                sup_diff_trace=[float(v) for v in payload["sup_diff_trace"]],
-                fingerprint=payload.get("fingerprint"),
+                sigma_max=tuple(read_list("sigma_max", "an integer")),
+                lambda_max=tuple(read_list("lambda_max", "an integer")),
+                actions=read_rows("actions"),
+                arrangements=read_rows("arrangements"),
+                values=np.array(read_list("values", "a number"), dtype=float),
+                gamma=params.gamma,
+                epsilon=params.epsilon,
+                seed=params.seed,
+                num_arrangements=params.num_arrangements,
+                iterations=read("iterations", "an integer"),
+                converged=read("converged", "a bool"),
+                mean_value_trace=[float(v) for v in read_list("mean_value_trace", "a number")],
+                sup_diff_trace=[float(v) for v in read_list("sup_diff_trace", "a number")],
+                fingerprint=None if fingerprint is None else read("fingerprint", "a string"),
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc} (policy artifact {path})") from exc
@@ -315,13 +376,13 @@ def value_iteration(
     catalog: Catalog,
     infra: Infrastructure,
     *,
-    gamma: float = DEFAULT_GAMMA,
-    epsilon: float | None = None,
-    num_arrangements: int = DEFAULT_NUM_ARRANGEMENTS,
-    seed: int = 0,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    alpha_init: float = DEFAULT_ALPHA_INIT,
-    estimate_discount: float = DEFAULT_ESTIMATE_DISCOUNT,
+    gamma: float = MdpParams.gamma,
+    epsilon: float | None = MdpParams.epsilon,
+    num_arrangements: int = MdpParams.num_arrangements,
+    seed: int = MdpParams.seed,
+    max_iterations: int = MdpParams.max_iterations,
+    alpha_init: float = MdpParams.alpha_init,
+    estimate_discount: float = MdpParams.estimate_discount,
     fingerprint: str | None = None,
 ) -> Policy:
     """Solve the admission problem by synchronous value iteration.
@@ -342,16 +403,13 @@ def value_iteration(
     expected previous-sweep value after each distinct post-admission active
     vector is computed once; ``Policy.sweep_counts`` records both savings.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
     if epsilon is None:
         epsilon = 1e-3 * max(t.admission_reward for t in catalog)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if num_arrangements < 1:
-        raise ValueError("num_arrangements must be at least 1")
-    if max_iterations < 2:
-        raise ValueError("max_iterations must allow at least two sweeps")
+    # range checks; ResourceEstimator checks the estimator's two settings
+    MdpParams(
+        gamma=gamma, epsilon=epsilon, num_arrangements=num_arrangements,
+        max_iterations=max_iterations, seed=seed,
+    )
 
     rng = np.random.default_rng(seed)
     estimator = ResourceEstimator(space, infra, alpha_init, estimate_discount)

@@ -30,6 +30,21 @@ class SimulationError(RuntimeError):
     """Ground-truth bookkeeping was violated."""
 
 
+@dataclass(frozen=True)
+class SimParams:
+    """The simulator's settings, each with its default and its range; a
+    value out of range raises ``ValueError("<field>: <rule>")``."""
+
+    slots: int = 1000
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.slots < 1:
+            raise ValueError("slots: must be positive")
+        if self.seed < 0:
+            raise ValueError("seed: must be non-negative")
+
+
 def sample_arrivals(rng: np.random.Generator, catalog: Catalog) -> tuple[int, ...]:
     """Independent per-type arrival counts for one slot: one uniform draw
     per type, inverted through the type's ``arrival_cdf`` by right bisection.
@@ -165,7 +180,7 @@ class Simulation:
         catalog: Catalog,
         strategy: str,
         policy: Policy | None = None,
-        seed: int = 0,
+        seed: int = SimParams.seed,
     ) -> None:
         if strategy not in STRATEGY_IDS:
             raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGY_IDS}")

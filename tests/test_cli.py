@@ -136,10 +136,23 @@ class TestSimulate:
             # two admissions where none arrived, and above sigma_max elsewhere
             ("actions[0]", lambda p: p.update(actions=[[2]] * len(p["actions"]))),
             ("arrangements[0]", lambda p: p.update(arrangements=[[0, 0]] * len(p["arrangements"]))),
+            # each loaded before, coerced: "false" as True, 1.7 as 1, "0.5" as 0.5
+            ("converged", lambda p: p.update(converged="false")),
+            ("seed", lambda p: p.update(seed=1.7)),
+            ("iterations", lambda p: p.update(iterations=2.9)),
+            ("num_arrangements", lambda p: p.update(num_arrangements=True)),
+            ("gamma", lambda p: p.update(gamma="0.5")),
+            ("values[0]", lambda p: p["values"].__setitem__(0, "1.0")),
+            ("actions[0][0]", lambda p: p["actions"][0].__setitem__(0, 0.0)),
+            # stored solver settings obey the config's rules
+            ("gamma", lambda p: p.update(gamma=1.5)),
+            ("seed", lambda p: p.update(seed=-1)),
         ],
         ids=[
             "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
-            "infeasible-actions", "arrangement-not-an-ordering",
+            "infeasible-actions", "arrangement-not-an-ordering", "converged-string",
+            "seed-fraction", "iterations-fraction", "arrangements-bool", "gamma-string",
+            "value-string", "action-float", "gamma-range", "seed-negative",
         ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):
@@ -314,8 +327,9 @@ class TestErrors:
     ], ids=["solve", "simulate", "compare"])
     @pytest.mark.parametrize("field, value", [
         ("alpha_init", 0.0), ("estimate_discount", 1.0), ("num_arrangements", 0),
-        ("max_iterations", 1), ("epsilon", -1.0),
-    ], ids=["alpha_init", "estimate_discount", "num_arrangements", "max_iterations", "epsilon"])
+        ("max_iterations", 1), ("epsilon", -1.0), ("seed", -1),
+    ], ids=["alpha_init", "estimate_discount", "num_arrangements", "max_iterations", "epsilon",
+            "seed"])
     def test_solver_parameter_out_of_range_exits_two(self, tmp_path, capsys, command, field, value):
         cfg = small_config_dict()
         cfg["mdp"][field] = value
@@ -349,6 +363,24 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{prefix}: expected a finite number")
+
+    # each repeat used to add an identical CSV row and count again in the
+    # summary's means and stddevs
+    @pytest.mark.parametrize("strategies, seeds, message", [
+        ("cera,trellis,cera", "1", "--strategies: cera repeated"),
+        ("cera", "1,2,1", "--seeds: 1 repeated"),
+    ], ids=["strategies", "seeds"])
+    def test_repeated_compare_entry_exits_two(
+        self, cfg_path, tmp_path, capsys, strategies, seeds, message
+    ):
+        out = tmp_path / "x.csv"
+        rc = main(["compare", "--config", cfg_path, "--strategies", strategies, "--seeds", seeds,
+                   "--slots", "5", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == message
+        assert not out.exists()
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -3,11 +3,14 @@
 import copy
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import nfvplace as nv
+from nfvplace.policy import MdpParams
+from nfvplace.sim import SimParams
 
 ROOT = Path(__file__).resolve().parents[1]
 # every config the package ships and the one the benchmark reads
@@ -173,13 +176,25 @@ class TestDiagnostics:
         ("max_iterations", 1, "must allow at least two sweeps"),
         ("epsilon", 0.0, "must be positive"),
         ("epsilon", -1e-3, "must be positive"),
+        # a negative seed loaded, and solve then failed inside numpy
+        ("seed", -1, "must be non-negative"),
     ], ids=["alpha-zero", "alpha-above-one", "discount-zero", "discount-one",
-            "arrangements", "iterations", "epsilon-zero", "epsilon-negative"])
+            "arrangements", "iterations", "epsilon-zero", "epsilon-negative", "seed"])
     def test_solver_parameter_out_of_range_rejected(self, base, field, value, message):
         base["mdp"][field] = value
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(base)
         assert str(err.value) == f"mdp.{field}: {message}"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("slots", 0, "must be positive"),
+        ("seed", -1, "must be non-negative"),
+    ], ids=["slots", "seed"])
+    def test_sim_parameter_out_of_range_rejected(self, base, field, value, message):
+        base["sim"][field] = value
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(base)
+        assert str(err.value) == f"sim.{field}: {message}"
 
     def test_solver_parameter_bounds_load(self, base):
         base["mdp"].update(alpha_init=1.0, max_iterations=2, num_arrangements=1, epsilon=1e-12)
@@ -204,6 +219,30 @@ class TestDiagnostics:
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(json.loads(json.dumps(base)))
         assert str(err.value).startswith(prefix)
+
+
+class TestSettings:
+    """Every field of the two settings sections, read from its declaration."""
+
+    @pytest.mark.parametrize("section, cls", [("mdp", MdpParams), ("sim", SimParams)])
+    def test_each_field_defaults_type_checks_and_round_trips(self, base, section, cls):
+        for f in fields(cls):
+            edited = copy.deepcopy(base)
+            del edited[section][f.name]
+            cfg = nv.parse_config(edited)
+            assert getattr(getattr(cfg, section), f.name) == f.default
+            # no field of either section takes text, and only one whose
+            # default is None takes null
+            for wrong in ("1", None):
+                edited[section][f.name] = wrong
+                if wrong is None and f.default is None:
+                    assert getattr(getattr(nv.parse_config(edited), section), f.name) is None
+                    continue
+                with pytest.raises(nv.ConfigError) as err:
+                    nv.parse_config(edited)
+                assert str(err.value).startswith(f"{section}.{f.name}: expected ")
+            assert nv.parse_config(nv.serialize_config(cfg)).source == cfg.source
+            assert nv.serialize_config(cfg)[section][f.name] == f.default
 
 
 class TestLinkTables:

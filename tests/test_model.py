@@ -261,6 +261,26 @@ class TestUsageAndLedger:
         with pytest.raises(nv.LedgerError):
             ledger.allocate(np.array([[-1]]))
 
+    # int64 conversion used to truncate each: capacity 9.9 held 9, idle 2.5
+    # held 2, and usage 1.9 took 1
+    def test_fractional_amount_rejected(self):
+        with pytest.raises(nv.LedgerError, match=r"^server capacity must hold integers, got 9\.9$"):
+            nv.ResourceLedger([[9.9]])
+        with pytest.raises(nv.LedgerError, match=r"^server idle table must hold integers, got 2\.5"):
+            nv.ResourceLedger([[10]], [[2.5]])
+        ledger = nv.ResourceLedger([[10]], [[5]])
+        for step in (ledger.allocate, ledger.release):
+            with pytest.raises(nv.LedgerError, match=r"^usage must hold integers, got 1\.9$"):
+                step(np.array([[1.9]]))
+        assert ledger.server_idle.tolist() == [[5]]
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        ledger = nv.ResourceLedger(np.array([[10.0]]), [[np.int32(4)]])
+        ledger.allocate(np.array([[3.0]]))
+        ledger.release(np.array([[1]], dtype=np.int32))
+        assert ledger.server_idle.tolist() == [[2]]
+        assert ledger.server_idle.dtype == ledger.server_capacity.dtype == np.int64
+
 
 class TestValidatePlan:
     def test_clean_plan(self, tiny2):
