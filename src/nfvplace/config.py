@@ -13,7 +13,7 @@ import numpy as np
 
 from .mdp import build_state_space
 from .model import DEFAULT_PENALTY, InP, Infrastructure, ServiceType, VnfSpec
-from .policy import MdpParams, catalog_fingerprint
+from .policy import MdpParams, catalog_fingerprint, json_list, json_value
 from .sim import SimParams
 
 
@@ -66,9 +66,17 @@ def _need(data: dict, key: str, path: str):
     return data[key]
 
 
+def _typed(read, value, expected: str, path: str):
+    """``read(value, expected, path)`` with the policy artifact's JSON type
+    reader ``read``, its ``ValueError`` raised as a ``ConfigError``."""
+    try:
+        return read(value, expected, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    value = _typed(json_value, value, "a number", path)
     # json reads NaN and Infinity; neither is a usable cost, rate or weight
     if not math.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {value}")
@@ -76,16 +84,12 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
+    return _typed(json_value, value, "an integer", path)
 
 
 def _integers(values, path: str) -> tuple[int, ...]:
     """A list of integers, each checked with its own path."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{path}: expected a list, got {type(values).__name__}")
-    return tuple(_integer(v, f"{path}[{k}]") for k, v in enumerate(values))
+    return tuple(_typed(json_list, values, "an integer", path))
 
 
 def _settings(cls, spec, path: str):

@@ -200,18 +200,22 @@ _JSON_TYPES = {
 }
 
 
-def _json(value, expected: str, name: str):
+def json_value(value, expected: str, name: str):
     """``value`` once it holds the JSON type ``expected``, else a
-    ``ValueError`` that starts with ``name``."""
+    ``ValueError`` that starts with ``name``. The policy artifact and the
+    config reader both check their fields with it."""
     kind = _JSON_TYPES[expected]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
     return value
 
 
-def _json_list(values, expected: str, name: str) -> list:
+def json_list(values, expected: str, name: str) -> list:
     """A JSON list whose entries each hold the type ``expected``."""
-    return [_json(v, expected, f"{name}[{k}]") for k, v in enumerate(_json(values, "a list", name))]
+    return [
+        json_value(v, expected, f"{name}[{k}]")
+        for k, v in enumerate(json_value(values, "a list", name))
+    ]
 
 
 class SweepCounts(NamedTuple):
@@ -320,14 +324,14 @@ class Policy:
                 raise ValueError(f"{f.name}: missing from policy artifact {path}")
 
         def read(name: str, expected: str):
-            return _json(payload[name], expected, name)
+            return json_value(payload[name], expected, name)
 
         def read_list(name: str, expected: str) -> list:
-            return _json_list(payload[name], expected, name)
+            return json_list(payload[name], expected, name)
 
         def read_rows(name: str) -> list[tuple[int, ...]]:
             return [
-                tuple(_json_list(row, "an integer", f"{name}[{k}]"))
+                tuple(json_list(row, "an integer", f"{name}[{k}]"))
                 for k, row in enumerate(read_list(name, "a list"))
             ]
 

@@ -200,7 +200,8 @@ class Simulation:
             self.context, self.tables = PlacementContext(catalog, infra), None
         else:
             self.context, self.tables = None, BaselineTables(infra, catalog)
-        self.rng = np.random.default_rng(seed)
+        # the seed obeys the same rule as a config's or the CLI's
+        self.rng = np.random.default_rng(SimParams(seed=seed).seed)
         self.ledger = ResourceLedger.full(infra)
         self.actives: list[PlacedService] = []
         self.slot = 0
@@ -269,6 +270,7 @@ class Simulation:
         }
 
     def run(self, slots: int) -> MetricsReport:
+        slots = SimParams(slots=slots).slots
         L = len(self.catalog)
         arrivals = np.zeros((slots, L), dtype=np.int32)
         admissions = np.zeros((slots, L), dtype=np.int32)

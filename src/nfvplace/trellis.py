@@ -24,7 +24,6 @@ by every batch.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,34 +32,11 @@ from .model import (
     Catalog,
     Infrastructure,
     PlacedService,
+    PlacementPlan,
     ServicePlacement,
     VnfPlacement,
     service_failure_probability,
 )
-
-
-def stage_count(arrangement: tuple[int, ...], catalog: Catalog) -> int:
-    """Number of trellis stages: two per VNF over the whole batch."""
-    return sum(2 * catalog[l].num_vnfs for l in arrangement)
-
-
-def stage_states(m: int, infra: Infrastructure) -> list[int]:
-    """Candidate states of stage ``m`` (1-based): servers are 1..S, and even
-    stages add state 0 for "no backup"."""
-    if m < 1:
-        raise ValueError("stage index is 1-based")
-    servers = list(range(1, infra.num_servers + 1))
-    return servers if m % 2 == 1 else [0] + servers
-
-
-@dataclass
-class PathState:
-    """Survivor record of one trellis state."""
-
-    cost: float
-    reliability: float
-    remaining: np.ndarray
-    path: tuple[int, ...]
 
 
 def _traceback(records: list[tuple], m: int, i: int) -> tuple[int, ...]:
@@ -74,53 +50,6 @@ def _traceback(records: list[tuple], m: int, i: int) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-class StageSurvivors(Mapping):
-    """One stage's survivors held as arrays, in ascending state order:
-    state ids ``(P,)``, cost and reliability ``(P,)``, the remaining stock
-    ``(P, S, R)`` and each survivor's predecessor index ``pick`` in the
-    stage before. Read as a mapping from state id to :class:`PathState`,
-    built only when a state is looked up; its path is traced back through
-    the ``pick`` arrays."""
-
-    def __init__(self, records: list[tuple], m: int) -> None:
-        self.ids, self.cost, self.reliability, remaining, self.pick = records[m]
-        self.remaining = remaining[:, 1:]  # drop the state-0 padding
-        self.remaining.flags.writeable = False  # lookups hand out views
-        self._records = records
-        self._m = m
-
-    def __getitem__(self, x: int) -> PathState:
-        i = int(self.ids.searchsorted(x))
-        if i == len(self.ids) or self.ids[i] != x:
-            raise KeyError(x)
-        return PathState(
-            float(self.cost[i]), float(self.reliability[i]),
-            self.remaining[i], _traceback(self._records, self._m, i),
-        )
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-class StageSequence(Sequence):
-    """The stage kernel's survivors: one ``(ids, cost, reliability,
-    remaining, pick)`` record per stage, stage 0 first. ``remaining`` is
-    ``(P, S + 1, R)`` with a state-0 row that fits every demand. Indexing
-    wraps a record in a :class:`StageSurvivors` view."""
-
-    def __init__(self, records: list[tuple]) -> None:
-        self.records = records
-
-    def __getitem__(self, m: int) -> StageSurvivors:
-        return StageSurvivors(self.records, range(len(self.records))[m])
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 @dataclass
 class TrellisResult:
     """Outcome of one batch placement. ``valid`` is False when some main
@@ -130,9 +59,7 @@ class TrellisResult:
     services: list[PlacedService]
     path: tuple[int, ...]
 
-    def plan(self):
-        from .model import PlacementPlan
-
+    def plan(self) -> PlacementPlan:
         return PlacementPlan(tuple(s.placement for s in self.services))
 
 
@@ -148,7 +75,6 @@ class PlacementContext:
         self.catalog = catalog
         self.infra = infra
         n = infra.num_servers
-        self.v_state = [1.0] + [infra.server_failure(s) for s in range(n)]
         self.link = [[0.0] * (n + 1)] + [[0.0] + row for row in infra.link_cost.tolist()]
         # per (type, vnf): the charge of hosting it on each state
         self.terms: list[list[list[float]]] = []
@@ -173,7 +99,7 @@ class PlacementContext:
         self.term_arrays = [[np.array(row) for row in rows] for rows in self.terms]
         states = np.arange(n + 1)
         self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
-        v = np.array(self.v_state)
+        v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
         self.up = 1.0 - v
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
         link = np.zeros((n + 1, n + 1))
@@ -289,85 +215,19 @@ class TrellisPlacement:
             for u in range(catalog[l].num_vnfs) for backup in (False, True)
         ]
         self.num_stages = len(self._stage_info)
-        self.stages: StageSequence | None = None
-
-    # -- scoring --------------------------------------------------------
-
-    def _best_move(
-        self, m: int, preds: list[tuple[int, PathState]], x2: int
-    ) -> tuple[float, int, float, float, float]:
-        """Add-compare-select for state ``x2`` at stage ``m``, one pair at a
-        time: score the move from each ``(x1, survivor)`` predecessor and
-        return the best ``(theta, x1, route, tau, hinge)``, ties to the first
-        predecessor. ``route`` charges the links ``x2`` creates, ``tau`` is
-        the service's chain reliability after the move, ``hinge`` its
-        shortfall penalty. The stage kernel forms each float in this order."""
-        l, u, backup = self._stage_info[m - 1]
-        stype = self.catalog[l]
-        link = self.context.link
-        v_state = self.context.v_state
-        bandwidth = stype.bandwidth
-        penalty = stype.penalty
-        base = self.context.terms[l][u][x2]
-        v2 = v_state[x2]
-        target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
-        best = None
-        best_theta = np.inf
-        for x1, st1 in preds:
-            if u == 0:
-                route = 0.0
-            else:
-                # links from the previous vnf's main and backup: the last two
-                # choices at a main stage, the two before this vnf's main at a
-                # backup stage
-                path = st1.path
-                route = bandwidth * (
-                    link[path[m - 3]][x2] + link[path[m - 4] if backup else path[m - 2]][x2]
-                )
-            if not backup:
-                tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
-            else:
-                vm = v_state[x1]
-                if u == 0:
-                    tau = 1.0 - vm * v2
-                else:
-                    # swap the trailing main-only factor for the protected one
-                    tau = st1.reliability * (1.0 - vm * v2) / (1.0 - vm)
-            short = target - tau
-            hinge = penalty * short if short > 0 else 0.0
-            theta = base + route + hinge + st1.cost
-            if theta < best_theta:
-                best_theta = theta
-                best = (theta, x1, route, tau, hinge)
-        return best
-
-    # Public scoring views over a built trellis, used by diagnostics and
-    # replay tests: the move from ``x1`` to ``x2`` at stage ``m``.
-
-    def _replay(self, m: int, x1: int, x2: int) -> tuple[float, int, float, float, float]:
-        if self.stages is None:
-            raise RuntimeError("run() must build the trellis first")
-        if not 1 <= m <= len(self.stages):
-            raise IndexError(f"stage {m - 1} not built")
-        return self._best_move(m, [(x1, self.stages[m - 1][x1])], x2)
-
-    def transition_cost(self, m: int, x1: int, x2: int) -> float:
-        """Full decision metric of moving from ``x1`` to ``x2`` at stage ``m``."""
-        return self._replay(m, x1, x2)[0]
-
-    def transition_reliability(self, m: int, x1: int, x2: int) -> float:
-        return self._replay(m, x1, x2)[3]
-
-    def reliability_penalty(self, m: int, x1: int, x2: int) -> float:
-        return self._replay(m, x1, x2)[4]
+        # one record per stage, stage 0 first, as run() leaves them: the
+        # survivors' state ids, costs, reliabilities and (P, S + 1, R) stock
+        # behind a state-0 row, and each one's predecessor index ``pick``
+        self.stages: list[tuple] | None = None
 
     # -- search ---------------------------------------------------------
 
     def run(self) -> TrellisResult:
         """Search the trellis and read out the best batch placement."""
         # stage 0: state 0 alone, at cost 0 and reliability 1
-        records = [(np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), self._stock, None)]
-        self.stages = StageSequence(records)
+        records = self.stages = [
+            (np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), self._stock, None)
+        ]
         if not self.num_stages:
             return TrellisResult(True, [], ())
         if not self._search(records):
@@ -378,9 +238,9 @@ class TrellisPlacement:
         """Append one survivor record per stage to ``records``, one whole
         stage at a time: score every (predecessor, state) pair as one
         matrix, mask the infeasible ones and keep the first minimum over
-        predecessors, as :meth:`_best_move` does pair by pair, forming each
-        float in the same order. False when a main stage has no feasible
-        server.
+        predecessors, as the pair-by-pair reference in the test suite
+        (``tests/helpers.py::best_move``) does, forming each float in the
+        same order. False when a main stage has no feasible server.
 
         A stage keeps only its survivors' arrays and a back-pointer to each
         one's predecessor; the states of the last three stages along each
@@ -458,8 +318,8 @@ class TrellisPlacement:
         The pick reads only the final stage's costs and reliabilities, with
         the last service's hinge added back, and traces the winner's path
         through the back-pointers. Every state keeps one survivor, so that
-        path fixes each stage's routing charge, recomputed from it in
-        :meth:`_best_move`'s float order.
+        path fixes each stage's routing charge, recomputed from it in the
+        float order of the reference ``best_move``.
         """
         ctx = self.context
         ids, final_cost, reliability, _, _ = records[-1]

@@ -7,11 +7,12 @@ suites. Everything here is deterministic given the caller's rng.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 import nfvplace as nv
-from nfvplace.trellis import PathState, stage_states
+from nfvplace.trellis import _traceback
 
 
 def tiny_two_inps():
@@ -284,9 +285,87 @@ def random_batch_inputs(rng, infra, catalog, max_per_type=2):
     return action, arrangement, snapshot
 
 
+@dataclass
+class PathState:
+    """Survivor record of one trellis state."""
+
+    cost: float
+    reliability: float
+    remaining: np.ndarray
+    path: tuple[int, ...]
+
+
+def best_move(tp, m, preds, x2):
+    """Reference add-compare-select for state ``x2`` at stage ``m`` of
+    ``tp``, one pair at a time: score the move from each ``(x1, survivor)``
+    predecessor and return the best ``(theta, x1, route, tau, hinge)``, ties
+    to the first predecessor. ``route`` charges the links ``x2`` creates,
+    ``tau`` is the service's chain reliability after the move, ``hinge`` its
+    shortfall penalty. The stage kernel forms each float in this order."""
+    l, u, backup = tp._stage_info[m - 1]
+    stype = tp.catalog[l]
+    link = tp.context.link
+    # each state's failure probability; state 0, "no server", always fails
+    fail = [1.0] + tp.infra.v[tp.infra.server_inp].tolist()
+    bandwidth = stype.bandwidth
+    penalty = stype.penalty
+    base = tp.context.terms[l][u][x2]
+    v2 = fail[x2]
+    target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
+    best = None
+    best_theta = np.inf
+    for x1, st1 in preds:
+        if u == 0:
+            route = 0.0
+        else:
+            # links from the previous vnf's main and backup: the last two
+            # choices at a main stage, the two before this vnf's main at a
+            # backup stage
+            path = st1.path
+            route = bandwidth * (
+                link[path[m - 3]][x2] + link[path[m - 4] if backup else path[m - 2]][x2]
+            )
+        if not backup:
+            tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
+        else:
+            vm = fail[x1]
+            if u == 0:
+                tau = 1.0 - vm * v2
+            else:
+                # swap the trailing main-only factor for the protected one
+                tau = st1.reliability * (1.0 - vm * v2) / (1.0 - vm)
+        short = target - tau
+        hinge = penalty * short if short > 0 else 0.0
+        theta = base + route + hinge + st1.cost
+        if theta < best_theta:
+            best_theta = theta
+            best = (theta, x1, route, tau, hinge)
+    return best
+
+
+def survivors(tp, m):
+    """Stage ``m`` of a run trellis as a dict from state id to
+    :class:`PathState`, in ascending state order, each path traced back
+    through the stage records; ``remaining`` views the stage's stock."""
+    ids, cost, reliability, stock, _ = tp.stages[m]
+    return {
+        x: PathState(
+            float(cost[i]), float(reliability[i]), stock[i, 1:], _traceback(tp.stages, m, i)
+        )
+        for i, x in enumerate(ids.tolist())
+    }
+
+
+def replay(tp, m, x1, x2):
+    """The reference score ``(theta, x1, route, tau, hinge)`` of the move
+    from survivor ``x1`` of stage ``m - 1`` to state ``x2`` at stage ``m``
+    of a run trellis."""
+    return best_move(tp, m, [(x1, survivors(tp, m - 1)[x1])], x2)
+
+
 def search_pairs(tp, snapshot):
     """Reference trellis search for the batch of ``tp`` on ``snapshot``,
-    one (predecessor, state) pair at a time through ``tp._best_move``.
+    one (predecessor, state) pair at a time through :func:`best_move`.
 
     Returns ``(valid, stages, path, evaluations)``: the stages built, each
     a dict from state id to :class:`PathState` with its full path, the
@@ -304,7 +383,8 @@ def search_pairs(tp, snapshot):
         prev = stages[-1]
         feas = {x1: (st.remaining >= r).all(axis=1).tolist() for x1, st in prev.items()}
         cur = {}
-        for x2 in stage_states(m, tp.infra):
+        # servers are 1..S, and a backup stage adds state 0, "no backup"
+        for x2 in range(0 if backup else 1, tp.infra.num_servers + 1):
             if x2 == 0:
                 preds = list(prev.items())
             else:
@@ -315,7 +395,7 @@ def search_pairs(tp, snapshot):
             if not preds:
                 continue  # state removed at this stage
             evaluations += len(preds)
-            _, x1, route, tau, _ = tp._best_move(m, preds, x2)
+            _, x1, route, tau, _ = best_move(tp, m, preds, x2)
             chosen = prev[x1]
             remaining = chosen.remaining.copy()
             if x2 != 0:

@@ -32,6 +32,8 @@ from helpers import (
     random_batch_inputs,
     random_service_placement,
     random_tiny_instance,
+    replay,
+    survivors,
 )
 from test_cli import small_config_dict
 
@@ -144,12 +146,13 @@ def test_03_trellis_is_self_consistent(bundled):
         for m in range(1, len(res.path) + 1):
             cur = res.path[m - 1]
             prev = res.path[m - 2] if m > 1 else 0
-            stored = tp.stages[m][cur]
-            assert tp.transition_reliability(m, prev, cur) == stored.reliability
-            phi = tp.transition_cost(m, prev, cur) - tp.reliability_penalty(m, prev, cur)
+            stored = survivors(tp, m)[cur]
+            theta, _, _, tau, hinge = replay(tp, m, prev, cur)
+            assert tau == stored.reliability
+            phi = theta - hinge
             assert abs(phi - stored.cost) <= 1e-9 * max(1.0, abs(stored.cost))
         total = sum(s.cost for s in res.services)
-        final = tp.stages[len(res.path)][res.path[-1]].cost
+        final = survivors(tp, len(res.path))[res.path[-1]].cost
         assert abs(final - total) <= 1e-9 * max(1.0, abs(total))
     elapsed = time.perf_counter() - t0
     assert checked >= 80

@@ -213,6 +213,22 @@ class TestConservationAndErrors:
         with pytest.raises((nv.SimulationError, ValueError)):
             nv.Simulation(infra, catalog, "oracle", seed=0)
 
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_non_positive_slots_rejected(self, bundled, slots):
+        # the config's and the CLI's rule, not an empty report or a numpy error
+        infra, catalog = bundled
+        with pytest.raises(ValueError, match="^slots: must be positive$"):
+            nv.run_experiment(infra, catalog, "cera", slots=slots, seed=1)
+        with pytest.raises(ValueError, match="^slots: must be positive$"):
+            nv.Simulation(infra, catalog, "trellis", seed=1).run(slots)
+
+    def test_negative_seed_rejected(self, bundled):
+        infra, catalog = bundled
+        with pytest.raises(ValueError, match="^seed: must be non-negative$"):
+            nv.Simulation(infra, catalog, "cera", seed=-1)
+        with pytest.raises(ValueError, match="^seed: must be non-negative$"):
+            nv.run_experiment(infra, catalog, "trellis", slots=10, seed=-1)
+
 
 class TestPolicyDriven:
     def test_policy_run_respects_active_register(self, reduced):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
-from nfvplace.trellis import StageSurvivors, stage_count, stage_states
 
-from helpers import random_batch_inputs, reduced_setup, search_pairs
+from helpers import random_batch_inputs, reduced_setup, replay, search_pairs, survivors
 
 
 def full_snapshot(infra):
@@ -38,23 +37,32 @@ def outcome_record(tp, res):
 
 class TestStaging:
     def test_stage_count_empty(self, tiny2):
-        _, catalog = tiny2
-        assert stage_count((), catalog) == 0
+        infra, catalog = tiny2
+        assert nv.TrellisPlacement((0,), (), full_snapshot(infra), catalog, infra).num_stages == 0
 
-    def test_stage_count_two_services(self):
-        t3 = nv.ServiceType(0.05, 0.5, 1.0, tuple(nv.VnfSpec(0, (1,)) for _ in range(3)),
-                            (0.5, 0.5), 10.0, 2, name="u3")
-        t5 = nv.ServiceType(0.05, 0.5, 1.0, tuple(nv.VnfSpec(0, (1,)) for _ in range(5)),
-                            (0.5, 0.5), 10.0, 2, name="u5")
-        assert stage_count((0, 1), (t3, t5)) == 16
-        t4 = nv.ServiceType(0.05, 0.5, 1.0, tuple(nv.VnfSpec(0, (1,)) for _ in range(4)),
-                            (0.5, 0.5), 10.0, 2, name="u4")
-        assert stage_count((0,), (t4,)) == 8
+    def test_stage_count_two_services(self, tiny2):
+        infra, _ = tiny2
+
+        def chain(n):
+            return nv.ServiceType(0.05, 0.5, 1.0, tuple(nv.VnfSpec(0, (1,)) for _ in range(n)),
+                                  (0.5, 0.5), 10.0, 2, name=f"u{n}")
+
+        def stages(action, arrangement, catalog):
+            return nv.TrellisPlacement(
+                action, arrangement, full_snapshot(infra), catalog, infra
+            ).num_stages
+
+        assert stages((1, 1), (0, 1), (chain(3), chain(5))) == 16
+        assert stages((1,), (0,), (chain(4),)) == 8
 
     def test_stage_states_parity(self, bundled):
-        infra, _ = bundled
-        odd = stage_states(1, infra)
-        even = stage_states(2, infra)
+        # at full capacity every candidate state survives: servers 1..S at
+        # a main stage, plus state 0 ("no backup") at a backup stage
+        infra, catalog = bundled
+        tp = nv.TrellisPlacement((1, 0, 0, 0), (0,), full_snapshot(infra), catalog, infra)
+        tp.run()
+        odd = list(survivors(tp, 1))
+        even = list(survivors(tp, 2))
         assert len(odd) == infra.num_servers == 21
         assert len(even) == 22
         assert 0 not in odd and 0 in even
@@ -81,11 +89,11 @@ class TestTinyInstance:
         trellis = nv.TrellisPlacement((1,), (0,), full_snapshot(infra), catalog, infra)
         trellis.run()
         # odd stage: placing the main on the v=0.1 server yields 0.9
-        assert trellis.transition_reliability(1, 0, 1) == pytest.approx(0.9)
+        assert replay(trellis, 1, 0, 1)[3] == pytest.approx(0.9)
         # even stage: skipping the backup keeps the prior chain reliability
-        assert trellis.transition_reliability(2, 1, 0) == pytest.approx(0.9)
+        assert replay(trellis, 2, 1, 0)[3] == pytest.approx(0.9)
         # even stage: v=0.2 main protected by the v=0.1 backup
-        assert trellis.transition_reliability(2, 2, 1) == pytest.approx(0.98)
+        assert replay(trellis, 2, 2, 1)[3] == pytest.approx(0.98)
 
     def test_shortfall_hinge(self, tiny2):
         infra, catalog = tiny2
@@ -93,10 +101,10 @@ class TestTinyInstance:
         trellis.run()
         # assigned-server target is 1 - cap = 0.95; at 0.90 the hinge is
         # penalty * 0.05 = 5e4
-        assert trellis.reliability_penalty(1, 0, 1) == pytest.approx(5.0e4, rel=1e-9)
+        assert replay(trellis, 1, 0, 1)[4] == pytest.approx(5.0e4, rel=1e-9)
         # skipping a backup is held to a target of 1.0
-        assert trellis.reliability_penalty(2, 1, 0) == pytest.approx(1.0e5, rel=1e-9)
-        assert trellis.reliability_penalty(2, 2, 1) == 0.0
+        assert replay(trellis, 2, 1, 0)[4] == pytest.approx(1.0e5, rel=1e-9)
+        assert replay(trellis, 2, 2, 1)[4] == 0.0
 
     def test_transition_cost_accumulates(self, tiny2):
         infra, catalog = tiny2
@@ -104,9 +112,9 @@ class TestTinyInstance:
         trellis.run()
         # v=0.1 main: 5 units at cost 2 plus hinge 5e4; v=0.2 main: 5 units
         # at cost 1 plus hinge 1.5e5 -- the hinge dominates the saved units
-        assert trellis.transition_cost(1, 0, 1) == pytest.approx(50010.0, rel=1e-9)
-        assert trellis.transition_cost(1, 0, 2) == pytest.approx(150005.0, rel=1e-9)
-        assert trellis.transition_cost(1, 0, 1) < trellis.transition_cost(1, 0, 2)
+        assert replay(trellis, 1, 0, 1)[0] == pytest.approx(50010.0, rel=1e-9)
+        assert replay(trellis, 1, 0, 2)[0] == pytest.approx(150005.0, rel=1e-9)
+        assert replay(trellis, 1, 0, 1)[0] < replay(trellis, 1, 0, 2)[0]
 
     def test_evaluation_counter(self, tiny2):
         infra, catalog = tiny2
@@ -117,11 +125,6 @@ class TestTinyInstance:
         # main stage: one predecessor for each of the two servers; backup
         # stage: both mains for "no backup", the other main for each server
         assert trellis.evaluations == 2 + (2 + 1 + 1)
-        # replaying a move scores it again without counting it
-        trellis.transition_cost(2, 2, 1)
-        trellis.transition_reliability(2, 2, 1)
-        trellis.reliability_penalty(2, 2, 1)
-        assert trellis.evaluations == 6
 
 
 class TestRoutingReplay:
@@ -145,22 +148,22 @@ class TestRoutingReplay:
 
     @staticmethod
     def _route(trellis, m, x1, x2):
-        prev = trellis.stages[m - 1][x1]
+        prev = survivors(trellis, m - 1)[x1]
         term = 1.0
-        return (trellis.transition_cost(m, x1, x2) - trellis.reliability_penalty(m, x1, x2)
-                - prev.cost - term)
+        theta, _, _, _, hinge = replay(trellis, m, x1, x2)
+        return theta - hinge - prev.cost - term
 
     def test_main_stage_links_to_previous_main_and_backup(self):
         trellis = self._trellis()
         # VNF 0 main on server 1, backup on server 2; VNF 1 main on server 3
-        assert trellis.stages[2][2].path == (1, 2)
+        assert survivors(trellis, 2)[2].path == (1, 2)
         assert self._route(trellis, 3, 2, 3) == pytest.approx(2.0 * (3.0 + 5.0), rel=1e-12)
 
     def test_backup_stage_links_to_previous_main_and_backup(self):
         trellis = self._trellis()
         # VNF 0 main on server 1, backup on server 3; VNF 1 main on server 3
         # and its backup on server 2, linked to servers 3 and 1
-        assert trellis.stages[3][3].path == (1, 3, 3)
+        assert survivors(trellis, 3)[3].path == (1, 3, 3)
         assert self._route(trellis, 4, 3, 2) == pytest.approx(2.0 * (5.0 + 1.0), rel=1e-12)
 
 
@@ -263,8 +266,8 @@ class TestInputValidation:
         res = tp.run()
         assert (res.valid, res.services, res.path, tp.evaluations) == (True, [], (), 0)
         # the trellis is its origin stage alone: state 0 holding the snapshot
-        assert len(tp.stages) == 1 and list(tp.stages[0]) == [0]
-        origin = tp.stages[0][0]
+        assert len(tp.stages) == 1 and list(survivors(tp, 0)) == [0]
+        origin = survivors(tp, 0)[0]
         assert (origin.cost, origin.reliability, origin.path) == (0.0, 1.0, ())
         assert np.array_equal(origin.remaining, snapshot)
 
@@ -288,12 +291,6 @@ class TestInputValidation:
             snap[:] = np.nan
         with pytest.raises(ValueError, match="within"):
             nv.TrellisPlacement((1, 0, 0, 0), (0,), snap, catalog, infra)
-
-    def test_replay_requires_run(self, tiny2):
-        infra, catalog = tiny2
-        trellis = nv.TrellisPlacement((1,), (0,), full_snapshot(infra), catalog, infra)
-        with pytest.raises(RuntimeError):
-            trellis.transition_reliability(1, 0, 1)
 
 
 class TestSelfConsistency:
@@ -340,6 +337,10 @@ class TestStageKernel:
             for stage in stages
         ]
 
+    @staticmethod
+    def _kernel_stages(tp):
+        return [survivors(tp, m) for m in range(len(tp.stages))]
+
     @pytest.mark.parametrize("setup, dtype", [
         pytest.param(setup, dtype, id=setup if dtype is None else f"{setup}-{dtype}")
         for dtype in (None, "int32", "float32")
@@ -362,7 +363,7 @@ class TestStageKernel:
             result = tp.run()
             valid, stages, path, evaluations = search_pairs(tp, snapshot)
             assert (result.valid, result.path, tp.evaluations) == (valid, path, evaluations)
-            assert self._survivors(tp.stages) == self._survivors(stages)
+            assert self._survivors(self._kernel_stages(tp)) == self._survivors(stages)
             outcomes.add(valid)
         assert outcomes == {True, False}
 
@@ -374,8 +375,11 @@ class TestStageKernel:
             )
             tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra)
             tp.run()
-            assert len(tp.stages) > 1
-            assert all(isinstance(stage, StageSurvivors) for stage in tp.stages)
+            # the origin, then one record per stage searched: (ids, cost,
+            # reliability, stock, pick), one entry per survivor in each
+            assert 1 < len(tp.stages) <= tp.num_stages + 1
+            for ids, cost, reliability, stock, pick in tp.stages[1:]:
+                assert len(ids) == len(cost) == len(reliability) == len(stock) == len(pick)
 
     def test_middle_stage_lookup_after_run(self, bundled):
         # run() leaves only back-pointers behind; survivors looked up at a
@@ -390,10 +394,10 @@ class TestStageKernel:
                 continue
             _, pairs, _, _ = search_pairs(kernel, batch[2])
             m = kernel.num_stages // 2
-            assert isinstance(kernel.stages[m], StageSurvivors)
-            assert list(kernel.stages[m]) == list(pairs[m])
+            stage = survivors(kernel, m)
+            assert list(stage) == list(pairs[m])
             for x, st in pairs[m].items():
-                looked_up = kernel.stages[m][x]
+                looked_up = stage[x]
                 assert len(looked_up.path) == m
                 assert looked_up.path == st.path
                 assert (looked_up.cost, looked_up.reliability) == (st.cost, st.reliability)
@@ -405,13 +409,11 @@ class TestStageKernel:
         infra, catalog = bundled
         tp = nv.TrellisPlacement((1, 0, 0, 0), (0,), full_snapshot(infra), catalog, infra)
         tp.run()
-        stage = tp.stages[2]
+        stage = survivors(tp, 2)
         assert list(stage) == list(range(infra.num_servers + 1))
         assert stage[3].path[1] == 3 and len(stage[3].path) == 2
         with pytest.raises(KeyError):
-            tp.stages[1][0]  # main stages have no "no server" state
-        with pytest.raises(ValueError):
-            stage[3].remaining[0] = 0  # lookups share the stage's stock
+            survivors(tp, 1)[0]  # main stages have no "no server" state
 
 
 class TestReferenceOutcomes:
