@@ -19,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
+from .jsonio import json_list
 from .mdp import TransitionModel, build_state_space
 from .model import LedgerError, ResourceLedger
 from .oracle import OBJECTIVES, OracleError, best_placement
@@ -246,11 +247,10 @@ def _parse_instance(raw: str) -> list[int]:
             raise ConfigError(f"--instance: cannot read {raw}: {exc}") from exc
         if isinstance(data, dict):
             data = data.get("types")
-        if not isinstance(data, list) or not all(isinstance(t, int) for t in data):
-            raise ConfigError(
-                f"--instance: {raw} must hold a list of type indices"
-            )
-        return list(data)
+        try:
+            return json_list(data, "an integer", "types")
+        except ValueError as exc:
+            raise ConfigError(f"--instance: {raw}: {exc}") from exc
     try:
         return [int(s) for s in raw.split(",") if s.strip()]
     except ValueError as exc:

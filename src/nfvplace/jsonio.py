@@ -1,0 +1,148 @@
+"""Typed JSON reading and writing of the dataclasses that configs and policy
+artifacts hold, driven by each class's declared fields: a value of the
+wrong JSON type is rejected, not coerced, with the field's path."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import MISSING, fields
+from functools import cache
+
+import numpy as np
+
+from .model import VnfSpec
+
+# the Python type each JSON type reads as; a bool is not a number
+_JSON_TYPES = {
+    "an integer": int, "a number": (int, float), "a bool": bool, "a string": str, "a list": list,
+    "an object": dict,
+}
+
+
+def at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def json_value(value, expected: str, name: str):
+    """``value`` once it holds the JSON type ``expected``, else a
+    ``ValueError`` that starts with ``name``."""
+    kind = _JSON_TYPES[expected]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def json_list(values, expected: str, name: str) -> list:
+    """``values`` once it is a JSON list whose entries each hold the type
+    ``expected``; an entry's path is formed only for its error."""
+    kind = _JSON_TYPES[expected]
+    for k, v in enumerate(json_value(values, "a list", name)):
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            json_value(v, expected, f"{name}[{k}]")
+    return values
+
+
+def json_rows(values, expected: str, name: str) -> list[list]:
+    """A JSON list of lists whose entries each hold the type ``expected``."""
+    return [
+        json_list(row, expected, f"{name}[{k}]")
+        for k, row in enumerate(json_value(values, "a list", name))
+    ]
+
+
+def json_object(spec, path: str, known) -> dict:
+    """``spec`` once it is a JSON object holding only the keys ``known``."""
+    json_value(spec, "an object", path or "top level")
+    for key in spec:
+        if key not in known:
+            raise ValueError(f"{at(path, key)}: unknown field")
+    return spec
+
+
+def finite(value: float, name: str) -> float:
+    # json reads NaN and Infinity; neither is a usable cost, rate or weight
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value}")
+    return value
+
+
+# the reader of each field annotation; annotations are postponed, so a
+# field's type is its source text, and ``X | None`` reads as ``X``
+READERS = {
+    "int": lambda v, name: json_value(v, "an integer", name),
+    "float": lambda v, name: float(json_value(v, "a number", name)),
+    "bool": lambda v, name: json_value(v, "a bool", name),
+    "str": lambda v, name: json_value(v, "a string", name),
+    "tuple[int, ...]": lambda v, name: tuple(json_list(v, "an integer", name)),
+    "tuple[float, ...]": lambda v, name: tuple(map(float, json_list(v, "a number", name))),
+    "list[float]": lambda v, name: list(map(float, json_list(v, "a number", name))),
+    "np.ndarray": lambda v, name: np.array(json_list(v, "a number", name), dtype=float),
+    "tuple[tuple[int, ...], ...]": lambda v, name: tuple(
+        map(tuple, json_rows(v, "an integer", name))
+    ),
+    "list[tuple[int, ...]]": lambda v, name: list(map(tuple, json_rows(v, "an integer", name))),
+    "tuple[VnfSpec, ...]": lambda v, name: tuple(
+        read_object(VnfSpec, spec, f"{name}[{k}]")
+        for k, spec in enumerate(json_value(v, "a list", name))
+    ),
+}
+
+
+@cache
+def saved_fields(cls) -> tuple:
+    """The fields of the dataclass ``cls`` that its JSON form holds: all but
+    those left out of comparisons, which describe a run, not the value."""
+    return tuple(f for f in fields(cls) if f.compare)
+
+
+@cache
+def _readers(cls) -> dict:
+    """Each saved field's reader and default, looked up once per class."""
+    return {
+        f.name: (READERS[f.type.removesuffix(" | None")], f.default) for f in saved_fields(cls)
+    }
+
+
+def read_fields(cls, spec, path: str = "") -> dict:
+    """The saved fields of ``cls`` read from the JSON object ``spec``, each
+    checked by its annotation's reader. A missing field, or ``null`` where
+    the default is ``None``, keeps its default. A wrong type, an unknown key
+    or a missing field without a default raises ``ValueError`` naming the
+    field's path."""
+    readers = _readers(cls)
+    json_object(spec, path, readers)
+    values = {}
+    for key, (read, default) in readers.items():
+        if key not in spec:
+            if default is MISSING:
+                raise ValueError(f"{at(path, key)}: missing required field")
+        elif not (spec[key] is None and default is None):
+            values[key] = read(spec[key], at(path, key))
+    return values
+
+
+def read_object(cls, spec, path: str):
+    """``cls`` built from :func:`read_fields`, each float field finite. A
+    constructor error is raised again after ``path``: joined with a dot
+    when it names its field (``gamma: must lie in (0, 1)``), else a colon."""
+    values = read_fields(cls, spec, path)
+    for key, value in values.items():
+        if isinstance(value, float):
+            finite(value, at(path, key))
+    try:
+        return cls(**values)
+    except (ValueError, TypeError, OverflowError) as exc:
+        named = str(exc).partition(": ")[0] in _readers(cls)
+        raise ValueError(f"{path}.{exc}" if named else f"{path}: {exc}") from exc
+
+
+def to_json(value):
+    """The JSON form that :func:`read_fields` reads back: a dataclass as an
+    object of its saved fields, and a tuple, list or array as a list."""
+    if isinstance(value, (int, float, str)) or value is None:
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return {f.name: to_json(getattr(value, f.name)) for f in saved_fields(type(value))}

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .jsonio import read_fields, saved_fields, to_json
 from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel, action_reward
 from .model import Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
@@ -194,30 +195,6 @@ class _ArrangementLedger:
             self.best = arrangement
 
 
-# the Python type each JSON type reads as; a bool is not a number
-_JSON_TYPES = {
-    "an integer": int, "a number": (int, float), "a bool": bool, "a string": str, "a list": list,
-}
-
-
-def json_value(value, expected: str, name: str):
-    """``value`` once it holds the JSON type ``expected``, else a
-    ``ValueError`` that starts with ``name``. The policy artifact and the
-    config reader both check their fields with it."""
-    kind = _JSON_TYPES[expected]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
-    return value
-
-
-def json_list(values, expected: str, name: str) -> list:
-    """A JSON list whose entries each hold the type ``expected``."""
-    return [
-        json_value(v, expected, f"{name}[{k}]")
-        for k, v in enumerate(json_value(values, "a list", name))
-    ]
-
-
 class SweepCounts(NamedTuple):
     """Deterministic work counts of one value-iteration sweep."""
 
@@ -245,8 +222,8 @@ class Policy:
     sup_diff_trace: list[float]
     fingerprint: str | None = None
     # per-sweep work of the solve that produced this policy, and its count
-    # of non-empty active states whose idle estimate stayed at zero; not
-    # saved, so a loaded policy has neither
+    # of non-empty active states whose idle estimate stayed at zero; left
+    # out of comparisons, so not saved, and a loaded policy has neither
     sweep_counts: tuple[SweepCounts, ...] = field(default=(), compare=False)
     unestimated_actives: int | None = field(default=None, compare=False)
     _space: StateSpace = field(init=False, repr=False, compare=False)
@@ -283,24 +260,7 @@ class Policy:
         return float(self.values[self._space.state_id(lam, sigma)])
 
     def save(self, path) -> None:
-        payload = {
-            "format": POLICY_FORMAT,
-            "version": POLICY_VERSION,
-            "fingerprint": self.fingerprint,
-            "sigma_max": list(self.sigma_max),
-            "lambda_max": list(self.lambda_max),
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "num_arrangements": self.num_arrangements,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "mean_value_trace": self.mean_value_trace,
-            "sup_diff_trace": self.sup_diff_trace,
-            "actions": [list(a) for a in self.actions],
-            "arrangements": [list(r) for r in self.arrangements],
-            "values": [float(v) for v in self.values],
-        }
+        payload = {"format": POLICY_FORMAT, "version": POLICY_VERSION, **to_json(self)}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
@@ -319,47 +279,14 @@ class Policy:
         mode = payload.get("departure_mode", "binomial")
         if mode != "binomial":
             raise ValueError(f"departure_mode: {mode!r} is not the binomial departure law")
-        for f in fields(cls):
-            if f.init and f.default is MISSING and f.name not in payload:
-                raise ValueError(f"{f.name}: missing from policy artifact {path}")
-
-        def read(name: str, expected: str):
-            return json_value(payload[name], expected, name)
-
-        def read_list(name: str, expected: str) -> list:
-            return json_list(payload[name], expected, name)
-
-        def read_rows(name: str) -> list[tuple[int, ...]]:
-            return [
-                tuple(json_list(row, "an integer", f"{name}[{k}]"))
-                for k, row in enumerate(read_list(name, "a list"))
-            ]
-
-        fingerprint = payload.get("fingerprint")
         try:
+            # keys besides the saved fields (format, version) are not read
+            values = read_fields(
+                cls, {f.name: payload[f.name] for f in saved_fields(cls) if f.name in payload}
+            )
             # the stored solver settings obey the same rules as a config's
-            params = MdpParams(
-                gamma=float(read("gamma", "a number")),
-                epsilon=float(read("epsilon", "a number")),
-                num_arrangements=read("num_arrangements", "an integer"),
-                seed=read("seed", "an integer"),
-            )
-            return cls(
-                sigma_max=tuple(read_list("sigma_max", "an integer")),
-                lambda_max=tuple(read_list("lambda_max", "an integer")),
-                actions=read_rows("actions"),
-                arrangements=read_rows("arrangements"),
-                values=np.array(read_list("values", "a number"), dtype=float),
-                gamma=params.gamma,
-                epsilon=params.epsilon,
-                seed=params.seed,
-                num_arrangements=params.num_arrangements,
-                iterations=read("iterations", "an integer"),
-                converged=read("converged", "a bool"),
-                mean_value_trace=[float(v) for v in read_list("mean_value_trace", "a number")],
-                sup_diff_trace=[float(v) for v in read_list("sup_diff_trace", "a number")],
-                fingerprint=None if fingerprint is None else read("fingerprint", "a string"),
-            )
+            MdpParams(**{f.name: values[f.name] for f in fields(MdpParams) if f.name in values})
+            return cls(**values)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc} (policy artifact {path})") from exc
 

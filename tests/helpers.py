@@ -488,3 +488,47 @@ class DequeLedger:
         if self.best_reward <= reward:
             self.best_reward = reward
             self.best = arrangement
+
+
+# config entries that each loaded coerced (true as 1.0, "3" as 3.0, 5 as
+# "5", null as "None", "1" as (1.0,)), each with the message prefix its
+# rejection must carry; the edits fit any config with one service type
+COERCED_ENTRIES = {
+    "pmf-bools": (lambda cfg: cfg["service_types"][0].update(arrival_pmf=[True, False, False]),
+                  "service_types[0].arrival_pmf[0]: expected a number, got bool"),
+    "pmf-string": (lambda cfg: cfg["service_types"][0].update(arrival_pmf="1"),
+                   "service_types[0].arrival_pmf: expected a list, got str"),
+    "name-int": (lambda cfg: cfg["service_types"][0].update(name=5),
+                 "service_types[0].name: expected a string, got int"),
+    "name-null": (lambda cfg: cfg["service_types"][0].update(name=None),
+                  "service_types[0].name: expected a string, got NoneType"),
+    "alpha-bool": (lambda cfg: cfg["infrastructure"].update(alpha=[True]),
+                   "infrastructure.alpha[0]: expected a number, got bool"),
+    "alpha-string": (lambda cfg: cfg["infrastructure"].update(alpha=["0.5"]),
+                     "infrastructure.alpha[0]: expected a number, got str"),
+    "deployment-bool": (lambda cfg: cfg["infrastructure"]["deployment_cost"][0].__setitem__(0, True),
+                        "infrastructure.deployment_cost[0][0]: expected a number, got bool"),
+    "deployment-string": (lambda cfg: cfg["infrastructure"]["deployment_cost"][0].__setitem__(0, "3"),
+                          "infrastructure.deployment_cost[0][0]: expected a number, got str"),
+    "matrix-strings": (lambda cfg: cfg["infrastructure"].update(
+                           link_cost={"matrix": [["0"] * num_servers(cfg)] * num_servers(cfg)}),
+                       "infrastructure.link_cost.matrix: expected a numeric table"),
+}
+
+
+def num_servers(cfg):
+    """Server count of a config dict."""
+    return sum(len(p["servers"]) for p in cfg["infrastructure"]["inps"])
+
+
+def wrong_json_values(default, current):
+    """JSON values of a wrong type for a field whose JSON form is ``current``:
+    a number for text and text for anything else, a list holding ``true``
+    for a list, and ``null`` unless the default is ``None``. Each must fail
+    with the field's path, the list with its first entry's."""
+    wrong = [1 if isinstance(current, str) else "1"]
+    if isinstance(current, list):
+        wrong.append([True])
+    if default is not None:
+        wrong.append(None)
+    return wrong

@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in-process."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 
 import nfvplace as nv
 from nfvplace.cli import main
+
+from helpers import COERCED_ENTRIES
 
 
 def small_config_dict(slots=40, seed=5):
@@ -263,6 +266,20 @@ class TestOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid"] is True
 
+    # a boolean ran as a type index: [true, false] as types [1, 0]
+    @pytest.mark.parametrize("content", [[True, False], {"types": [0, True]}], ids=["list", "object"])
+    def test_boolean_instance_file_exits_two(self, cfg_path, tmp_path, capsys, content):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(content))
+        rc = main(["oracle", "--config", cfg_path, "--instance", str(inst)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--instance: ")
+        assert err["message"].endswith("expected an integer, got bool")
+
     def test_large_infrastructure_refused(self, tmp_path, capsys):
         bundled = nv.seven_providers()
         path = tmp_path / "big.json"
@@ -382,6 +399,20 @@ class TestErrors:
         assert err["message"] == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, prefix", COERCED_ENTRIES.values(), ids=COERCED_ENTRIES.keys())
+    def test_coerced_entry_exits_two(self, tmp_path, capsys, edit, prefix):
+        cfg = small_config_dict()
+        edit(cfg)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(prefix)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
@@ -405,3 +436,39 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert err["message"] == message
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestRecordedOutputs:
+    """test_10's commands, pinned to SHA-256 prefixes recorded before the
+    config objects and the policy artifact were read and written from their
+    declarations."""
+
+    DIGESTS = {
+        "pol.json": "6fb409bbf8d41a2f",
+        "pol.json.trace.csv": "4ed8f573947c9288",
+        "run.csv": "a07c2312c40b25a1",
+        "run.json": "d974a30ef9480c4c",
+        "cmp.csv": "21b0c8410150b3b7",
+        "cmp.json": "a42ed5f4b2bdc403",
+        "solve stdout": "5fa4b8df5805d01f",
+        "simulate stdout": "0e091e2d5b0b597a",
+        "compare stdout": "746d3e486bebe32e",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "exp.json").write_text(json.dumps(small_config_dict(slots=25, seed=5)))
+        monkeypatch.chdir(tmp_path)
+        outputs = {}
+        for command, args in [
+            ("solve", ["--out", "pol.json"]),
+            ("simulate", ["--strategy", "mdp", "--policy", "pol.json", "--out", "run.csv"]),
+            ("compare", ["--strategies", "trellis,min_resource,cera", "--seeds", "1,2",
+                         "--slots", "15", "--out", "cmp.csv"]),
+        ]:
+            assert main([command, "--config", "exp.json", *args]) == 0
+            outputs[f"{command} stdout"] = capsys.readouterr().out.encode()
+        for name in self.DIGESTS:
+            if name.endswith((".json", ".csv")):
+                outputs[name] = (tmp_path / name).read_bytes()
+        digests = {name: hashlib.sha256(data).hexdigest()[:16] for name, data in outputs.items()}
+        assert digests == self.DIGESTS

@@ -12,6 +12,8 @@ import nfvplace as nv
 from nfvplace.policy import MdpParams
 from nfvplace.sim import SimParams
 
+from helpers import COERCED_ENTRIES, wrong_json_values
+
 ROOT = Path(__file__).resolve().parents[1]
 # every config the package ships and the one the benchmark reads
 SHIPPED_CONFIGS = sorted(nv.seven_providers_path().parent.glob("*.json")) + [ROOT / "bench" / "reduced.json"]
@@ -32,6 +34,13 @@ UNKNOWN_FIELDS = {
 @pytest.fixture()
 def base(bundled_cfg):
     return copy.deepcopy(bundled_cfg.source)
+
+
+def base_entry(cfg, keys):
+    """The object at ``keys`` inside the config dict ``cfg``."""
+    for key in keys:
+        cfg = cfg[key]
+    return cfg
 
 
 class TestRoundTrip:
@@ -124,7 +133,8 @@ class TestDiagnostics:
         (lambda cfg: cfg["service_types"][0]["vnfs"][1].pop("demands"),
          "service_types[0].vnfs[1].demands: missing required field"),
         (lambda cfg: cfg["service_types"][0].update(vnfs=[7]), "service_types[0].vnfs[0]: expected an object"),
-    ], ids=["beta", "vnf-without-demands", "vnf-not-an-object"])
+        *COERCED_ENTRIES.values(),
+    ], ids=["beta", "vnf-without-demands", "vnf-not-an-object", *COERCED_ENTRIES])
     def test_field_path_in_message(self, base, edit, prefix):
         edit(base)
         with pytest.raises(nv.ConfigError) as err:
@@ -244,6 +254,25 @@ class TestSettings:
             assert nv.parse_config(nv.serialize_config(cfg)).source == cfg.source
             assert nv.serialize_config(cfg)[section][f.name] == f.default
 
+    # every object the config reader builds from its declaration; a field
+    # declared without a reader fails here
+    @pytest.mark.parametrize("keys, path, cls", [
+        (("infrastructure", "inps", 0), "infrastructure.inps[0]", nv.InP),
+        (("service_types", 0, "vnfs", 0), "service_types[0].vnfs[0]", nv.VnfSpec),
+        (("service_types", 0), "service_types[0]", nv.ServiceType),
+        (("mdp",), "mdp", MdpParams),
+        (("sim",), "sim", SimParams),
+    ], ids=["inp", "vnf", "service_type", "mdp", "sim"])
+    def test_each_declared_field_rejects_a_wrong_json_type(self, base, keys, path, cls):
+        for f in fields(cls):
+            for wrong in wrong_json_values(f.default, base_entry(base, keys)[f.name]):
+                edited = copy.deepcopy(base)
+                base_entry(edited, keys)[f.name] = wrong
+                with pytest.raises(nv.ConfigError) as err:
+                    nv.parse_config(edited)
+                where = f"{path}.{f.name}[0]" if isinstance(wrong, list) else f"{path}.{f.name}"
+                assert str(err.value).startswith(f"{where}: expected "), (f.name, wrong)
+
 
 class TestLinkTables:
     def test_intra_inter_form(self, base):
@@ -282,6 +311,15 @@ class TestLinkTables:
 
 
 class TestFingerprint:
+    # recorded before the config objects were read and written from their
+    # declarations; the canonical form, and so every fingerprint, is the same
+    @pytest.mark.parametrize("path, fingerprint", [
+        (nv.seven_providers_path(), "f9361e9eec18154c054c994cbc5f3c48106ab62a0b822cba55d2dd9c60491d16"),
+        (ROOT / "bench" / "reduced.json", "e2c30b8b1e335479cd0177347ed478a43da058d368f58b1c8b7f72fd2609de50"),
+    ], ids=["bundled", "reduced"])
+    def test_pinned(self, path, fingerprint):
+        assert nv.load_config(path).fingerprint == fingerprint
+
     def test_ignores_solver_and_sim_sections(self, base):
         a = nv.parse_config(base)
         base["mdp"]["seed"] = 12345

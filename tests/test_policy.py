@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     reduced_setup,
     tiny_two_inps,
     two_resource_setup,
+    wrong_json_values,
 )
 
 
@@ -490,6 +492,27 @@ class TestPolicyArtifact:
         for lam in ((0,), (1,)):
             for sigma in ((0,), (1,)):
                 assert loaded.lookup(lam, sigma) == policy.lookup(lam, sigma)
+
+    # the artifact holds the declared fields that take part in comparisons,
+    # and a field declared without a reader fails here
+    def test_each_saved_field_rejects_a_wrong_json_type(self, tmp_path):
+        infra, catalog = analytic_setup()
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(
+            space, nv.TransitionModel(space, catalog), catalog, infra, seed=0, fingerprint="abc"
+        )
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        saved = json.loads(path.read_text())
+        declared = [f for f in fields(nv.Policy) if f.compare]
+        assert {f.name for f in declared} == saved.keys() - {"format", "version"}
+        for f in declared:
+            for wrong in wrong_json_values(f.default, saved[f.name]):
+                path.write_text(json.dumps({**saved, f.name: wrong}))
+                with pytest.raises(ValueError) as err:
+                    nv.Policy.load(path)
+                where = f"{f.name}[0]" if isinstance(wrong, list) else f.name
+                assert str(err.value).startswith(f"{where}: expected "), (f.name, wrong)
 
     def test_binomial_artifact_from_older_release_loads(self, tmp_path):
         # artifacts written before the departure law was fixed name it
