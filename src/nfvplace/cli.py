@@ -44,10 +44,12 @@ def _emit(payload: dict) -> None:
 
 def _load_policy_for(cfg: ExperimentConfig, path: str) -> Policy:
     policy = Policy.load(path)
-    if policy.fingerprint is not None and policy.fingerprint != cfg.fingerprint:
+    # an artifact without a fingerprint is bound to no setup, so it is refused
+    if policy.fingerprint != cfg.fingerprint:
+        found = policy.fingerprint[:12] + ".." if policy.fingerprint else "none"
         raise ConfigError(
             f"policy {path} was solved for a different setup "
-            f"(fingerprint {policy.fingerprint[:12]}.. vs {cfg.fingerprint[:12]}..)"
+            f"(fingerprint {found} vs {cfg.fingerprint[:12]}..)"
         )
     return policy
 

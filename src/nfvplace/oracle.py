@@ -22,7 +22,6 @@ from .model import (
     PlacementPlan,
     ServicePlacement,
     VnfPlacement,
-    placement_cost,
 )
 
 OBJECTIVES = ("penalized", "reliable")

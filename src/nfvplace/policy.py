@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jsonio import read_fields, saved_fields, to_json
+from .jsonio import read_fields, to_json
 from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel, action_reward
 from .model import Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
@@ -280,10 +280,9 @@ class Policy:
         if mode != "binomial":
             raise ValueError(f"departure_mode: {mode!r} is not the binomial departure law")
         try:
-            # keys besides the saved fields (format, version) are not read
-            values = read_fields(
-                cls, {f.name: payload[f.name] for f in saved_fields(cls) if f.name in payload}
-            )
+            # every key besides these three must name a saved field
+            header = ("format", "version", "departure_mode")
+            values = read_fields(cls, {k: v for k, v in payload.items() if k not in header})
             # the stored solver settings obey the same rules as a config's
             MdpParams(**{f.name: values[f.name] for f in fields(MdpParams) if f.name in values})
             return cls(**values)

@@ -65,7 +65,10 @@ class TrellisResult:
 
 class PlacementContext:
     """Trellis tables that depend only on ``(catalog, infra)``, built once
-    per setup and shared by every batch placed on it.
+    per setup and shared by every batch placed on it. Demands are integers,
+    so one int64 demand row per (type, VNF) compares with and subtracts
+    from an integer or a float stock exactly: one table set serves every
+    snapshot dtype.
 
     State id 0 is "no server": zero charge, no links and a failure
     probability of 1, so it never improves reliability.
@@ -75,87 +78,54 @@ class PlacementContext:
         self.catalog = catalog
         self.infra = infra
         n = infra.num_servers
-        self.link = [[0.0] * (n + 1)] + [[0.0] + row for row in infra.link_cost.tolist()]
-        # per (type, vnf): the charge of hosting it on each state
-        self.terms: list[list[list[float]]] = []
-        for stype in catalog:
-            rows = []
-            for spec in stype.vnfs:
-                per_inp = infra.unit_cost @ np.asarray(spec.demands, dtype=float)
-                per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
-                rows.append([0.0] + per_inp[infra.server_inp].tolist())
-            self.terms.append(rows)
-        self._demands: dict[np.dtype, list[list[np.ndarray]]] = {}
-        # per type: the int64 demand of each of its stages, main then backup
-        # per VNF, so a placed service's usage is one scatter-add over the
-        # states of its path (state 0, no backup, collects the rest)
-        self.stage_usage = [
-            np.repeat(np.array(rows).reshape(-1, infra.num_resources), 2, axis=0)
-            for rows in self.demands(np.dtype(np.int64))
-        ]
-
-        # Stage-kernel tables. A stage's columns are its candidate states:
-        # 1..S at a main stage, 0..S at a backup stage.
-        self.term_arrays = [[np.array(row) for row in rows] for rows in self.terms]
-        states = np.arange(n + 1)
-        self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
+        link = np.zeros((n + 1, n + 1))
+        link[1:, 1:] = infra.link_cost
+        self.link = link.tolist()
+        # the link rows over a stage's columns, its candidate states: 1..S
+        # at a main stage, 0..S at a backup stage
+        self.stage_links = {False: np.ascontiguousarray(link[:, 1:]), True: link}
         v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
         self.up = 1.0 - v
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
-        link = np.zeros((n + 1, n + 1))
-        link[1:, 1:] = infra.link_cost
-        self.stage_links = {False: np.ascontiguousarray(link[:, 1:]), True: link}
+        states = np.arange(n + 1)
+        self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
         # the stock of the kernel's state-0 row: it fits every demand
         self.pad = max((max(spec.demands) for t in catalog for spec in t.vnfs), default=0)
-        self._stock_draws: dict[np.dtype, list[list[np.ndarray]]] = {}
-        self._stage_tables: dict[tuple[int, int, bool], tuple] = {}
-
-    def demands(self, dtype: np.dtype) -> list[list[np.ndarray]]:
-        """Per (type, vnf) demand rows in the snapshot's dtype."""
-        rows = self._demands.get(dtype)
-        if rows is None:
-            rows = [[np.asarray(spec.demands, dtype=dtype) for spec in t.vnfs] for t in self.catalog]
-            self._demands[dtype] = rows
-        return rows
-
-    def stock_draws(self, dtype: np.dtype) -> list[list[np.ndarray]]:
-        """Per (type, vnf) the ``(S + 1, S + 1, R)`` stock each state draws
-        in the snapshot's dtype: row ``x`` holds the demand at state ``x``
-        and zeros elsewhere (state 0 draws nothing)."""
-        draws = self._stock_draws.get(dtype)
-        if draws is None:
-            n = self.infra.num_servers
-            servers = np.arange(1, n + 1)
-            draws = self._stock_draws[dtype] = []
-            for t in self.demands(dtype):
-                draws.append([])
-                for row in t:
-                    draw = np.zeros((n + 1, n + 1, len(row)), dtype=dtype)
-                    draw[servers, servers] = row
-                    draws[-1].append(draw)
-        return draws
-
-    def stage_table(self, l: int, u: int, backup: bool) -> tuple:
-        """Stage-kernel constants of VNF ``u`` of type ``l`` at its main or
-        backup stage: the charge row over all states and over the stage's
-        columns, the reliability targets over the columns and, for a
-        chain's first VNF, the score ``term + 0.0 + hinge`` before the path
-        cost is added (over the columns, and per main state at a backup
-        stage), else None."""
-        key = (l, u, backup)
-        table = self._stage_tables.get(key)
-        if table is None:
-            stype = self.catalog[l]
-            term = self.term_arrays[l][u]
-            cols = slice(0 if backup else 1, None)
-            target = self.targets[l][cols]
-            base = None
-            if u == 0:
-                up = self.backup_up if backup else self.up[cols]
-                hinge = np.maximum(target - up, 0.0) * stype.penalty
-                base = term[cols] + 0.0 + hinge
-            table = self._stage_tables[key] = (term, term[cols], target, base)
-        return table
+        # per (type, vnf): the charge of hosting it on each state
+        self.terms: list[list[np.ndarray]] = []
+        # per type: the demand of each of its stages, main then backup per
+        # VNF, so a placed service's usage is one scatter-add over the
+        # states of its path (state 0, no backup, collects the rest)
+        self.stage_usage: list[np.ndarray] = []
+        # per (type, vnf, backup stage?): the demand row; the stock each
+        # state draws, (S + 1, S + 1, R) with the demand at row x, column x
+        # (state 0 draws nothing); the charge row over all states and over
+        # the stage's columns; the reliability targets over the columns and,
+        # for a chain's first VNF, the score ``term + 0.0 + hinge`` before
+        # the path cost is added (per main state at a backup stage), else None
+        self.stage_tables: dict[tuple[int, int, bool], tuple] = {}
+        servers = states[1:]
+        for l, stype in enumerate(catalog):
+            terms, usage = [], []
+            for u, spec in enumerate(stype.vnfs):
+                demand = np.array(spec.demands, dtype=np.int64)
+                per_inp = infra.unit_cost @ demand.astype(float)
+                per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
+                term = np.concatenate(([0.0], per_inp[infra.server_inp]))
+                draw = np.zeros((n + 1, n + 1, len(demand)), dtype=np.int64)
+                draw[servers, servers] = demand
+                for backup in (False, True):
+                    cols = slice(0 if backup else 1, None)
+                    target = self.targets[l][cols]
+                    base = None
+                    if u == 0:
+                        up = self.backup_up if backup else self.up[cols]
+                        base = term[cols] + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
+                    self.stage_tables[l, u, backup] = (demand, draw, term, term[cols], target, base)
+                terms.append(term)
+                usage += [demand, demand]
+            self.terms.append(terms)
+            self.stage_usage.append(np.array(usage))
 
 
 class TrellisPlacement:
@@ -198,13 +168,14 @@ class TrellisPlacement:
         if not np.all((snap >= 0) & (snap <= infra.capacity)):
             raise ValueError("snapshot must lie within [0, capacity]")
 
-        self.action = tuple(int(a) for a in action)
         self.arrangement = tuple(int(l) for l in arrangement)
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)
-        # stage 0's stock: a copy of the snapshot behind the state-0 row
-        self._stock = np.empty((1, snap.shape[0] + 1, snap.shape[1]), dtype=snap.dtype)
+        # stage 0's stock: a copy of the snapshot behind the state-0 row, in
+        # a signed dtype (an unsigned stock cannot take an int64 subtraction)
+        stock_dtype = np.promote_types(snap.dtype, np.int8)
+        self._stock = np.empty((1, snap.shape[0] + 1, snap.shape[1]), dtype=stock_dtype)
         self._stock[0, 0] = self.context.pad
         self._stock[0, 1:] = snap
         self.evaluations = 0  # (predecessor, state) pairs scored by run()
@@ -251,12 +222,10 @@ class TrellisPlacement:
         ctx = self.context
         ids, cost, reliability, stock, _ = records[0]
         back1 = back2 = ids
-        demands = ctx.demands(stock.dtype)
-        draws = ctx.stock_draws(stock.dtype)
         one_resource = stock.shape[2] == 1
         for l, u, backup in self._stage_info:
-            term, term_cols, target, base = ctx.stage_table(l, u, backup)
-            fits = stock >= demands[l][u]
+            demand, draw, term, term_cols, target, base = ctx.stage_tables[l, u, backup]
+            fits = stock >= demand
             fits = fits[:, :, 0] if one_resource else fits.all(axis=2)
             if backup:
                 # a backup never shares its main's server
@@ -301,7 +270,7 @@ class TrellisPlacement:
 
             x2 = live if backup else live + 1
             stock = stock.take(pick, axis=0)
-            stock -= draws[l][u].take(x2, axis=0)
+            stock -= draw.take(x2, axis=0)
             # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
             # a first VNF is left out, as no cost is ever -0.0
             cost = cost[pick] + term[x2]
@@ -343,7 +312,7 @@ class TrellisPlacement:
                 route = self.catalog[l].bandwidth * (
                     link[path[m - 3]][x] + link[path[m - 4] if backup else path[m - 2]][x]
                 )
-            cost = cost + terms[l][u][x] + route
+            cost = cost + terms[l][u].item(x) + route
             if backup and u == self.catalog[l].num_vnfs - 1:
                 vnfs = tuple(
                     VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)

@@ -374,7 +374,7 @@ def search_pairs(tp, snapshot):
     """
     ctx = tp.context
     snap = np.array(snapshot, copy=True)
-    demands = ctx.demands(snap.dtype)
+    demands = [[np.array(spec.demands) for spec in t.vnfs] for t in tp.catalog]
     stages = [{0: PathState(0.0, 1.0, snap, ())}]
     evaluations = 0
     for m, (l, u, backup) in enumerate(tp._stage_info, start=1):

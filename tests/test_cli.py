@@ -129,6 +129,36 @@ class TestSimulate:
         assert "fingerprint" in err["message"]
 
     @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            (lambda p: p.pop("fingerprint"), 2, "was solved for a different setup"),
+            (lambda p: p.update(fingerprnt=p.pop("fingerprint")), 1, "fingerprnt: unknown field"),
+            (lambda p: p.update(fingerprint=None), 2, "was solved for a different setup"),
+        ],
+        ids=["removed", "misspelled", "null"],
+    )
+    def test_policy_without_fingerprint_rejected(
+        self, cfg_path, tmp_path, capsys, edit, code, message
+    ):
+        # each ran on a config with another failure_prob and exited 0
+        pol = tmp_path / "p.json"
+        assert main(["solve", "--config", cfg_path, "--out", str(pol)]) == 0
+        payload = json.loads(pol.read_text())
+        edit(payload)
+        pol.write_text(json.dumps(payload))
+        other = small_config_dict()
+        other["infrastructure"]["inps"][0]["failure_prob"] = 0.15
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        capsys.readouterr()
+        rc = main([
+            "simulate", "--config", str(other_path), "--strategy", "mdp",
+            "--policy", str(pol), "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == code
+        assert message in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
         "field, edit",
         [
             ("actions", lambda p: p.pop("actions")),
@@ -150,12 +180,15 @@ class TestSimulate:
             # stored solver settings obey the config's rules
             ("gamma", lambda p: p.update(gamma=1.5)),
             ("seed", lambda p: p.update(seed=-1)),
+            # a key that is no saved field is rejected, not skipped
+            ("fingerprnt", lambda p: p.update(fingerprnt=p.pop("fingerprint"))),
         ],
         ids=[
             "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
             "infeasible-actions", "arrangement-not-an-ordering", "converged-string",
             "seed-fraction", "iterations-fraction", "arrangements-bool", "gamma-string",
             "value-string", "action-float", "gamma-range", "seed-negative",
+            "fingerprint-misspelled",
         ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):

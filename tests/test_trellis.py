@@ -312,6 +312,17 @@ class TestSelfConsistency:
                 checked += 1
         assert checked > 0
 
+    def test_reported_figures_are_python_floats(self, bundled, rng):
+        # the charge rows are numpy arrays; the read-out's sums must not be
+        infra, catalog = bundled
+        placed = 0
+        for _ in range(10):
+            batch = random_batch_inputs(rng, infra, catalog)
+            for svc in nv.place_batch(*batch, catalog, infra).services:
+                assert type(svc.cost) is float and type(svc.failure_prob) is float
+                placed += 1
+        assert placed > 0
+
     def test_batch_respects_snapshot(self, bundled, rng):
         infra, catalog = bundled
         for _ in range(25):
@@ -347,8 +358,8 @@ class TestStageKernel:
         for setup in ("bundled", "reduced", "tiny2", "two_resource")
     ])
     def test_bit_equal_to_pair_loop(self, setup, dtype, request):
-        # dtype: every snapshot cast to it, since the stage kernel's stock
-        # padding and demand rows follow the snapshot's dtype
+        # dtype: every snapshot cast to it; the stage kernel's stock keeps
+        # the snapshot's dtype, and its int64 demand rows serve every dtype
         infra, catalog = request.getfixturevalue(setup)
         rng = np.random.default_rng(7)
         outcomes = set()
@@ -444,12 +455,28 @@ class TestPlacementContext:
     @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
     def test_shared_context_matches_own(self, setup, request):
         infra, catalog = request.getfixturevalue(setup)
-        # one context serves integer and float snapshots alike
+        # one context serves integer and float snapshots of either width alike
         context = nv.PlacementContext(catalog, infra)
-        for batch in random_batches(infra, catalog, seed=5, cases=20):
-            own = nv.TrellisPlacement(*batch, catalog, infra)
-            shared = nv.TrellisPlacement(*batch, catalog, infra, context)
-            assert outcome_record(shared, shared.run()) == outcome_record(own, own.run())
+        for action, arrangement, snapshot in random_batches(infra, catalog, seed=5, cases=20):
+            for dtype in (np.int64, np.int32, np.float32, np.float64):
+                batch = (action, arrangement, snapshot.astype(dtype))
+                own = nv.TrellisPlacement(*batch, catalog, infra)
+                shared = nv.TrellisPlacement(*batch, catalog, infra, context)
+                assert outcome_record(shared, shared.run()) == outcome_record(own, own.run())
+
+    @pytest.mark.parametrize("dtype", ["uint8", "uint32", "uint64"])
+    def test_unsigned_snapshot_matches_int64(self, reduced, dtype):
+        # the stock of an unsigned snapshot is held signed, so the int64
+        # demand rows subtract from it; outcomes equal the int64 snapshot's
+        infra, catalog = reduced
+        context = nv.PlacementContext(catalog, infra)
+        for action, arrangement, snapshot in random_batches(infra, catalog, seed=5, cases=20):
+            snapshot = snapshot.astype(np.int64)
+            signed = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra, context)
+            unsigned = nv.TrellisPlacement(
+                action, arrangement, snapshot.astype(dtype), catalog, infra, context
+            )
+            assert outcome_record(unsigned, unsigned.run()) == outcome_record(signed, signed.run())
 
     def test_context_of_another_setup_rejected(self, reduced):
         infra, catalog = reduced
