@@ -134,6 +134,8 @@ class Infrastructure:
         for arr in (self.v, self.unit_cost, self.capacity, self.server_inp,
                     self.deployment_cost, self.link_cost, self.alpha):
             arr.setflags(write=False)
+        # each server's failure probability as a float, read by server_failure
+        self._server_failure = self.v[self.server_inp].tolist()
 
     def server_id(self, inp: int, server: int) -> int:
         """Flat index of the given provider-local server."""
@@ -154,7 +156,7 @@ class Infrastructure:
         """Failure probability of the provider owning the given server."""
         if not 0 <= sid < self.num_servers:
             raise IndexError(f"server {sid} out of range")
-        return float(self.v[self.server_inp[sid]])
+        return self._server_failure[sid]
 
 
 @dataclass(frozen=True)
@@ -393,20 +395,21 @@ class ResourceLedger:
         """Consume server resources; rejects requests exceeding idle stock."""
         if usage.dtype.kind != "i":
             usage = _whole_table(usage, "usage")
-        if np.any(usage < 0):
+        if np.minimum.reduce(usage, axis=None, initial=0) < 0:
             raise LedgerError("usage must be non-negative")
-        if np.any(usage > self.server_idle):
+        left = self.server_idle - usage
+        if np.minimum.reduce(left, axis=None, initial=0) < 0:
             raise LedgerError("allocation exceeds idle resources")
-        self.server_idle -= np.asarray(usage, dtype=np.int64)
+        self.server_idle = left
 
     def release(self, usage: np.ndarray) -> None:
         """Return server resources; rejects releases exceeding capacity."""
         if usage.dtype.kind != "i":
             usage = _whole_table(usage, "usage")
-        if np.any(usage < 0):
+        if np.minimum.reduce(usage, axis=None, initial=0) < 0:
             raise LedgerError("usage must be non-negative")
-        freed = self.server_idle + np.asarray(usage, dtype=np.int64)
-        if np.any(freed > self.server_capacity):
+        freed = self.server_idle + usage
+        if np.logical_or.reduce(freed > self.server_capacity, axis=None):
             raise LedgerError("release exceeds capacity")
         self.server_idle = freed
 

@@ -256,8 +256,9 @@ class Simulation:
             self.ledger.release(self.actives[i].usage)
             self.actives.pop(i)
 
-        held = sum((svc.usage for svc in self.actives), start=np.zeros_like(self.ledger.server_idle))
-        if not np.array_equal(self.ledger.server_idle + held, self.ledger.server_capacity):
+        # the idle stock plus every active service's usage, one int64 sum
+        total = np.add.reduce([self.ledger.server_idle] + [svc.usage for svc in self.actives])
+        if not np.logical_and.reduce(total == self.ledger.server_capacity, axis=None):
             raise SimulationError(f"resource conservation broken at slot {self.slot}")
 
         self.slot += 1

@@ -43,8 +43,7 @@ def _traceback(records: list[tuple], m: int, i: int) -> tuple[int, ...]:
     """Server choices of survivor ``i`` at stage ``m``, read back through
     each stage's back-pointers."""
     path = []
-    for k in range(m, 0, -1):
-        ids, _, _, _, pick = records[k]
+    for ids, _, _, _, pick in records[m:0:-1]:
         path.append(ids.item(i))
         i = pick.item(i)
     return tuple(reversed(path))
@@ -66,9 +65,9 @@ class TrellisResult:
 class PlacementContext:
     """Trellis tables that depend only on ``(catalog, infra)``, built once
     per setup and shared by every batch placed on it. Demands are integers,
-    so one int64 demand row per (type, VNF) compares with and subtracts
-    from an integer or a float stock exactly: one table set serves every
-    snapshot dtype.
+    so the int64 demand tables of each (type, VNF) compare with and
+    subtract from an integer or a float stock exactly: one table set
+    serves every snapshot dtype.
 
     State id 0 is "no server": zero charge, no links and a failure
     probability of 1, so it never improves reliability.
@@ -81,9 +80,6 @@ class PlacementContext:
         link = np.zeros((n + 1, n + 1))
         link[1:, 1:] = infra.link_cost
         self.link = link.tolist()
-        # the link rows over a stage's columns, its candidate states: 1..S
-        # at a main stage, 0..S at a backup stage
-        self.stage_links = {False: np.ascontiguousarray(link[:, 1:]), True: link}
         v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
         self.up = 1.0 - v
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
@@ -97,16 +93,24 @@ class PlacementContext:
         # VNF, so a placed service's usage is one scatter-add over the
         # states of its path (state 0, no backup, collects the rest)
         self.stage_usage: list[np.ndarray] = []
-        # per (type, vnf, backup stage?): the demand row; the stock each
-        # state draws, (S + 1, S + 1, R) with the demand at row x, column x
-        # (state 0 draws nothing); the charge row over all states and over
-        # the stage's columns; the reliability targets over the columns and,
-        # for a chain's first VNF, the score ``term + 0.0 + hinge`` before
-        # the path cost is added (per main state at a backup stage), else None
-        self.stage_tables: dict[tuple[int, int, bool], tuple] = {}
+        # per type, in search order, one tuple per stage: the vnf index and
+        # whether it is a backup stage; the stock each state needs, (S + 1,
+        # R), or (S + 1,) when R = 1, which the state-0 row's stock fits at
+        # a backup stage ("no backup") and misses at a main stage; the
+        # stock each state draws, (S + 1, S + 1, R) with the demand at row
+        # x, column x (state 0 draws nothing); the charge row; the
+        # reliability targets; for a chain's first VNF, the score ``term +
+        # 0.0 + hinge`` before the path cost is added (per main state at a
+        # backup stage), else None; the type's bandwidth and its penalty
+        self.stage_tables: list[list[tuple]] = []
+        # the link table as the kernel reads it, and row x marking state x:
+        # a backup stage's predecessor holds its main there
+        self.link_rows = link
+        self.same_server = np.eye(n + 1, dtype=bool)
         servers = states[1:]
         for l, stype in enumerate(catalog):
-            terms, usage = [], []
+            terms, usage, tables = [], [], []
+            target = self.targets[l]
             for u, spec in enumerate(stype.vnfs):
                 demand = np.array(spec.demands, dtype=np.int64)
                 per_inp = infra.unit_cost @ demand.astype(float)
@@ -115,17 +119,22 @@ class PlacementContext:
                 draw = np.zeros((n + 1, n + 1, len(demand)), dtype=np.int64)
                 draw[servers, servers] = demand
                 for backup in (False, True):
-                    cols = slice(0 if backup else 1, None)
-                    target = self.targets[l][cols]
+                    need = np.tile(demand, (n + 1, 1))
+                    if not backup:
+                        need[0] = self.pad + 1
                     base = None
                     if u == 0:
-                        up = self.backup_up if backup else self.up[cols]
-                        base = term[cols] + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
-                    self.stage_tables[l, u, backup] = (demand, draw, term, term[cols], target, base)
+                        up = self.backup_up if backup else self.up
+                        base = term + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
+                    tables.append((
+                        u, backup, need[:, 0] if len(demand) == 1 else need, draw, term,
+                        target, base, stype.bandwidth, stype.penalty,
+                    ))
                 terms.append(term)
                 usage += [demand, demand]
             self.terms.append(terms)
             self.stage_usage.append(np.array(usage))
+            self.stage_tables.append(tables)
 
 
 class TrellisPlacement:
@@ -152,7 +161,7 @@ class TrellisPlacement:
             raise ValueError("placement context was built for another catalog or infrastructure")
         if len(action) != len(catalog):
             raise ValueError("action length must match the catalog")
-        if any(a < 0 for a in action):
+        if min(action, default=0) < 0:
             raise ValueError("action counts must be non-negative")
         arrangement = tuple(arrangement)
         # equal lengths and equal counts of every type leave no room for an
@@ -165,10 +174,13 @@ class TrellisPlacement:
         if snap.shape != (infra.num_servers, infra.num_resources):
             raise ValueError("snapshot shape must be (servers, resources)")
         # written so that NaN fails too
-        if not np.all((snap >= 0) & (snap <= infra.capacity)):
+        if not (
+            np.minimum.reduce(snap, axis=None) >= 0
+            and np.logical_and.reduce(snap <= infra.capacity, axis=None)
+        ):
             raise ValueError("snapshot must lie within [0, capacity]")
 
-        self.arrangement = tuple(int(l) for l in arrangement)
+        self.arrangement = tuple(map(int, arrangement))
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)
@@ -180,16 +192,19 @@ class TrellisPlacement:
         self._stock[0, 1:] = snap
         self.evaluations = 0  # (predecessor, state) pairs scored by run()
 
-        # Stage table: (type, vnf index, backup stage?), main before backup.
-        self._stage_info: list[tuple[int, int, bool]] = [
-            (l, u, backup) for l in self.arrangement
-            for u in range(catalog[l].num_vnfs) for backup in (False, True)
-        ]
-        self.num_stages = len(self._stage_info)
+        self.num_stages = sum(len(self.context.stage_tables[l]) for l in self.arrangement)
         # one record per stage, stage 0 first, as run() leaves them: the
         # survivors' state ids, costs, reliabilities and (P, S + 1, R) stock
         # behind a state-0 row, and each one's predecessor index ``pick``
         self.stages: list[tuple] | None = None
+
+    @property
+    def _stage_info(self) -> list[tuple[int, int, bool]]:
+        """Each stage's (type, vnf index, backup stage?), main before backup."""
+        return [
+            (l, u, backup) for l in self.arrangement
+            for u, backup, *_ in self.context.stage_tables[l]
+        ]
 
     # -- search ---------------------------------------------------------
 
@@ -214,71 +229,86 @@ class TrellisPlacement:
         same order. False when a main stage has no feasible server.
 
         A stage keeps only its survivors' arrays and a back-pointer to each
-        one's predecessor; the states of the last three stages along each
-        survivor's path (``ids``, ``back1``, ``back2``) feed the routing
-        charge. The stock carries a state-0 row that fits every demand, so
-        "no backup" needs no special column.
+        one's predecessor. Every stage scores the same S + 1 columns, one
+        per state: the stock carries a state-0 row that fits every demand,
+        so "no backup" needs no special column, and a main stage's state-0
+        column never fits. A main stage routes from the previous VNF's main
+        (``back1``) and backup (``ids``); the backup stage after it links
+        to the same two servers, so it takes the main stage's route rows
+        along the back-pointers instead of forming them again.
         """
         ctx = self.context
         ids, cost, reliability, stock, _ = records[0]
-        back1 = back2 = ids
+        back1 = ids
+        up, backup_up, link = ctx.up, ctx.backup_up, ctx.link_rows
+        up_column = up[:, None]
         one_resource = stock.shape[2] == 1
-        for l, u, backup in self._stage_info:
-            demand, draw, term, term_cols, target, base = ctx.stage_tables[l, u, backup]
-            fits = stock >= demand
-            fits = fits[:, :, 0] if one_resource else fits.all(axis=2)
-            if backup:
-                # a backup never shares its main's server
-                mask = fits
-                mask[np.arange(len(ids)), ids] = False
-            else:
-                mask = fits[:, 1:]
-            live = mask.any(axis=0).nonzero()[0]
-            if not live.size:
-                return False
-            self.evaluations += int(np.count_nonzero(mask))
-
-            if u == 0:
-                if backup:
-                    tau = ctx.backup_up.take(ids, axis=0)
-                    theta = base.take(ids, axis=0) + cost[:, None]
+        evaluations = 0
+        for l in self.arrangement:
+            for u, backup, need, draw, term, target, base, bandwidth, penalty in ctx.stage_tables[l]:
+                # the infeasible pairs: some resource short, or at a backup
+                # stage the main's own server, as a backup never shares it
+                if one_resource:
+                    short = stock[:, :, 0] < need
                 else:
-                    tau = ctx.up[1:]
-                    theta = base + cost[:, None]
-            else:
-                stype = self.catalog[l]
-                # links from the previous vnf's main and backup: the last
-                # two states at a main stage, the two before at a backup stage
-                link = ctx.stage_links[backup]
-                route = link.take(back1, axis=0)
-                route += link.take(back2 if backup else ids, axis=0)
-                route *= stype.bandwidth
+                    short = np.logical_or.reduce(stock < need, axis=2)
                 if backup:
-                    # swap the trailing main-only factor for the protected one
-                    tau = reliability[:, None] * ctx.backup_up.take(ids, axis=0)
-                    tau /= ctx.up[ids][:, None]
-                else:
-                    tau = reliability[:, None] * ctx.up[1:]
-                hinge = target - tau
-                np.maximum(hinge, 0.0, out=hinge)
-                hinge *= stype.penalty
-                theta = term_cols + route
-                theta += hinge
-                theta += cost[:, None]
-            # argmin keeps the first minimum: ties go to the lowest x1
-            pick = np.where(mask, theta, np.inf).argmin(axis=0)[live]
+                    short |= ctx.same_server.take(ids, axis=0)
+                live = (~np.logical_and.reduce(short, axis=0)).nonzero()[0]
+                if not live.size:
+                    self.evaluations = int(evaluations)
+                    return False
+                evaluations += short.size - np.count_nonzero(short)
 
-            x2 = live if backup else live + 1
-            stock = stock.take(pick, axis=0)
-            stock -= draw.take(x2, axis=0)
-            # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
-            # a first VNF is left out, as no cost is ever -0.0
-            cost = cost[pick] + term[x2]
-            if u:
-                cost += route[pick, live]
-            reliability = tau[pick, live] if tau.ndim == 2 else tau[live]
-            ids, back1, back2 = x2, ids[pick], back1[pick]
-            records.append((ids, cost, reliability, stock, pick))
+                if u == 0:
+                    if backup:
+                        tau = backup_up.take(ids, axis=0)
+                        theta = base.take(ids, axis=0) + cost[:, None]
+                    else:
+                        tau = up
+                        theta = base + cost[:, None]
+                else:
+                    if backup:
+                        # swap the trailing main-only factor for the protected one
+                        tau = reliability[:, None] * backup_up.take(ids, axis=0)
+                        tau /= up_column.take(ids, axis=0)
+                    else:
+                        route = link.take(back1, axis=0)
+                        route += link.take(ids, axis=0)
+                        route *= bandwidth
+                        tau = reliability[:, None] * up
+                    hinge = target - tau
+                    np.maximum(hinge, 0.0, out=hinge)
+                    hinge *= penalty
+                    theta = term + route
+                    theta += hinge
+                    theta += cost[:, None]
+                # argmin keeps the first minimum: ties go to the lowest x1
+                np.putmask(theta, short, np.inf)
+                pick = theta.argmin(axis=0).take(live)
+
+                stock = stock.take(pick, axis=0)
+                stock -= draw.take(live, axis=0)
+                # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
+                # a first VNF is left out, as no cost is ever -0.0
+                cost = cost.take(pick) + term.take(live)
+                if tau.ndim == 2:
+                    # each survivor's (predecessor, state) entry, flattened
+                    at = pick * len(up)
+                    at += live
+                    reliability = tau.take(at)
+                    if u:
+                        cost += route.take(at)
+                        if not backup:
+                            # the backup stage's route rows
+                            route = route.take(pick, axis=0)
+                else:
+                    reliability = tau.take(live)
+                if backup:
+                    back1 = ids.take(pick)
+                ids = live
+                records.append((ids, cost, reliability, stock, pick))
+        self.evaluations = int(evaluations)
         return True
 
     def _read_out(self, records: list[tuple]) -> TrellisResult:
@@ -299,32 +329,38 @@ class TrellisPlacement:
         # argmin keeps the first minimum, as a strict "<" scan in state order
         path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
 
-        link, terms = ctx.link, ctx.terms
+        link = ctx.link
         usage_shape = (self.infra.num_servers + 1, self.infra.num_resources)
         services: list[PlacedService] = []
-        for m, (l, u, backup) in enumerate(self._stage_info, start=1):
-            x = path[m - 1]
-            if u == 0:
-                route = 0.0
-                if not backup:
-                    first, cost = m - 1, 0.0
-            else:
-                route = self.catalog[l].bandwidth * (
-                    link[path[m - 3]][x] + link[path[m - 4] if backup else path[m - 2]][x]
-                )
-            cost = cost + terms[l][u].item(x) + route
-            if backup and u == self.catalog[l].num_vnfs - 1:
-                vnfs = tuple(
-                    VnfPlacement(path[i] - 1, path[i + 1] - 1 if path[i + 1] else None)
-                    for i in range(first, m, 2)
-                )
-                usage = np.zeros(usage_shape, dtype=np.int64)
-                np.add.at(usage, list(path[first:m]), ctx.stage_usage[l])
-                services.append(PlacedService(
-                    l, ServicePlacement(l, vnfs), cost,
-                    service_failure_probability(vnfs, self.infra),
-                    usage[1:],
-                ))
+        end = 0
+        for l in self.arrangement:
+            # the service's stages, main then backup per VNF
+            first, end = end, end + len(ctx.stage_tables[l])
+            seg = path[first:end]
+            terms, bandwidth = ctx.terms[l], self.catalog[l].bandwidth
+            cost = 0.0
+            vnfs = []
+            for u, (x, y) in enumerate(zip(seg[::2], seg[1::2])):
+                term = terms[u]
+                if u:
+                    # main x and backup y each link to the previous vnf's two
+                    # servers; a first VNF routes nothing, and its "+ 0.0" is
+                    # left out, as no cost is ever -0.0
+                    to_main, to_backup = link[main], link[backup]
+                    cost = cost + term.item(x) + bandwidth * (to_main[x] + to_backup[x])
+                    cost = cost + term.item(y) + bandwidth * (to_backup[y] + to_main[y])
+                else:
+                    cost = cost + term.item(x) + term.item(y)
+                main, backup = x, y
+                vnfs.append(VnfPlacement(x - 1, y - 1 if y else None))
+            vnfs = tuple(vnfs)
+            usage = np.zeros(usage_shape, dtype=np.int64)
+            np.add.at(usage, list(seg), ctx.stage_usage[l])
+            services.append(PlacedService(
+                l, ServicePlacement(l, vnfs), cost,
+                service_failure_probability(vnfs, self.infra),
+                usage[1:],
+            ))
 
         return TrellisResult(True, services, path)
 

@@ -203,6 +203,19 @@ class TestConservationAndErrors:
             report = nv.run_experiment(infra, catalog, strategy, 200, 5)
             assert report.slots == 200
 
+    @pytest.mark.parametrize("strategy", ["trellis", "cera"])
+    def test_tampered_ledger_breaks_conservation(self, reduced, strategy):
+        # one unit of idle stock lost outside allocate and release: the next
+        # slot's check finds idle + held short of capacity and names the slot
+        infra, catalog = reduced
+        sim = nv.Simulation(infra, catalog, strategy, seed=5)
+        for _ in range(3):
+            sim.run_slot()
+        server = int(np.argmax(sim.ledger.server_idle[:, 0]))
+        sim.ledger.server_idle[server, 0] -= 1
+        with pytest.raises(nv.SimulationError, match=r"^resource conservation broken at slot 3$"):
+            sim.run_slot()
+
     def test_mdp_strategy_requires_policy(self, reduced):
         infra, catalog = reduced
         with pytest.raises((nv.SimulationError, ValueError)):
