@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .jsonio import json_list
+from .jsonio import json_list, to_json
 from .mdp import TransitionModel, build_state_space
 from .model import LedgerError, ResourceLedger
 from .oracle import OBJECTIVES, OracleError, best_placement
@@ -28,18 +28,17 @@ from .sim import MDP_STRATEGY, STRATEGY_IDS, SimulationError, run_experiment
 
 ORACLE_MAX_SERVERS = 8
 ORACLE_MAX_VNFS = 8
+# the run figures that simulate prints and compare tabulates and summarizes
+REPORTED = ("admission_ratio", "mean_placement_cost", "backups_per_vnf")
 
 
 def _fail(exc: Exception, code: int) -> int:
-    line = json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-    )
-    print(line, file=sys.stderr)
+    _emit({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
     return code
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(payload: dict, file=None) -> None:
+    print(json.dumps(payload, sort_keys=True), file=file)
 
 
 def _load_policy_for(cfg: ExperimentConfig, path: str) -> Policy:
@@ -65,6 +64,19 @@ def _setting(params, name: str, flag: str, value):
         raise ConfigError(f"{flag}: {str(exc).partition(': ')[2]}, got {value}") from exc
 
 
+def _distinct_files(args, outputs: dict[str, str]) -> None:
+    """Rejects outputs (each path keyed by what it is) that resolve to one
+    file, or to ``--config`` or ``--policy``: the run would overwrite what
+    it wrote or what it read."""
+    files = {Path(args.config).resolve(): "--config"}
+    if getattr(args, "policy", None) is not None:
+        files[Path(args.policy).resolve()] = "--policy"
+    for what, path in outputs.items():
+        other = files.setdefault(Path(path).resolve(), what)
+        if other != what:
+            raise ConfigError(f"{what} and {other} name one file, {path}")
+
+
 def _distinct(entries: list, flag: str) -> None:
     """Rejects a list that names an entry twice: each repeat would add an
     identical run to the grid and count again in its statistics."""
@@ -74,26 +86,17 @@ def _distinct(entries: list, flag: str) -> None:
 
 
 def _cmd_solve(args) -> int:
+    trace_path = f"{args.out}.trace.csv"
+    _distinct_files(args, {"--out": args.out, "the --out trace": trace_path})
     cfg = load_config(args.config)
     seed = _setting(cfg.mdp, "seed", "--seed", args.seed)
     space = build_state_space(cfg.service_types, cap=cfg.mdp.state_space_cap)
     model = TransitionModel(space, cfg.service_types)
     policy = value_iteration(
-        space,
-        model,
-        cfg.service_types,
-        cfg.infrastructure,
-        gamma=cfg.mdp.gamma,
-        epsilon=cfg.mdp.epsilon,
-        num_arrangements=cfg.mdp.num_arrangements,
-        seed=seed,
-        max_iterations=cfg.mdp.max_iterations,
-        alpha_init=cfg.mdp.alpha_init,
-        estimate_discount=cfg.mdp.estimate_discount,
-        fingerprint=cfg.fingerprint,
+        space, model, cfg.service_types, cfg.infrastructure, fingerprint=cfg.fingerprint,
+        **asdict(replace(cfg.mdp, seed=seed)),
     )
     policy.save(args.out)
-    trace_path = f"{args.out}.trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,mean_value,sup_diff,trellis_searches,memo_hits,continuations\n")
         for i, (mv, sd, counts) in enumerate(
@@ -120,6 +123,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    summary_path = str(Path(args.out).with_suffix(".json"))
+    _distinct_files(args, {"--out": args.out, "the --out summary": summary_path})
     cfg = load_config(args.config)
     policy = None
     if args.strategy == MDP_STRATEGY:
@@ -132,7 +137,6 @@ def _cmd_simulate(args) -> int:
         cfg.infrastructure, cfg.service_types, args.strategy, slots, seed, policy
     )
     report.to_csv(args.out)
-    summary_path = str(Path(args.out).with_suffix(".json"))
     report.to_json(summary_path)
     _emit(
         {
@@ -140,9 +144,7 @@ def _cmd_simulate(args) -> int:
             "strategy": args.strategy,
             "slots": slots,
             "seed": seed,
-            "admission_ratio": report.admission_ratio,
-            "mean_placement_cost": report.mean_placement_cost,
-            "backups_per_vnf": report.backups_per_vnf,
+            **{name: getattr(report, name) for name in REPORTED},
             "csv": str(args.out),
             "summary": summary_path,
         }
@@ -151,6 +153,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    summary_path = str(Path(args.out).with_suffix(".json"))
+    _distinct_files(args, {"--out": args.out, "the --out summary": summary_path})
     cfg = load_config(args.config)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
@@ -175,36 +179,32 @@ def _cmd_compare(args) -> int:
         policy = _load_policy_for(cfg, args.policy)
     slots = _setting(cfg.sim, "slots", "--slots", args.slots)
 
+    # each strategy's runs, one per seed in --seeds order
     reports = {
-        (strategy, seed): run_experiment(
-            cfg.infrastructure, cfg.service_types, strategy, slots, seed, policy
-        )
+        strategy: [
+            run_experiment(cfg.infrastructure, cfg.service_types, strategy, slots, seed, policy)
+            for seed in seeds
+        ]
         for strategy in strategies
-        for seed in seeds
     }
 
+    columns = (*REPORTED, "mean_admitted_chain_length")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "strategy,seed,admission_ratio,mean_placement_cost,"
-            "backups_per_vnf,mean_admitted_chain_length\n"
-        )
-        for strategy in strategies:
-            for seed in seeds:
-                r = reports[(strategy, seed)]
-                fh.write(
-                    f"{strategy},{seed},{r.admission_ratio!r},"
-                    f"{r.mean_placement_cost!r},{r.backups_per_vnf!r},"
-                    f"{r.mean_admitted_chain_length!r}\n"
-                )
+        fh.write(",".join(("strategy", "seed", *columns)) + "\n")
+        for strategy, runs in reports.items():
+            for seed, r in zip(seeds, runs):
+                fh.write(",".join([strategy, str(seed), *(repr(getattr(r, c)) for c in columns)]))
+                fh.write("\n")
+
     def stats(values: list[float]) -> dict:
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / len(values)
         return {"mean": mean, "stddev": var**0.5}
 
-    def by_length(strategy: str) -> dict:
+    def by_length(runs: list) -> dict:
         merged: dict[str, list[float]] = {}
-        for seed in seeds:
-            for u, r in reports[(strategy, seed)].admission_ratio_by_length().items():
+        for run in runs:
+            for u, r in run.admission_ratio_by_length().items():
                 merged.setdefault(str(u), []).append(r)
         return {u: stats(rs) for u, rs in sorted(merged.items())}
 
@@ -214,22 +214,13 @@ def _cmd_compare(args) -> int:
         "seeds": seeds,
         "strategies": {
             strategy: {
-                "admission_ratio": stats(
-                    [reports[(strategy, seed)].admission_ratio for seed in seeds]
-                ),
-                "mean_placement_cost": stats(
-                    [reports[(strategy, seed)].mean_placement_cost for seed in seeds]
-                ),
-                "backups_per_vnf": stats(
-                    [reports[(strategy, seed)].backups_per_vnf for seed in seeds]
-                ),
-                "admission_ratio_by_length": by_length(strategy),
+                **{name: stats([getattr(r, name) for r in runs]) for name in REPORTED},
+                "admission_ratio_by_length": by_length(runs),
             }
-            for strategy in strategies
+            for strategy, runs in reports.items()
         },
         "csv": str(args.out),
     }
-    summary_path = str(Path(args.out).with_suffix(".json"))
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -279,14 +270,8 @@ def _cmd_oracle(args) -> int:
             f"{total_vnfs} functions exceeds the exhaustive-search "
             f"limit of {ORACLE_MAX_VNFS}"
         )
-    ledger = ResourceLedger.full(infra)
-    result = best_placement(
-        instance,
-        cfg.service_types,
-        infra,
-        ledger.server_idle,
-        objective=args.objective,
-    )
+    idle = ResourceLedger.full(infra).server_idle
+    result = best_placement(instance, cfg.service_types, infra, idle, objective=args.objective)
     payload = {
         "command": "oracle",
         "instance": instance,
@@ -297,15 +282,7 @@ def _cmd_oracle(args) -> int:
     if result.valid:
         payload["objective_value"] = result.objective
         payload["failure_probs"] = list(result.failure_probs)
-        payload["services"] = [
-            {
-                "type_index": svc.type_index,
-                "vnfs": [
-                    {"main": vp.main, "backup": vp.backup} for vp in svc.vnfs
-                ],
-            }
-            for svc in result.plan.services
-        ]
+        payload["services"] = to_json(result.plan.services)
     _emit(payload)
     return 0
 

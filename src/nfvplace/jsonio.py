@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .model import VnfSpec
+from .model import InP, VnfSpec
 
 # the Python type each JSON type reads as; a bool is not a number
 _JSON_TYPES = {
@@ -50,6 +50,13 @@ def json_rows(values, expected: str, name: str) -> list[list]:
     ]
 
 
+def json_items(values, name: str) -> list:
+    """``values`` once it is a non-empty JSON list."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{name}: expected a non-empty list")
+    return values
+
+
 def json_object(spec, path: str, known) -> dict:
     """``spec`` once it is a JSON object holding only the keys ``known``."""
     json_value(spec, "an object", path or "top level")
@@ -81,9 +88,15 @@ READERS = {
         map(tuple, json_rows(v, "an integer", name))
     ),
     "list[tuple[int, ...]]": lambda v, name: list(map(tuple, json_rows(v, "an integer", name))),
+    # a table's rows as read; the constructor makes the array, so a ragged
+    # table fails there with the object's path
+    "Table": lambda v, name: json_rows(v, "a number", name),
     "tuple[VnfSpec, ...]": lambda v, name: tuple(
         read_object(VnfSpec, spec, f"{name}[{k}]")
         for k, spec in enumerate(json_value(v, "a list", name))
+    ),
+    "tuple[InP, ...]": lambda v, name: tuple(
+        read_object(InP, spec, f"{name}[{k}]") for k, spec in enumerate(json_items(v, name))
     ),
 }
 
@@ -122,10 +135,14 @@ def read_fields(cls, spec, path: str = "") -> dict:
 
 
 def read_object(cls, spec, path: str):
-    """``cls`` built from :func:`read_fields`, each float field finite. A
-    constructor error is raised again after ``path``: joined with a dot
-    when it names its field (``gamma: must lie in (0, 1)``), else a colon."""
-    values = read_fields(cls, spec, path)
+    """``cls`` built by :func:`build` from :func:`read_fields`."""
+    return build(cls, read_fields(cls, spec, path), path)
+
+
+def build(cls, values: dict, path: str):
+    """``cls(**values)``, each float value finite. A constructor error is
+    raised again after ``path``: joined with a dot when it names its field
+    (``gamma: must lie in (0, 1)``), else a colon."""
     for key, value in values.items():
         if isinstance(value, float):
             finite(value, at(path, key))

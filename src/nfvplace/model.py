@@ -54,6 +54,13 @@ class InP:
             raise ValueError("server capacities must be non-negative")
 
 
+# a numeric table: JSON holds it as rows of numbers
+Table = np.ndarray
+
+
+# eq=False keeps equality and hashing by identity: setups built from one
+# infrastructure check it with ``is``
+@dataclass(eq=False)
 class Infrastructure:
     """Read-only aggregate of all providers.
 
@@ -63,27 +70,26 @@ class Infrastructure:
     level ``v_base``. Servers are the only capacity; links have a cost only.
     """
 
-    def __init__(
-        self,
-        inps: Sequence[InP],
-        alpha: Sequence[float],
-        beta: float,
-        v_base: float,
-        deployment_cost,
-        link_cost=None,
-    ) -> None:
-        self.inps = tuple(inps)
+    inps: tuple[InP, ...]
+    alpha: np.ndarray
+    beta: float
+    v_base: float
+    deployment_cost: Table
+    link_cost: Table | None = None
+
+    def __post_init__(self) -> None:
+        self.inps = tuple(self.inps)
         if not self.inps:
             raise ValueError("need at least one provider")
-        self.alpha = np.asarray(alpha, dtype=float)
+        self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.ndim != 1 or self.alpha.size == 0:
             raise ValueError("alpha must be a non-empty vector")
         if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
             raise ValueError("resource weights must lie in [0, 1]")
-        self.beta = float(beta)
+        self.beta = float(self.beta)
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
-        self.v_base = float(v_base)
+        self.v_base = float(self.v_base)
         if not 0.0 < self.v_base < 1.0:
             raise ValueError("v_base must lie in (0, 1)")
 
@@ -107,7 +113,7 @@ class Infrastructure:
         # cheap providers are the failure-prone ones: cost rises as v_i falls
         self.unit_cost = self.alpha[None, :] * np.exp(self.beta * (self.v_base - self.v))[:, None]
 
-        dep = np.asarray(deployment_cost, dtype=float)
+        dep = np.asarray(self.deployment_cost, dtype=float)
         if dep.ndim != 2 or dep.shape[0] != self.num_inps:
             raise ValueError("deployment_cost must be a (providers x vnf types) table")
         if not np.all(np.isfinite(dep) & (dep >= 0)):
@@ -116,9 +122,7 @@ class Infrastructure:
         self.num_vnf_types = int(dep.shape[1])
 
         s = self.num_servers
-        if link_cost is None:
-            link_cost = np.zeros((s, s))
-        lc = np.asarray(link_cost, dtype=float)
+        lc = np.zeros((s, s)) if self.link_cost is None else np.asarray(self.link_cost, dtype=float)
         if lc.shape != (s, s):
             raise ValueError("link_cost must be a square servers x servers table")
         if not np.all(np.isfinite(lc)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -306,14 +306,8 @@ def value_iteration(
     catalog: Catalog,
     infra: Infrastructure,
     *,
-    gamma: float = MdpParams.gamma,
-    epsilon: float | None = MdpParams.epsilon,
-    num_arrangements: int = MdpParams.num_arrangements,
-    seed: int = MdpParams.seed,
-    max_iterations: int = MdpParams.max_iterations,
-    alpha_init: float = MdpParams.alpha_init,
-    estimate_discount: float = MdpParams.estimate_discount,
     fingerprint: str | None = None,
+    **settings,
 ) -> Policy:
     """Solve the admission problem by synchronous value iteration.
 
@@ -326,6 +320,9 @@ def value_iteration(
     keeps later sweeps stationary. Stops when the sup-norm change of the
     value table falls below ``epsilon`` (at least two sweeps run).
 
+    ``settings`` are :class:`MdpParams` fields by name, defaulted and range
+    checked as declared there; an unknown name raises ``TypeError``.
+
     The trellis search runs once per distinct (action, arrangement,
     snapshot) input of the call; a repeated input reuses that outcome,
     but still updates the estimator and the arrangement ledger, so the
@@ -333,16 +330,13 @@ def value_iteration(
     expected previous-sweep value after each distinct post-admission active
     vector is computed once; ``Policy.sweep_counts`` records both savings.
     """
-    if epsilon is None:
-        epsilon = 1e-3 * max(t.admission_reward for t in catalog)
-    # range checks; ResourceEstimator checks the estimator's two settings
-    MdpParams(
-        gamma=gamma, epsilon=epsilon, num_arrangements=num_arrangements,
-        max_iterations=max_iterations, seed=seed,
-    )
+    params = MdpParams(**settings)
+    if params.epsilon is None:
+        params = replace(params, epsilon=1e-3 * max(t.admission_reward for t in catalog))
+    gamma, epsilon, num_arrangements = params.gamma, params.epsilon, params.num_arrangements
 
-    rng = np.random.default_rng(seed)
-    estimator = ResourceEstimator(space, infra, alpha_init, estimate_discount)
+    rng = np.random.default_rng(params.seed)
+    estimator = ResourceEstimator(space, infra, params.alpha_init, params.estimate_discount)
     context = PlacementContext(catalog, infra)
     usage_shape = (infra.num_servers, infra.num_resources)
     strides = space.active_strides
@@ -366,7 +360,7 @@ def value_iteration(
     converged = False
     iterations = 0
 
-    for sweep in range(1, max_iterations + 1):
+    for sweep in range(1, params.max_iterations + 1):
         prev_matrix = values.reshape(space.num_arrival, space.num_active)
         expected_prev = model.arrival_probs @ prev_matrix  # over destination actives
         new_values = np.empty_like(values)
@@ -451,7 +445,7 @@ def value_iteration(
         values=values,
         gamma=gamma,
         epsilon=float(epsilon),
-        seed=seed,
+        seed=params.seed,
         num_arrangements=num_arrangements,
         iterations=iterations,
         converged=converged,

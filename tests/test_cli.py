@@ -505,3 +505,89 @@ class TestRecordedOutputs:
                 outputs[name] = (tmp_path / name).read_bytes()
         digests = {name: hashlib.sha256(data).hexdigest()[:16] for name, data in outputs.items()}
         assert digests == self.DIGESTS
+
+
+class TestEveryCommandRecorded:
+    """Every command's stdout and every file it writes, the oracle's and an
+    mdp compare's too, pinned to SHA-256 prefixes recorded before the
+    infrastructure section, the solver settings and the printed records
+    were read and written from their declarations."""
+
+    COMMANDS = [
+        ("solve", ["solve", "--out", "pol.json"]),
+        ("simulate mdp", ["simulate", "--strategy", "mdp", "--policy", "pol.json",
+                          "--out", "mdp.csv"]),
+        ("simulate cera", ["simulate", "--strategy", "cera", "--seed", "2", "--out", "cera.csv"]),
+        ("compare", ["compare", "--strategies",
+                     "trellis,min_resource,min_reliability,cera,redundant_vnf,mdp",
+                     "--seeds", "1,2", "--slots", "15", "--policy", "pol.json",
+                     "--out", "cmp.csv"]),
+        ("oracle reliable", ["oracle", "--instance", "0,0"]),
+        ("oracle penalized", ["oracle", "--instance", "0,0", "--objective", "penalized"]),
+    ]
+    DIGESTS = {
+        "solve stdout": "5fa4b8df5805d01f",
+        "simulate mdp stdout": "3c23abbbeace4ae9",
+        "simulate cera stdout": "9acd3631b8f1d649",
+        "compare stdout": "73c2d6f4dd41a7ce",
+        "oracle reliable stdout": "1bd2fe7abe7a0ee8",
+        "oracle penalized stdout": "d3204cf247b766f4",
+        "cera.csv": "9226d3eececeb193",
+        "cera.json": "2d8c1d0dc03b26e2",
+        "cmp.csv": "72910420f231b6db",
+        "cmp.json": "3c10bbe954a9783f",
+        "exp.json": "053a2b82e28914ed",
+        "mdp.csv": "a07c2312c40b25a1",
+        "mdp.json": "d974a30ef9480c4c",
+        "pol.json": "6fb409bbf8d41a2f",
+        "pol.json.trace.csv": "4ed8f573947c9288",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "exp.json").write_text(json.dumps(small_config_dict(slots=25, seed=5)))
+        monkeypatch.chdir(tmp_path)
+        outputs = {}
+        for name, (command, *args) in self.COMMANDS:
+            assert main([command, "--config", "exp.json", *args]) == 0
+            outputs[f"{name} stdout"] = capsys.readouterr().out.encode()
+        for path in tmp_path.iterdir():
+            outputs[path.name] = path.read_bytes()
+        digests = {name: hashlib.sha256(data).hexdigest()[:16] for name, data in outputs.items()}
+        assert digests == self.DIGESTS
+
+
+class TestOutputsKeepInputs:
+    """Each run used to exit 0 after writing over its own input or output."""
+
+    @pytest.mark.parametrize("config, args, message", [
+        # the policy artifact replaced the config
+        ("exp.json", ["solve", "--out", "exp.json"], "--out and --config name one file"),
+        ("exp.trace.csv", ["solve", "--out", "exp"], "the --out trace and --config name one file"),
+        # the summary replaced the config, so the next run failed to load it
+        ("exp.json", ["simulate", "--strategy", "cera", "--out", "exp.csv"],
+         "the --out summary and --config name one file"),
+        # the summary replaced the CSV just written
+        ("exp.json", ["simulate", "--strategy", "cera", "--out", "run.json"],
+         "the --out summary and --out name one file"),
+        # the summary replaced the policy the run had read
+        ("exp.json", ["compare", "--strategies", "cera,mdp", "--seeds", "1",
+                      "--policy", "pol.json", "--out", "pol.csv"],
+         "the --out summary and --policy name one file"),
+        ("exp.json", ["compare", "--strategies", "cera", "--seeds", "1", "--out", "cmp.json"],
+         "the --out summary and --out name one file"),
+    ], ids=["solve-config", "solve-trace-config", "simulate-config", "simulate-out",
+            "compare-policy", "compare-out"])
+    def test_colliding_output_exits_two(
+        self, tmp_path, monkeypatch, capsys, config, args, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / config).write_text(json.dumps(small_config_dict(slots=5)))
+        assert main(["solve", "--config", config, "--out", "pol.json"]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = main([args[0], "--config", config, *args[1:]])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(message)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

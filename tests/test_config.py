@@ -133,8 +133,11 @@ class TestDiagnostics:
         (lambda cfg: cfg["service_types"][0]["vnfs"][1].pop("demands"),
          "service_types[0].vnfs[1].demands: missing required field"),
         (lambda cfg: cfg["service_types"][0].update(vnfs=[7]), "service_types[0].vnfs[0]: expected an object"),
+        (lambda cfg: cfg["infrastructure"].update(inps=[]), "infrastructure.inps: expected a non-empty list"),
+        (lambda cfg: cfg["infrastructure"].update(inps={}), "infrastructure.inps: expected a non-empty list"),
         *COERCED_ENTRIES.values(),
-    ], ids=["beta", "vnf-without-demands", "vnf-not-an-object", *COERCED_ENTRIES])
+    ], ids=["beta", "vnf-without-demands", "vnf-not-an-object", "inps-empty", "inps-object",
+            *COERCED_ENTRIES])
     def test_field_path_in_message(self, base, edit, prefix):
         edit(base)
         with pytest.raises(nv.ConfigError) as err:
@@ -262,7 +265,8 @@ class TestSettings:
         (("service_types", 0), "service_types[0]", nv.ServiceType),
         (("mdp",), "mdp", MdpParams),
         (("sim",), "sim", SimParams),
-    ], ids=["inp", "vnf", "service_type", "mdp", "sim"])
+        (("infrastructure",), "infrastructure", nv.Infrastructure),
+    ], ids=["inp", "vnf", "service_type", "mdp", "sim", "infrastructure"])
     def test_each_declared_field_rejects_a_wrong_json_type(self, base, keys, path, cls):
         for f in fields(cls):
             for wrong in wrong_json_values(f.default, base_entry(base, keys)[f.name]):

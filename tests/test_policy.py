@@ -12,7 +12,7 @@ import nfvplace as nv
 import nfvplace.policy as policy_module
 from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
-from nfvplace.policy import realized_action
+from nfvplace.policy import MdpParams, realized_action
 
 from helpers import (
     DequeLedger,
@@ -228,6 +228,20 @@ class TestValueIteration:
         )
         assert not policy.converged
         assert policy.iterations == 7
+
+    def test_takes_every_solver_setting_by_name(self):
+        # each MdpParams field is a setting; the state space cap was not
+        infra, catalog = analytic_setup()
+        space = nv.build_state_space(catalog)
+        model = nv.TransitionModel(space, catalog)
+        settings = {f.name: f.default for f in fields(MdpParams)}
+        settings.update(epsilon=1e-10, max_iterations=40, seed=4)
+        policy = nv.value_iteration(space, model, catalog, infra, **settings)
+        assert (policy.epsilon, policy.seed, policy.iterations) == (1e-10, 4, 40)
+        with pytest.raises(TypeError):
+            nv.value_iteration(space, model, catalog, infra, sweeps=3)
+        with pytest.raises(ValueError, match=r"^gamma: must lie in \(0, 1\)$"):
+            nv.value_iteration(space, model, catalog, infra, gamma=1.0)
 
     def test_one_placement_context_per_call(self, monkeypatch):
         infra, catalog = reduced_setup()
