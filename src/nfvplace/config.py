@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .jsonio import (
-    READERS, at, build, finite, json_items, json_object, json_rows, json_value, read_fields,
+    READERS, at, build, json_items, json_object, json_rows, json_value, read_fields,
     read_object, to_json,
 )
 from .mdp import build_state_space
@@ -57,10 +57,6 @@ def _need(data: dict, key: str, path: str):
     return data[key]
 
 
-def _number(value, path: str) -> float:
-    return finite(READERS["float"](value, path), path)
-
-
 def _expand_link_table(spec, inps: tuple[InP, ...], path: str) -> np.ndarray:
     """Accepts exactly one of an explicit matrix, the compact intra/inter
     form or one default for every pair of distinct servers."""
@@ -82,14 +78,14 @@ def _expand_link_table(spec, inps: tuple[InP, ...], path: str) -> np.ndarray:
             raise ValueError(f"{path}.matrix: expected finite numbers")
         return mat
     if "intra_inp" in spec or "inter_inp" in spec:
-        intra = _number(_need(spec, "intra_inp", path), f"{path}.intra_inp")
-        inter = _number(_need(spec, "inter_inp", path), f"{path}.inter_inp")
+        intra = READERS["float"](_need(spec, "intra_inp", path), f"{path}.intra_inp")
+        inter = READERS["float"](_need(spec, "inter_inp", path), f"{path}.inter_inp")
         owner = np.repeat(np.arange(len(inps)), [len(p.servers) for p in inps])
         mat = np.where(owner[:, None] == owner[None, :], intra, inter)
         np.fill_diagonal(mat, 0.0)
         return mat
     if "default" in spec:
-        value = _number(spec["default"], f"{path}.default")
+        value = READERS["float"](spec["default"], f"{path}.default")
         mat = np.full((total, total), value)
         np.fill_diagonal(mat, 0.0)
         return mat

@@ -73,17 +73,27 @@ def finite(value: float, name: str) -> float:
     return value
 
 
+def finite_floats(values, name: str) -> list[float]:
+    """``values`` as floats once it is a JSON list of finite numbers; an
+    entry's path is formed only for its error."""
+    floats = list(map(float, json_list(values, "a number", name)))
+    if not all(map(math.isfinite, floats)):
+        k = [math.isfinite(v) for v in floats].index(False)
+        finite(floats[k], f"{name}[{k}]")
+    return floats
+
+
 # the reader of each field annotation; annotations are postponed, so a
 # field's type is its source text, and ``X | None`` reads as ``X``
 READERS = {
     "int": lambda v, name: json_value(v, "an integer", name),
-    "float": lambda v, name: float(json_value(v, "a number", name)),
+    "float": lambda v, name: finite(float(json_value(v, "a number", name)), name),
     "bool": lambda v, name: json_value(v, "a bool", name),
     "str": lambda v, name: json_value(v, "a string", name),
     "tuple[int, ...]": lambda v, name: tuple(json_list(v, "an integer", name)),
-    "tuple[float, ...]": lambda v, name: tuple(map(float, json_list(v, "a number", name))),
-    "list[float]": lambda v, name: list(map(float, json_list(v, "a number", name))),
-    "np.ndarray": lambda v, name: np.array(json_list(v, "a number", name), dtype=float),
+    "tuple[float, ...]": lambda v, name: tuple(finite_floats(v, name)),
+    "list[float]": finite_floats,
+    "np.ndarray": lambda v, name: np.array(finite_floats(v, name)),
     "tuple[tuple[int, ...], ...]": lambda v, name: tuple(
         map(tuple, json_rows(v, "an integer", name))
     ),
@@ -140,12 +150,9 @@ def read_object(cls, spec, path: str):
 
 
 def build(cls, values: dict, path: str):
-    """``cls(**values)``, each float value finite. A constructor error is
-    raised again after ``path``: joined with a dot when it names its field
-    (``gamma: must lie in (0, 1)``), else a colon."""
-    for key, value in values.items():
-        if isinstance(value, float):
-            finite(value, at(path, key))
+    """``cls(**values)``. A constructor error is raised again after
+    ``path``: joined with a dot when it names its field (``gamma: must lie
+    in (0, 1)``), else a colon."""
     try:
         return cls(**values)
     except (ValueError, TypeError, OverflowError) as exc:

@@ -115,6 +115,11 @@ class ResourceEstimator:
         """
         idx = eta_next - 1
         a = self.alpha[idx]
+        if a == 0.0:
+            # the step has underflowed: ``r * 1.0 + 0.0 * o`` is ``r`` for a
+            # finite ``o``, and no row holds -0.0, so the row, its key and
+            # its step all stay as they are
+            return
         b = 1.0 - a
         # convex combination, clipped to [0, capacity] only to trim float
         # drift at the edges; the same operations in the same order as

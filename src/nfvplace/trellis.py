@@ -15,9 +15,11 @@ final state selection re-applies the hinge for the last service in the
 batch.
 
 Every batch is searched one whole stage at a time, as in Forney's Viterbi
-decoder: each stage scores every (predecessor, state) pair as one matrix,
-and each survivor keeps a back-pointer to its predecessor instead of its
-path, which is traced back only when it is read. Tables that depend only
+decoder: each stage scores every (predecessor, state) pair as one matrix
+and keeps one slot per state, as the decoder keeps one survivor register
+per state, with a state that nothing feasible reaches dead at cost inf.
+Each state keeps a back-pointer to its predecessor instead of its path,
+which is traced back only when it is read. Tables that depend only
 on the setup live in a :class:`PlacementContext`, built once and shared
 by every batch.
 """
@@ -39,13 +41,24 @@ from .model import (
 )
 
 
-def _traceback(records: list[tuple], m: int, i: int) -> tuple[int, ...]:
-    """Server choices of survivor ``i`` at stage ``m``, read back through
-    each stage's back-pointers."""
+def _short(stock: np.ndarray, need: np.ndarray, backup: bool, same_server: np.ndarray):
+    """The (predecessor, state) pairs that cannot move: some resource short,
+    or at a backup stage the main's own server, as a backup never shares it."""
+    short = stock < need
+    if short.ndim == 3:
+        short = np.logical_or.reduce(short, axis=2)
+    if backup:
+        short |= same_server
+    return short
+
+
+def _traceback(records: list[tuple], m: int, x: int) -> tuple[int, ...]:
+    """Server choices of state ``x`` at stage ``m``, read back through each
+    stage's back-pointers."""
     path = []
-    for ids, _, _, _, pick in records[m:0:-1]:
-        path.append(ids.item(i))
-        i = pick.item(i)
+    for *_, pick in records[m:0:-1]:
+        path.append(x)
+        x = pick.item(x)
     return tuple(reversed(path))
 
 
@@ -83,25 +96,38 @@ class PlacementContext:
         v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
         self.up = 1.0 - v
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
-        states = np.arange(n + 1)
+        # the main's factor that a backup stage divides out, per main state;
+        # state 0 is never a live main, and 1.0 keeps its dead row finite
+        self.main_up = np.concatenate(([1.0], self.up[1:]))[:, None]
+        states = self.states = np.arange(n + 1)
         self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
         # the stock of the kernel's state-0 row: it fits every demand
         self.pad = max((max(spec.demands) for t in catalog for spec in t.vnfs), default=0)
+        # stage 0: state 0 at cost 0 and reliability 1, every other state
+        # dead at cost inf; every stage's stock is (S + 1, S + 1, R), or
+        # (S + 1, S + 1) when R = 1
+        self.origin_cost = np.full(n + 1, np.inf)
+        self.origin_cost[0] = 0.0
+        self.origin_reliability = np.ones(n + 1)
+        r = infra.num_resources
+        self.stock_shape = (n + 1, n + 1) + ((r,) if r > 1 else ())
         # per (type, vnf): the charge of hosting it on each state
         self.terms: list[list[np.ndarray]] = []
         # per type: the demand of each of its stages, main then backup per
-        # VNF, so a placed service's usage is one scatter-add over the
-        # states of its path (state 0, no backup, collects the rest)
+        # VNF, so a batch's usage is one scatter-add over the states of its
+        # path (state 0, no backup, collects the rest)
         self.stage_usage: list[np.ndarray] = []
         # per type, in search order, one tuple per stage: the vnf index and
         # whether it is a backup stage; the stock each state needs, (S + 1,
         # R), or (S + 1,) when R = 1, which the state-0 row's stock fits at
         # a backup stage ("no backup") and misses at a main stage; the
-        # stock each state draws, (S + 1, S + 1, R) with the demand at row
-        # x, column x (state 0 draws nothing); the charge row; the
-        # reliability targets; for a chain's first VNF, the score ``term +
-        # 0.0 + hinge`` before the path cost is added (per main state at a
-        # backup stage), else None; the type's bandwidth and its penalty
+        # stock each state draws, of the stock's shape, with the demand at
+        # row x, column x (state 0 draws nothing); the charge row; the
+        # reliability target, one float at a main stage, whose state-0
+        # column never fits, and one per state at a backup stage; for a
+        # chain's first VNF, the score ``term + 0.0 + hinge`` before the
+        # path cost is added (per main state at a backup stage), else None;
+        # the type's bandwidth and its penalty
         self.stage_tables: list[list[tuple]] = []
         # the link table as the kernel reads it, and row x marking state x:
         # a backup stage's predecessor holds its main there
@@ -110,7 +136,6 @@ class PlacementContext:
         servers = states[1:]
         for l, stype in enumerate(catalog):
             terms, usage, tables = [], [], []
-            target = self.targets[l]
             for u, spec in enumerate(stype.vnfs):
                 demand = np.array(spec.demands, dtype=np.int64)
                 per_inp = infra.unit_cost @ demand.astype(float)
@@ -122,13 +147,15 @@ class PlacementContext:
                     need = np.tile(demand, (n + 1, 1))
                     if not backup:
                         need[0] = self.pad + 1
+                    target = self.targets[l] if backup else 1.0 - stype.failure_cap
                     base = None
                     if u == 0:
                         up = self.backup_up if backup else self.up
                         base = term + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
                     tables.append((
-                        u, backup, need[:, 0] if len(demand) == 1 else need, draw, term,
-                        target, base, stype.bandwidth, stype.penalty,
+                        u, backup, need.reshape(self.stock_shape[1:]),
+                        draw.reshape(self.stock_shape), term, target, base, stype.bandwidth,
+                        stype.penalty,
                     ))
                 terms.append(term)
                 usage += [demand, demand]
@@ -184,18 +211,22 @@ class TrellisPlacement:
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)
-        # stage 0's stock: a copy of the snapshot behind the state-0 row, in
-        # a signed dtype (an unsigned stock cannot take an int64 subtraction)
+        # stage 0's stock: the snapshot behind the state-0 row, in a signed
+        # dtype (an unsigned stock cannot take an int64 subtraction), one
+        # row that every state views at stride 0, as np.broadcast_to would
+        # at a tenth of the cost; never written, as each stage takes a copy
         stock_dtype = np.promote_types(snap.dtype, np.int8)
-        self._stock = np.empty((1, snap.shape[0] + 1, snap.shape[1]), dtype=stock_dtype)
-        self._stock[0, 0] = self.context.pad
-        self._stock[0, 1:] = snap
-        self.evaluations = 0  # (predecessor, state) pairs scored by run()
+        row = np.empty((snap.shape[0] + 1, snap.shape[1]), dtype=stock_dtype)
+        row[0] = self.context.pad
+        row[1:] = snap
+        shape = self.context.stock_shape
+        self._stock = np.ndarray(shape, stock_dtype, row, 0, (0,) + row.strides[: len(shape) - 1])
 
         self.num_stages = sum(len(self.context.stage_tables[l]) for l in self.arrangement)
-        # one record per stage, stage 0 first, as run() leaves them: the
-        # survivors' state ids, costs, reliabilities and (P, S + 1, R) stock
-        # behind a state-0 row, and each one's predecessor index ``pick``
+        # one record per stage, stage 0 first, as run() leaves them, each
+        # indexed by state id: every state's cost, inf for a dead state, its
+        # reliability, its stock behind a state-0 row, and its predecessor
+        # ``pick``
         self.stages: list[tuple] | None = None
 
     @property
@@ -206,14 +237,26 @@ class TrellisPlacement:
             for u, backup, *_ in self.context.stage_tables[l]
         ]
 
+    @property
+    def evaluations(self) -> int:
+        """The (predecessor, state) pairs that run() scored: those that fit
+        from a live predecessor, counted from the stage records."""
+        if not self.stages:
+            return 0
+        same_server = self.context.same_server
+        tables = [t for l in self.arrangement for t in self.context.stage_tables[l]]
+        count = 0
+        # a failed main stage left no record; no pair fit from a live state there
+        for (cost, _, stock, _), (_, backup, need, *_) in zip(self.stages, tables):
+            count += np.count_nonzero(~_short(stock, need, backup, same_server)[cost < np.inf])
+        return int(count)
+
     # -- search ---------------------------------------------------------
 
     def run(self) -> TrellisResult:
         """Search the trellis and read out the best batch placement."""
-        # stage 0: state 0 alone, at cost 0 and reliability 1
-        records = self.stages = [
-            (np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), self._stock, None)
-        ]
+        ctx = self.context
+        records = self.stages = [(ctx.origin_cost, ctx.origin_reliability, self._stock, None)]
         if not self.num_stages:
             return TrellisResult(True, [], ())
         if not self._search(records):
@@ -221,60 +264,42 @@ class TrellisPlacement:
         return self._read_out(records)
 
     def _search(self, records: list[tuple]) -> bool:
-        """Append one survivor record per stage to ``records``, one whole
-        stage at a time: score every (predecessor, state) pair as one
-        matrix, mask the infeasible ones and keep the first minimum over
-        predecessors, as the pair-by-pair reference in the test suite
+        """Append one record per stage to ``records``, one whole stage at a
+        time: score every (predecessor, state) pair as one matrix, mask the
+        infeasible ones and keep the first minimum over predecessors, as
+        the pair-by-pair reference in the test suite
         (``tests/helpers.py::best_move``) does, forming each float in the
         same order. False when a main stage has no feasible server.
 
-        A stage keeps only its survivors' arrays and a back-pointer to each
-        one's predecessor. Every stage scores the same S + 1 columns, one
-        per state: the stock carries a state-0 row that fits every demand,
-        so "no backup" needs no special column, and a main stage's state-0
-        column never fits. A main stage routes from the previous VNF's main
-        (``back1``) and backup (``ids``); the backup stage after it links
-        to the same two servers, so it takes the main stage's route rows
-        along the back-pointers instead of forming them again.
+        Every record has one slot per state, as in Forney's decoder: a state
+        that no feasible pair reaches is dead, at cost inf, so its row
+        scores inf and no live state ever picks it. Every stage scores the
+        same S + 1 columns: the stock carries a state-0 row that fits every
+        demand, so "no backup" needs no special column, and a main stage's
+        state-0 column never fits. A main stage routes from the previous
+        VNF's main (``back1``) and backup (the row); the backup stage after
+        it links to the same two servers, so it takes the main stage's route
+        rows along the back-pointers instead of forming them again.
         """
         ctx = self.context
-        ids, cost, reliability, stock, _ = records[0]
-        back1 = ids
-        up, backup_up, link = ctx.up, ctx.backup_up, ctx.link_rows
-        up_column = up[:, None]
-        one_resource = stock.shape[2] == 1
-        evaluations = 0
+        cost, reliability, stock, _ = records[0]
+        up, backup_up, main_up, link = ctx.up, ctx.backup_up, ctx.main_up, ctx.link_rows
+        states, same_server = ctx.states, ctx.same_server
+        width = len(states)
         for l in self.arrangement:
             for u, backup, need, draw, term, target, base, bandwidth, penalty in ctx.stage_tables[l]:
-                # the infeasible pairs: some resource short, or at a backup
-                # stage the main's own server, as a backup never shares it
-                if one_resource:
-                    short = stock[:, :, 0] < need
-                else:
-                    short = np.logical_or.reduce(stock < need, axis=2)
-                if backup:
-                    short |= ctx.same_server.take(ids, axis=0)
-                live = (~np.logical_and.reduce(short, axis=0)).nonzero()[0]
-                if not live.size:
-                    self.evaluations = int(evaluations)
-                    return False
-                evaluations += short.size - np.count_nonzero(short)
-
+                short = _short(stock, need, backup, same_server)
                 if u == 0:
-                    if backup:
-                        tau = backup_up.take(ids, axis=0)
-                        theta = base.take(ids, axis=0) + cost[:, None]
-                    else:
-                        tau = up
-                        theta = base + cost[:, None]
+                    tau = backup_up if backup else up
+                    theta = base + cost[:, None]
                 else:
                     if backup:
                         # swap the trailing main-only factor for the protected one
-                        tau = reliability[:, None] * backup_up.take(ids, axis=0)
-                        tau /= up_column.take(ids, axis=0)
+                        tau = reliability[:, None] * backup_up
+                        tau /= main_up
                     else:
                         route = link.take(back1, axis=0)
-                        route += link.take(ids, axis=0)
+                        route += link
                         route *= bandwidth
                         tau = reliability[:, None] * up
                     hinge = target - tau
@@ -283,19 +308,22 @@ class TrellisPlacement:
                     theta = term + route
                     theta += hinge
                     theta += cost[:, None]
-                # argmin keeps the first minimum: ties go to the lowest x1
+                # argmin keeps the first minimum: ties go to the lowest x1;
+                # a column whose minimum is inf is dead
                 np.putmask(theta, short, np.inf)
-                pick = theta.argmin(axis=0).take(live)
+                pick = theta.argmin(axis=0)
+                at = pick * width  # each state's (predecessor, state) entry, flattened
+                at += states
+                dead = np.isinf(theta.take(at))  # no cost is ever -inf
+                if not backup and np.count_nonzero(dead) == width:
+                    return False
 
                 stock = stock.take(pick, axis=0)
-                stock -= draw.take(live, axis=0)
+                stock -= draw
                 # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
                 # a first VNF is left out, as no cost is ever -0.0
-                cost = cost.take(pick) + term.take(live)
+                cost = cost.take(pick) + term
                 if tau.ndim == 2:
-                    # each survivor's (predecessor, state) entry, flattened
-                    at = pick * len(up)
-                    at += live
                     reliability = tau.take(at)
                     if u:
                         cost += route.take(at)
@@ -303,12 +331,11 @@ class TrellisPlacement:
                             # the backup stage's route rows
                             route = route.take(pick, axis=0)
                 else:
-                    reliability = tau.take(live)
+                    reliability = tau
+                np.putmask(cost, dead, np.inf)
                 if backup:
-                    back1 = ids.take(pick)
-                ids = live
-                records.append((ids, cost, reliability, stock, pick))
-        self.evaluations = int(evaluations)
+                    back1 = pick
+                records.append((cost, reliability, stock, pick))
         return True
 
     def _read_out(self, records: list[tuple]) -> TrellisResult:
@@ -318,20 +345,22 @@ class TrellisPlacement:
         the last service's hinge added back, and traces the winner's path
         through the back-pointers. Every state keeps one survivor, so that
         path fixes each stage's routing charge, recomputed from it in the
-        float order of the reference ``best_move``.
+        float order of the reference ``best_move``. Every service's usage is
+        one scatter-add of its stages' demands over its path's states.
         """
         ctx = self.context
-        ids, final_cost, reliability, _, _ = records[-1]
+        final_cost, reliability, _, _ = records[-1]
         last = self.arrangement[-1]
-        hinge = ctx.targets[last][ids] - reliability
+        hinge = ctx.targets[last] - reliability
         np.maximum(hinge, 0.0, out=hinge)
         hinge *= self.catalog[last].penalty
         # argmin keeps the first minimum, as a strict "<" scan in state order
         path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
 
         link = ctx.link
-        usage_shape = (self.infra.num_servers + 1, self.infra.num_resources)
-        services: list[PlacedService] = []
+        width = len(ctx.states)
+        rows, index = [], []
+        placements = []
         end = 0
         for l in self.arrangement:
             # the service's stages, main then backup per VNF
@@ -353,15 +382,22 @@ class TrellisPlacement:
                     cost = cost + term.item(x) + term.item(y)
                 main, backup = x, y
                 vnfs.append(VnfPlacement(x - 1, y - 1 if y else None))
-            vnfs = tuple(vnfs)
-            usage = np.zeros(usage_shape, dtype=np.int64)
-            np.add.at(usage, list(seg), ctx.stage_usage[l])
-            services.append(PlacedService(
-                l, ServicePlacement(l, vnfs), cost,
-                service_failure_probability(vnfs, self.infra),
-                usage[1:],
-            ))
+            offset = len(placements) * width
+            index += [offset + x for x in seg]
+            rows.append(ctx.stage_usage[l])
+            placements.append((l, tuple(vnfs), cost))
 
+        # row k * (S + 1) + x of the flat table is service k's usage on state x
+        usage = np.zeros((len(placements), width, self.infra.num_resources), dtype=np.int64)
+        demands = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        np.add.at(usage.reshape(-1, usage.shape[2]), np.array(index), demands)
+        services = [
+            PlacedService(
+                l, ServicePlacement(l, vnfs), cost,
+                service_failure_probability(vnfs, self.infra), usage[k, 1:],
+            )
+            for k, (l, vnfs, cost) in enumerate(placements)
+        ]
         return TrellisResult(True, services, path)
 
 

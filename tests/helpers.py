@@ -345,14 +345,17 @@ def best_move(tp, m, preds, x2):
 
 def survivors(tp, m):
     """Stage ``m`` of a run trellis as a dict from state id to
-    :class:`PathState`, in ascending state order, each path traced back
-    through the stage records; ``remaining`` views the stage's stock."""
-    ids, cost, reliability, stock, _ = tp.stages[m]
+    :class:`PathState`, for the states of finite cost in ascending order,
+    each path traced back through the stage records; ``remaining`` views
+    the state's stock row as (servers, resources)."""
+    cost, reliability, stock, _ = tp.stages[m]
+    shape = (tp.infra.num_servers, tp.infra.num_resources)
     return {
         x: PathState(
-            float(cost[i]), float(reliability[i]), stock[i, 1:], _traceback(tp.stages, m, i)
+            float(cost[x]), float(reliability[x]), stock[x, 1:].reshape(shape),
+            _traceback(tp.stages, m, x),
         )
-        for i, x in enumerate(ids.tolist())
+        for x in np.flatnonzero(cost < np.inf).tolist()
     }
 
 

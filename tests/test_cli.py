@@ -182,13 +182,18 @@ class TestSimulate:
             ("seed", lambda p: p.update(seed=-1)),
             # a key that is no saved field is rejected, not skipped
             ("fingerprnt", lambda p: p.update(fingerprnt=p.pop("fingerprint"))),
+            # each loaded before, and the run went on with NaN values
+            ("values[0]", lambda p: p.update(
+                values=[math.nan] * len(p["values"]),
+                mean_value_trace=[math.inf] + p["mean_value_trace"][1:],
+            )),
         ],
         ids=[
             "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
             "infeasible-actions", "arrangement-not-an-ordering", "converged-string",
             "seed-fraction", "iterations-fraction", "arrangements-bool", "gamma-string",
             "value-string", "action-float", "gamma-range", "seed-negative",
-            "fingerprint-misspelled",
+            "fingerprint-misspelled", "values-nan",
         ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):

@@ -153,7 +153,8 @@ class TestDiagnostics:
         (lambda cfg: cfg["infrastructure"].update(link_cost={"matrix": [[math.inf] * 21] * 21}),
          "infrastructure.link_cost.matrix: expected finite numbers"),
         (lambda cfg: cfg["infrastructure"].update(beta=math.inf), "infrastructure.beta: expected a finite number"),
-        (lambda cfg: cfg["infrastructure"].update(alpha=[math.nan]), "infrastructure: resource weights"),
+        (lambda cfg: cfg["infrastructure"].update(alpha=[math.nan]),
+         "infrastructure.alpha[0]: expected a finite number, got nan"),
         (lambda cfg: cfg["infrastructure"]["deployment_cost"][0].__setitem__(0, math.inf),
          "infrastructure: deployment costs must be finite"),
         (lambda cfg: cfg["infrastructure"]["inps"][0]["servers"][0].__setitem__(0, math.inf),
@@ -165,7 +166,7 @@ class TestDiagnostics:
         (lambda cfg: cfg["service_types"][0].update(admission_reward=math.inf),
          "service_types[0].admission_reward: expected a finite number"),
         (lambda cfg: cfg["service_types"][0].update(arrival_pmf=[math.nan, 0.5, 0.5]),
-         "service_types[0]: arrival_pmf entries must be finite"),
+         "service_types[0].arrival_pmf[0]: expected a finite number, got nan"),
         (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[math.inf]),
          "service_types[0].vnfs[0].demands[0]: expected an integer, got float"),
         (lambda cfg: cfg["mdp"].update(epsilon=math.nan), "mdp.epsilon: expected a finite number"),

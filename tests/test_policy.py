@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -74,6 +75,20 @@ class TestResourceEstimator:
             nv.ResourceEstimator(space, infra, alpha_init=0.0)
         with pytest.raises(ValueError):
             nv.ResourceEstimator(space, infra, discount=1.0)
+
+    def test_update_at_step_zero_leaves_the_row(self):
+        # the step halves on every update until it underflows to 0.0; an
+        # update then keeps the row, its key and its step as they were
+        infra, catalog = big_server_setup()
+        est = nv.ResourceEstimator(nv.build_state_space(catalog), infra)
+        updates = 0
+        while est.alpha[1] != 0.0:
+            est.update(2, [30.0 + updates % 7])
+            updates += 1
+        assert updates > 1000
+        row, key = est.rows[1], est.key(2)
+        est.update(2, [70.0])
+        assert est.rows[1] is row and est.keys[1] is key and est.alpha[1] == 0.0
 
     @pytest.mark.parametrize("infra", [
         reduced_setup()[0], nv.seven_providers().infrastructure, two_resource_setup()[0],
@@ -527,6 +542,26 @@ class TestPolicyArtifact:
                     nv.Policy.load(path)
                 where = f"{f.name}[0]" if isinstance(wrong, list) else f.name
                 assert str(err.value).startswith(f"{where}: expected "), (f.name, wrong)
+
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        # json reads NaN and Infinity; an artifact holding them must not load
+        infra, catalog = analytic_setup()
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=0)
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        saved = json.loads(path.read_text())
+        for edit, where in (
+            ({"values": [math.nan] * len(saved["values"]),
+              "mean_value_trace": [math.inf] + saved["mean_value_trace"][1:]}, "values[0]"),
+            ({"mean_value_trace": saved["mean_value_trace"] + [math.inf]},
+             f"mean_value_trace[{len(saved['mean_value_trace'])}]"),
+            ({"sup_diff_trace": [-math.inf] + saved["sup_diff_trace"][1:]}, "sup_diff_trace[0]"),
+            ({"epsilon": math.nan}, "epsilon"),
+        ):
+            path.write_text(json.dumps({**saved, **edit}))
+            with pytest.raises(ValueError, match=rf"^{re.escape(where)}: expected a finite number"):
+                nv.Policy.load(path)
 
     def test_binomial_artifact_from_older_release_loads(self, tmp_path):
         # artifacts written before the departure law was fixed name it

@@ -363,6 +363,7 @@ class TestStageKernel:
         infra, catalog = request.getfixturevalue(setup)
         rng = np.random.default_rng(7)
         outcomes = set()
+        invalid_scored = 0
         for i in range(40):
             # up to three services per type, so some batches do not fit
             action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog, max_per_type=3)
@@ -376,21 +377,49 @@ class TestStageKernel:
             assert (result.valid, result.path, tp.evaluations) == (valid, path, evaluations)
             assert self._survivors(self._kernel_stages(tp)) == self._survivors(stages)
             outcomes.add(valid)
+            if not valid:
+                invalid_scored = max(invalid_scored, evaluations)
         assert outcomes == {True, False}
+        # some invalid batch failed past stage 1, so a nonzero count was compared
+        assert invalid_scored > 0
 
     def test_run_leaves_stage_survivors(self, bundled, reduced, tiny2, two_resource):
         # one kernel at every width: no server count keeps the pair loop
         for infra, catalog in (bundled, reduced, tiny2, two_resource):
-            action, arrangement, snapshot = random_batch_inputs(
-                np.random.default_rng(1), infra, catalog
-            )
-            tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra)
+            rng = np.random.default_rng(1)
+            width = infra.num_servers + 1
+            outcomes = set()
+            for _ in range(20):
+                batch = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+                tp = nv.TrellisPlacement(*batch, catalog, infra)
+                outcomes.add(tp.run().valid)
+                # the origin, then one record per stage searched: (cost,
+                # reliability, stock, pick), one slot per state in each
+                assert 1 <= len(tp.stages) <= tp.num_stages + 1
+                for cost, reliability, stock, pick in tp.stages[1:]:
+                    assert len(cost) == len(reliability) == len(stock) == len(pick) == width
+                    assert stock.shape[1] == width
+                cost, reliability, stock, _ = tp.stages[0]
+                assert len(cost) == len(reliability) == len(stock) == width
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("setup", ["bundled", "two_resource"])
+    def test_traced_paths_hold_no_dead_state(self, setup, request):
+        # a state at cost inf is dead: no live state's back-pointers reach it
+        infra, catalog = request.getfixturevalue(setup)
+        rng = np.random.default_rng(2)
+        dead_seen = 0
+        for _ in range(20):
+            tp = nv.TrellisPlacement(*random_batch_inputs(rng, infra, catalog), catalog, infra)
             tp.run()
-            # the origin, then one record per stage searched: (ids, cost,
-            # reliability, stock, pick), one entry per survivor in each
-            assert 1 < len(tp.stages) <= tp.num_stages + 1
-            for ids, cost, reliability, stock, pick in tp.stages[1:]:
-                assert len(ids) == len(cost) == len(reliability) == len(stock) == len(pick)
+            for m in range(1, len(tp.stages)):
+                cost = tp.stages[m][0]
+                dead_seen += np.count_nonzero(cost == np.inf)
+                for x in np.flatnonzero(cost < np.inf).tolist():
+                    path = survivors(tp, m)[x].path
+                    for k, state in enumerate(path, start=1):
+                        assert tp.stages[k][0][state] < np.inf
+        assert dead_seen > 0
 
     def test_middle_stage_lookup_after_run(self, bundled):
         # run() leaves only back-pointers behind; survivors looked up at a
@@ -480,6 +509,32 @@ class TestPlacementContext:
                 action, arrangement, snapshot.astype(dtype), catalog, infra, context
             )
             assert outcome_record(unsigned, unsigned.run()) == outcome_record(signed, signed.run())
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "two_resource"])
+    def test_no_table_above_one_stage_of_stock(self, setup, request):
+        # every setup table fits in one stage's (S + 1, S + 1, R) stock: a
+        # per-setup table of O(S^3) entries would be held once per context
+        infra, catalog = request.getfixturevalue(setup)
+        bound = (infra.num_servers + 1) ** 2 * infra.num_resources
+        context = nv.PlacementContext(catalog, infra)
+        seen, todo, arrays = set(), [context], []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+                todo.append(obj.base)  # a view keeps its whole base alive
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif hasattr(obj, "__dict__"):
+                todo.append(vars(obj))
+        # the walk reached into the nested per-type tables
+        assert all(id(term) in seen for terms in context.terms for term in terms)
+        assert max(a.size for a in arrays) <= bound
 
     def test_context_of_another_setup_rejected(self, reduced):
         infra, catalog = reduced
