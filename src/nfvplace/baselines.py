@@ -9,7 +9,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,11 @@ from .model import (
     VnfPlacement,
     service_failure_probability,
 )
+
+
+# an idle stock as the baselines work on it: one list per resource, one int
+# per server, so every check and update is plain integer arithmetic
+Stock = list[list[int]]
 
 
 class BaselineId(str, Enum):
@@ -58,9 +63,10 @@ class BaselineOutcome:
 
 class BaselineTables:
     """Per-setup lookups the baselines read on every scan, built once from
-    ``(infra, catalog)``: per type the int64 demand rows and their totals;
-    per (type, VNF) per-server lists of the server term ``d @
-    unit_cost[inp]`` (``d`` the float demand row), the deployment term and
+    ``(infra, catalog)``: one int64 table of every (type, VNF) demand row,
+    in catalog order, and the row of each type's first VNF; per type the
+    demand totals; per (type, VNF) per-server lists of the server term ``d
+    @ unit_cost[inp]`` (``d`` the float demand row), the deployment term and
     their sum, the charge, each formed as :func:`service_cost` forms it;
     the per-server failure and provider lists and the link table as lists.
     The trellis forms the server term as ``unit_cost @ d``; with more than
@@ -70,8 +76,9 @@ class BaselineTables:
         self.infra = infra
         self.catalog = catalog
         inps = infra.server_inp.tolist()
-        self.demands = [np.array([v.demands for v in t.vnfs], dtype=np.int64) for t in catalog]
-        self.demand_sums = [rows.sum(axis=1).tolist() for rows in self.demands]
+        self.demand_rows = np.array([v.demands for t in catalog for v in t.vnfs], dtype=np.int64)
+        self.first_row = list(accumulate((t.num_vnfs for t in catalog[:-1]), initial=0))
+        self.demand_sums = [[sum(v.demands) for v in t.vnfs] for t in catalog]
         self.server_terms = [
             [[float(np.asarray(v.demands, dtype=float) @ infra.unit_cost[i]) for i in inps] for v in t.vnfs]
             for t in catalog
@@ -104,37 +111,43 @@ class BaselineTables:
         return orders[prev]
 
 
-def _release(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
+def _fits(idle: Stock, srv: int, demand: tuple[int, ...]) -> bool:
+    """Whether server ``srv``'s idle stock covers ``demand``."""
+    for column, d in zip(idle, demand):
+        if column[srv] < d:
+            return False
+    return True
+
+
+def _take(idle: Stock, srv: int, demand: tuple[int, ...]) -> None:
+    """Draw ``demand`` from server ``srv``'s idle stock."""
+    for column, d in zip(idle, demand):
+        column[srv] -= d
+
+
+def _release(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> None:
     """Return every server the build holds to the idle stock."""
-    demands = tables.demands[build.type_index]
-    for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
+    vnfs = tables.catalog[build.type_index].vnfs
+    for spec, main, backup in zip(vnfs, build.mains, build.backups):
         for srv in (main, backup):
             if srv is not None:
-                idle[srv] += demands[u]
+                for column, d in zip(idle, spec.demands):
+                    column[srv] += d
 
 
-def _fits(idle: np.ndarray, demand: tuple[int, ...]) -> list[bool]:
-    """Whether each server's idle stock covers ``demand``, one comparison
-    per resource column."""
-    fits = idle[:, 0] >= demand[0]
-    for j in range(1, len(demand)):
-        fits &= idle[:, j] >= demand[j]
-    return fits.tolist()
-
-
-def _place_mains(l: int, idle: np.ndarray, tables: BaselineTables) -> ServiceBuild | None:
-    """Cheapest-feasible main for each VNF in chain order; None on failure,
-    with any partial usage rolled back."""
+def _place_mains(l: int, idle: Stock, tables: BaselineTables) -> ServiceBuild | None:
+    """Cheapest-feasible main for each VNF in chain order: the first server
+    in its cost order with room. None on failure, with any partial usage
+    rolled back."""
     build = ServiceBuild(l)
-    for u, (spec, r) in enumerate(zip(tables.catalog[l].vnfs, tables.demands[l])):
-        fits = _fits(idle, spec.demands)
+    for u, spec in enumerate(tables.catalog[l].vnfs):
         for best in tables.main_order(l, u, build.mains[-1] if build.mains else 0):
-            if fits[best]:
+            if _fits(idle, best, spec.demands):
                 break
         else:
             _release(build, idle, tables)
             return None
-        idle[best] -= r
+        _take(idle, best, spec.demands)
         build.mains.append(best)
         build.backups.append(None)
     return build
@@ -150,7 +163,7 @@ def _survival(build: ServiceBuild, failure: list[float]) -> tuple[float, list[fl
 
 
 def _backup_scan(
-    build: ServiceBuild, u: int, factors: list[float], idle: np.ndarray, tables: BaselineTables
+    build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
 ) -> tuple[list[int], list[float]]:
     """Servers other than VNF u's main with room for its demand, and the
     build's failure probability with VNF u, which has no backup yet, backed
@@ -162,10 +175,10 @@ def _backup_scan(
     ups = [head * (1.0 - tables.failure[main] * v) for v in tables.inp_failure]
     for factor in factors[u + 1:]:
         ups = [up * factor for up in ups]
-    fits = _fits(idle, tables.catalog[build.type_index].vnfs[u].demands)
-    hosts = list(compress(range(len(fits)), fits))
-    if fits[main]:
-        hosts.remove(main)
+    demand = tables.catalog[build.type_index].vnfs[u].demands
+    hosts = [srv for srv, x in enumerate(idle[0]) if x >= demand[0] and srv != main]
+    for column, d in zip(idle[1:], demand[1:]):
+        hosts = [srv for srv in hosts if column[srv] >= d]
     return hosts, [1.0 - ups[tables.inps[srv]] for srv in hosts]
 
 
@@ -185,7 +198,7 @@ def _backup_prices(
 
 
 def _choose_backup(
-    build: ServiceBuild, u: int, factors: list[float], idle: np.ndarray, tables: BaselineTables
+    build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
 ) -> int | None:
     """Cheapest backup that meets the service target, else the most
     reliable feasible server, else None."""
@@ -211,7 +224,7 @@ def _least_reliable_first(build: ServiceBuild, u: int, tables: BaselineTables) -
 
 def _protect_ranked(
     build: ServiceBuild,
-    idle: np.ndarray,
+    idle: Stock,
     tables: BaselineTables,
     rank,
     abandon: bool = False,
@@ -233,11 +246,11 @@ def _protect_ranked(
                 return False
             continue
         build.backups[u] = srv
-        idle[srv] -= tables.demands[build.type_index][u]
+        _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
     return _survival(build, tables.failure)[0] <= failure_cap
 
 
-def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables) -> None:
+def _protect_cera(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> None:
     """Cost-efficiency driven protection: commit the (VNF, server) pair with
     the best reliability gain per unit of added cost; zero-cost gains rank
     as infinite and go first."""
@@ -261,34 +274,51 @@ def _protect_cera(build: ServiceBuild, idle: np.ndarray, tables: BaselineTables)
             return
         _, u, srv = best
         build.backups[u] = srv
-        idle[srv] -= tables.demands[build.type_index][u]
+        _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
 
 
-def _outcome(l: int, build: ServiceBuild | None, tables: BaselineTables) -> BaselineOutcome:
-    """The build's figures: its cost summed from the table terms in
-    :func:`service_cost`'s accumulators and order, and its usage."""
-    if build is None:
-        return BaselineOutcome(l, None, None, None, None)
-    bandwidth, infra = tables.catalog[l].bandwidth, tables.infra
-    server = forward = deploy = 0.0
-    servers, vnfs = [], []
-    prev: tuple[int, ...] = ()
-    for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
-        hosts = (main,) if backup is None else (main, backup)
-        for srv in hosts:
-            server += tables.server_terms[l][u][srv]
-            deploy += tables.deploy_terms[l][u][srv]
-            servers.append(srv)
-            vnfs.append(u)
-        for a in prev:
-            for b in hosts:
-                forward += bandwidth * tables.link[a][b]
-        prev = hosts
-    usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
-    np.add.at(usage, servers, tables.demands[l][vnfs])
-    placement = ServicePlacement(l, tuple(VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
-    failure_prob = service_failure_probability(placement.vnfs, infra)
-    return BaselineOutcome(l, placement, server + forward + deploy, failure_prob, usage)
+def _outcomes(
+    type_indices: list[int], builds: list[ServiceBuild | None], tables: BaselineTables
+) -> list[BaselineOutcome]:
+    """Each build's figures: its cost summed from the table terms in
+    :func:`service_cost`'s accumulators and order, and its usage, row k of
+    one int64 (placed, S, R) table that one scatter-add fills for the k-th
+    placed build."""
+    infra = tables.infra
+    width = infra.num_servers
+    outcomes, placed, index, rows = [], [], [], []
+    for l, build in zip(type_indices, builds):
+        if build is None:
+            outcomes.append(BaselineOutcome(l, None, None, None, None))
+            continue
+        bandwidth = tables.catalog[l].bandwidth
+        offset, first = len(placed) * width, tables.first_row[l]
+        server = forward = deploy = 0.0
+        prev: tuple[int, ...] = ()
+        for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
+            hosts = (main,) if backup is None else (main, backup)
+            for srv in hosts:
+                server += tables.server_terms[l][u][srv]
+                deploy += tables.deploy_terms[l][u][srv]
+                index.append(offset + srv)
+                rows.append(first + u)
+            for a in prev:
+                for b in hosts:
+                    forward += bandwidth * tables.link[a][b]
+            prev = hosts
+        placement = ServicePlacement(l, tuple(map(VnfPlacement, build.mains, build.backups)))
+        outcome = BaselineOutcome(
+            l, placement, server + forward + deploy,
+            service_failure_probability(placement.vnfs, infra), None,
+        )
+        outcomes.append(outcome)
+        placed.append(outcome)
+    if placed:
+        usage = np.zeros((len(placed), width, infra.num_resources), dtype=np.int64)
+        np.add.at(usage.reshape(-1, usage.shape[2]), index, tables.demand_rows.take(rows, axis=0))
+        for k, outcome in enumerate(placed):
+            outcome.usage = usage[k]
+    return outcomes
 
 
 def run_baseline(
@@ -323,7 +353,7 @@ def run_baseline(
         if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < len(catalog):
             raise ValueError(f"type index {l!r} is not an integer in range({len(catalog)})")
     type_indices = [int(l) for l in type_indices]
-    idle = ledger.server_idle.copy()
+    idle: Stock = ledger.server_idle.T.tolist()
     if baseline is BaselineId.REDUNDANT_VNF:
         builds = []
         for l in type_indices:
@@ -346,4 +376,4 @@ def run_baseline(
                 _protect_ranked(build, idle, tables, _smallest_demand_first)
             else:
                 _protect_ranked(build, idle, tables, _least_reliable_first)
-    return [_outcome(l, build, tables) for l, build in zip(type_indices, builds)]
+    return _outcomes(type_indices, builds, tables)

@@ -66,28 +66,39 @@ def json_object(spec, path: str, known) -> dict:
     return spec
 
 
-def finite(value: float, name: str) -> float:
-    # json reads NaN and Infinity; neither is a usable cost, rate or weight
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value}")
-    return value
+def finite(value, name: str) -> float:
+    """The JSON number ``value`` as a float once it is finite: json reads
+    NaN and Infinity, and an integer can lie beyond a float's range; none
+    of them is a usable cost, rate or weight."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name}: expected a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: expected a finite number, got {number}")
+    return number
 
 
 def finite_floats(values, name: str) -> list[float]:
     """``values`` as floats once it is a JSON list of finite numbers; an
     entry's path is formed only for its error."""
-    floats = list(map(float, json_list(values, "a number", name)))
-    if not all(map(math.isfinite, floats)):
-        k = [math.isfinite(v) for v in floats].index(False)
-        finite(floats[k], f"{name}[{k}]")
-    return floats
+    try:
+        floats = list(map(float, json_list(values, "a number", name)))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except OverflowError:
+        pass
+    # some entry is no finite float: the first such names itself
+    return [finite(v, f"{name}[{k}]") for k, v in enumerate(values)]
 
 
 # the reader of each field annotation; annotations are postponed, so a
 # field's type is its source text, and ``X | None`` reads as ``X``
 READERS = {
     "int": lambda v, name: json_value(v, "an integer", name),
-    "float": lambda v, name: finite(float(json_value(v, "a number", name)), name),
+    "float": lambda v, name: finite(json_value(v, "a number", name), name),
     "bool": lambda v, name: json_value(v, "a bool", name),
     "str": lambda v, name: json_value(v, "a string", name),
     "tuple[int, ...]": lambda v, name: tuple(json_list(v, "an integer", name)),

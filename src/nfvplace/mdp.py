@@ -194,26 +194,6 @@ class TransitionModel:
             self._rows[key] = row
         return row
 
-    def transition_prob(
-        self,
-        state: tuple[Sequence[int], Sequence[int]],
-        realized_action: Sequence[int],
-        next_state: tuple[Sequence[int], Sequence[int]],
-    ) -> float:
-        """P(next | state, realized admissions): independent arrivals times
-        the departure law applied to sigma + realized_action."""
-        _, sigma = state
-        lam_next, sigma_next = next_state
-        source = tuple(s + a for s, a in zip(sigma, realized_action))
-        for j, m in zip(source, self.space.sigma_max):
-            if j > m:
-                raise ValueError("realized action overflows the active-count register")
-        row = self.departure_row(source)
-        return float(
-            arrival_prob(lam_next, self.catalog)
-            * row[self.space.active_index(sigma_next) - 1]
-        )
-
 
 def action_reward(action: Sequence[int], outcome, catalog: Catalog) -> float:
     """Net slot reward of an admission attempt.

@@ -149,13 +149,6 @@ class Infrastructure:
             raise IndexError(f"server {server} out of range for provider {inp}")
         return sum(self.servers_per_inp[:inp]) + server
 
-    def server_location(self, sid: int) -> tuple[int, int]:
-        """Inverse of :meth:`server_id`."""
-        if not 0 <= sid < self.num_servers:
-            raise IndexError(f"server {sid} out of range")
-        inp = int(self.server_inp[sid])
-        return inp, sid - sum(self.servers_per_inp[:inp])
-
     def server_failure(self, sid: int) -> float:
         """Failure probability of the provider owning the given server."""
         if not 0 <= sid < self.num_servers:

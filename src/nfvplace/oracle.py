@@ -233,19 +233,3 @@ def best_placement(
     return OracleResult(
         True, best["objective"], plan, tuple(best["failures"]), best["nodes"]
     )
-
-
-def penalized_objective(
-    plan: PlacementPlan, catalog: Catalog, infra: Infrastructure
-) -> float:
-    """Cost plus failure-excess penalties of a concrete plan, the same
-    objective best_placement minimizes."""
-    from .model import service_cost, service_failure_probability
-
-    total = 0.0
-    for svc in plan.services:
-        stype = catalog[svc.type_index]
-        total += service_cost(svc, infra, catalog).total
-        e = service_failure_probability(svc.vnfs, infra)
-        total += stype.penalty * max(0.0, e - stype.failure_cap)
-    return total

@@ -123,11 +123,12 @@ class PlacementContext:
         # a backup stage ("no backup") and misses at a main stage; the
         # stock each state draws, of the stock's shape, with the demand at
         # row x, column x (state 0 draws nothing); the charge row; the
-        # reliability target, one float at a main stage, whose state-0
+        # reliability target, one value at a main stage, whose state-0
         # column never fits, and one per state at a backup stage; for a
         # chain's first VNF, the score ``term + 0.0 + hinge`` before the
         # path cost is added (per main state at a backup stage), else None;
-        # the type's bandwidth and its penalty
+        # the type's bandwidth and its penalty. Each scalar is a 0-d array,
+        # which a ufunc takes with less work than a Python float
         self.stage_tables: list[list[tuple]] = []
         # the link table as the kernel reads it, and row x marking state x:
         # a backup stage's predecessor holds its main there
@@ -147,15 +148,15 @@ class PlacementContext:
                     need = np.tile(demand, (n + 1, 1))
                     if not backup:
                         need[0] = self.pad + 1
-                    target = self.targets[l] if backup else 1.0 - stype.failure_cap
+                    target = self.targets[l] if backup else np.array(1.0 - stype.failure_cap)
                     base = None
                     if u == 0:
                         up = self.backup_up if backup else self.up
                         base = term + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
                     tables.append((
                         u, backup, need.reshape(self.stock_shape[1:]),
-                        draw.reshape(self.stock_shape), term, target, base, stype.bandwidth,
-                        stype.penalty,
+                        draw.reshape(self.stock_shape), term, target, base,
+                        np.array(stype.bandwidth), np.array(stype.penalty),
                     ))
                 terms.append(term)
                 usage += [demand, demand]
@@ -285,7 +286,8 @@ class TrellisPlacement:
         cost, reliability, stock, _ = records[0]
         up, backup_up, main_up, link = ctx.up, ctx.backup_up, ctx.main_up, ctx.link_rows
         states, same_server = ctx.states, ctx.same_server
-        width = len(states)
+        # 0-d operands, as in the stage tables
+        width, zero, inf = np.array(len(states)), np.array(0.0), np.array(np.inf)
         for l in self.arrangement:
             for u, backup, need, draw, term, target, base, bandwidth, penalty in ctx.stage_tables[l]:
                 short = _short(stock, need, backup, same_server)
@@ -303,20 +305,21 @@ class TrellisPlacement:
                         route *= bandwidth
                         tau = reliability[:, None] * up
                     hinge = target - tau
-                    np.maximum(hinge, 0.0, out=hinge)
+                    np.maximum(hinge, zero, out=hinge)
                     hinge *= penalty
                     theta = term + route
                     theta += hinge
                     theta += cost[:, None]
                 # argmin keeps the first minimum: ties go to the lowest x1;
                 # a column whose minimum is inf is dead
-                np.putmask(theta, short, np.inf)
+                np.putmask(theta, short, inf)
                 pick = theta.argmin(axis=0)
                 at = pick * width  # each state's (predecessor, state) entry, flattened
                 at += states
-                dead = np.isinf(theta.take(at))  # no cost is ever -inf
-                if not backup and np.count_nonzero(dead) == width:
-                    return False
+                if not backup:
+                    dead = np.isinf(theta.take(at))  # no cost is ever -inf
+                    if np.count_nonzero(dead) == width:
+                        return False
 
                 stock = stock.take(pick, axis=0)
                 stock -= draw
@@ -332,9 +335,13 @@ class TrellisPlacement:
                             route = route.take(pick, axis=0)
                 else:
                     reliability = tau
-                np.putmask(cost, dead, np.inf)
                 if backup:
+                    # no mask: a dead column picks row 0, and state 0 of the
+                    # main stage before is dead, as no main fits there, so
+                    # the column's cost comes out inf
                     back1 = pick
+                else:
+                    np.putmask(cost, dead, inf)
                 records.append((cost, reliability, stock, pick))
         return True
 

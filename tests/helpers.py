@@ -535,3 +535,41 @@ def wrong_json_values(default, current):
     if default is not None:
         wrong.append(None)
     return wrong
+
+
+def penalized_objective(plan, catalog, infra):
+    """Cost plus failure-excess penalties of a concrete plan, the same
+    objective ``oracle.best_placement`` minimizes."""
+    total = 0.0
+    for svc in plan.services:
+        stype = catalog[svc.type_index]
+        total += nv.service_cost(svc, infra, catalog).total
+        e = nv.service_failure_probability(svc.vnfs, infra)
+        total += stype.penalty * max(0.0, e - stype.failure_cap)
+    return total
+
+
+def transition_prob(model, state, realized_action, next_state):
+    """P(next | state, realized admissions) under the transition model
+    ``model``: independent arrivals times the departure law applied to
+    sigma + realized_action."""
+    _, sigma = state
+    lam_next, sigma_next = next_state
+    source = tuple(s + a for s, a in zip(sigma, realized_action))
+    for j, m in zip(source, model.space.sigma_max):
+        if j > m:
+            raise ValueError("realized action overflows the active-count register")
+    row = model.departure_row(source)
+    return float(
+        nv.arrival_prob(lam_next, model.catalog)
+        * row[model.space.active_index(sigma_next) - 1]
+    )
+
+
+def server_location(infra, sid):
+    """Inverse of ``Infrastructure.server_id``: the (provider, local
+    server) pair of flat server ``sid``."""
+    if not 0 <= sid < infra.num_servers:
+        raise IndexError(f"server {sid} out of range")
+    inp = int(infra.server_inp[sid])
+    return inp, sid - sum(infra.servers_per_inp[:inp])

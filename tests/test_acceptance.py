@@ -23,17 +23,19 @@ from nfvplace.model import (
     service_failure_probability,
     service_usage,
 )
-from nfvplace.oracle import best_placement, failure_by_enumeration, penalized_objective
+from nfvplace.oracle import best_placement, failure_by_enumeration
 from nfvplace.sim import sample_arrivals, sample_departures
 
 from helpers import (
     analytic_setup,
     contraction_setup,
+    penalized_objective,
     random_batch_inputs,
     random_service_placement,
     random_tiny_instance,
     replay,
     survivors,
+    transition_prob,
 )
 from test_cli import small_config_dict
 
@@ -104,7 +106,7 @@ def test_02_transition_rows_are_stochastic(bundled):
     for _ in range(50):
         nl = tuple(int(rng.integers(0, m + 1)) for m in space.lambda_max)
         ns = tuple(int(rng.integers(0, s + 1)) for s in source)
-        p = model.transition_prob((lam, sigma), realized, (nl, ns))
+        p = transition_prob(model, (lam, sigma), realized, (nl, ns))
         q = float(
             model.arrival_probs[space.arrival_index(nl) - 1]
             * row[space.active_index(ns) - 1]

@@ -368,7 +368,8 @@ def place_mains_reference(l, idle, tables):
     previous main; None when a VNF has no room. ``idle`` is consumed."""
     bandwidth = tables.catalog[l].bandwidth
     mains = []
-    for r, charge in zip(tables.demands[l], tables.charges[l]):
+    for spec, charge in zip(tables.catalog[l].vnfs, tables.charges[l]):
+        r = np.array(spec.demands)
         link = tables.link[mains[-1]] if mains else None
         best, best_cost = None, np.inf
         for srv, fits in enumerate((idle >= r).all(axis=1).tolist()):
@@ -438,8 +439,8 @@ class TestBackupScan:
             for u, backup in enumerate(build.backups):
                 if backup is not None:
                     continue
-                hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
-                r = tables.demands[build.type_index][u]
+                hosts, failures = nb._backup_scan(build, u, factors, idle.T.tolist(), tables)
+                r = np.array(catalog[build.type_index].vnfs[u].demands)
                 assert hosts == [
                     srv for srv, fits in enumerate((idle >= r).all(axis=1).tolist())
                     if fits and srv != build.mains[u]
@@ -461,9 +462,12 @@ class TestBackupScan:
         for _ in range(150):
             l = int(rng.integers(len(catalog)))
             idle = self._idle(rng, infra)
-            want = place_mains_reference(l, idle.copy(), tables)
-            got = nb._place_mains(l, idle, tables)
+            consumed, columns = idle.copy(), idle.T.tolist()
+            want = place_mains_reference(l, consumed, tables)
+            got = nb._place_mains(l, columns, tables)
             assert (got and got.mains) == want
+            # the mains' demands taken, or all of a failed chain's given back
+            assert columns == (idle if want is None else consumed).T.tolist()
             placed += want is not None
         assert placed > 20
 
@@ -472,13 +476,78 @@ class TestBackupScan:
         infra, catalog = self._setup(name, bundled, reduced)
         tables = nv.BaselineTables(infra, catalog)
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            build = random_build(rng, infra, catalog)
-            o = nb._outcome(build.type_index, build, tables)
-            assert o.placement == nv.ServicePlacement(build.type_index, tuple(
-                nv.VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
-            assert o.cost.hex() == nv.service_cost(o.placement, infra, catalog).total.hex()
-            assert o.failure_prob.hex() == (
-                nv.service_failure_probability(o.placement.vnfs, infra).hex())
-            assert o.usage.dtype == np.int64
-            assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))
+        checked = 0
+        for _ in range(30):
+            # one call over several builds, some of them unplaced
+            builds = [
+                random_build(rng, infra, catalog) if rng.random() < 0.8 else None
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            type_indices = [
+                int(rng.integers(len(catalog))) if b is None else b.type_index for b in builds
+            ]
+            outcomes = nb._outcomes(type_indices, builds, tables)
+            assert [o.type_index for o in outcomes] == type_indices
+            for build, o in zip(builds, outcomes, strict=True):
+                if build is None:
+                    assert (o.placement, o.cost, o.failure_prob, o.usage) == (None,) * 4
+                    continue
+                assert o.placement == nv.ServicePlacement(build.type_index, tuple(
+                    nv.VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
+                assert o.cost.hex() == nv.service_cost(o.placement, infra, catalog).total.hex()
+                assert o.failure_prob.hex() == (
+                    nv.service_failure_probability(o.placement.vnfs, infra).hex())
+                assert o.usage.dtype == np.int64
+                assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))
+                checked += 1
+        assert checked > 50
+
+
+class TestRunOutputs:
+    """What one run_baseline call reads and hands out."""
+
+    @staticmethod
+    def _cases(infra, catalog, seed, cases=15):
+        rng = np.random.default_rng(seed)
+        for _ in range(cases):
+            frac = rng.uniform(0.0, 1.0, size=(infra.num_servers, 1))
+            idle = np.floor(infra.capacity * frac).astype(np.int64)
+            requests = [int(l) for l in rng.integers(len(catalog), size=int(rng.integers(1, 9)))]
+            yield nv.ResourceLedger(infra.capacity, idle), requests
+
+    def test_read_only_ledger_left_bit_identical(self, bundled):
+        infra, catalog = bundled
+        tables = nv.BaselineTables(infra, catalog)
+        for ledger, requests in self._cases(infra, catalog, 12):
+            before = ledger.server_idle.copy()
+            ledger.server_idle.setflags(write=False)
+            for baseline in BACKUP_BASELINES:
+                nv.run_baseline(baseline, requests, ledger, infra, catalog, tables=tables)
+                assert ledger.server_idle.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", ["bundled", "two_resource", "random-r3"])
+    def test_usage_rows_are_each_outcomes_own(self, name, bundled):
+        infra, catalog = {
+            "bundled": lambda: bundled,
+            "two_resource": two_resource_setup,
+            "random-r3": lambda: multi_resource_setup(30, 3),
+        }[name]()
+        tables = nv.BaselineTables(infra, catalog)
+        shape = (infra.num_servers, infra.num_resources)
+        shared = 0
+        for ledger, requests in self._cases(infra, catalog, 13):
+            for baseline in BACKUP_BASELINES:
+                outs = nv.run_baseline(baseline, requests, ledger, infra, catalog, tables=tables)
+                placed = [o for o in outs if o.placed]
+                for o in placed:
+                    assert o.usage.dtype == np.int64 and o.usage.shape == shape
+                    assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))
+                for k, o in enumerate(placed):
+                    others = [p.usage.copy() for p in placed]
+                    o.usage += 1
+                    for j, p in enumerate(placed):
+                        if j != k:
+                            assert np.array_equal(p.usage, others[j])
+                    o.usage -= 1
+                shared += len(placed) > 1
+        assert shared > 10

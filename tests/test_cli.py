@@ -187,13 +187,15 @@ class TestSimulate:
                 values=[math.nan] * len(p["values"]),
                 mean_value_trace=[math.inf] + p["mean_value_trace"][1:],
             )),
+            # raised OverflowError out of main
+            ("values[0]", lambda p: p["values"].__setitem__(0, 10**400)),
         ],
         ids=[
             "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
             "infeasible-actions", "arrangement-not-an-ordering", "converged-string",
             "seed-fraction", "iterations-fraction", "arrangements-bool", "gamma-string",
             "value-string", "action-float", "gamma-range", "seed-negative",
-            "fingerprint-misspelled", "values-nan",
+            "fingerprint-misspelled", "values-nan", "values-huge-integer",
         ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):
@@ -405,7 +407,9 @@ class TestErrors:
          "infrastructure.link_cost.default"),
         (lambda cfg: cfg["service_types"][0].update(bandwidth=math.nan), "service_types[0].bandwidth"),
         (lambda cfg: cfg["service_types"][0].update(penalty=math.nan), "service_types[0].penalty"),
-    ], ids=["link-cost", "bandwidth", "penalty"])
+        # an integer beyond a float's range raised OverflowError out of main
+        (lambda cfg: cfg["service_types"][0].update(bandwidth=10**400), "service_types[0].bandwidth"),
+    ], ids=["link-cost", "bandwidth", "penalty", "bandwidth-huge-integer"])
     def test_non_finite_number_exits_two(self, tmp_path, capsys, edit, prefix):
         cfg = small_config_dict()
         cfg["service_types"][0]["vnfs"] *= 2

@@ -170,8 +170,14 @@ class TestDiagnostics:
         (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[math.inf]),
          "service_types[0].vnfs[0].demands[0]: expected an integer, got float"),
         (lambda cfg: cfg["mdp"].update(epsilon=math.nan), "mdp.epsilon: expected a finite number"),
+        # an integer beyond a float's range used to raise OverflowError
+        (lambda cfg: cfg["infrastructure"].update(alpha=[10**400]),
+         "infrastructure.alpha[0]: expected a finite number, got an integer too large for a float"),
+        (lambda cfg: cfg["service_types"][0].update(bandwidth=10**400),
+         "service_types[0].bandwidth: expected a finite number, got an integer too large for a float"),
     ], ids=["link-default", "link-inter", "link-matrix", "beta", "alpha", "deployment",
-            "server", "bandwidth", "penalty", "reward", "pmf", "demand", "epsilon"])
+            "server", "bandwidth", "penalty", "reward", "pmf", "demand", "epsilon",
+            "alpha-huge-integer", "bandwidth-huge-integer"])
     def test_non_finite_number_rejected(self, base, edit, prefix):
         edit(base)
         with pytest.raises(nv.ConfigError) as err:

@@ -11,6 +11,8 @@ import nfvplace as nv
 from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
 
+from helpers import transition_prob
+
 
 def uniform_type(pmf, d=0.5, sigma_max=5, q=10.0, name="u"):
     return nv.ServiceType(
@@ -142,7 +144,7 @@ class TestTransitionModel:
         state = ((1, 0), (2, 1))
         realized = (1, 0)
         nxt = ((0, 1), (1, 1))
-        p = model.transition_prob(state, realized, nxt)
+        p = transition_prob(model, state, realized, nxt)
         source = (3, 1)
         row = model.departure_row(source)
         expected = nv.arrival_prob((0, 1), catalog) * row[space.active_index((1, 1)) - 1]
@@ -153,7 +155,7 @@ class TestTransitionModel:
         space = nv.build_state_space(catalog)
         model = nv.TransitionModel(space, catalog)
         with pytest.raises(ValueError):
-            model.transition_prob(((1, 0), (5, 0)), (1, 0), ((0, 0), (5, 0)))
+            transition_prob(model, ((1, 0), (5, 0)), (1, 0), ((0, 0), (5, 0)))
 
     def test_full_row_sums_to_one(self, reduced):
         _, catalog = reduced

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import nfvplace as nv
 
+from helpers import server_location
+
 
 def one_inp(v=0.1, caps=((10,),), alpha=(1.0,), beta=1.0, v_base=0.1, dc=0.0):
     return nv.Infrastructure(
@@ -326,7 +328,7 @@ class TestInfrastructure:
     def test_server_id_location_round_trip(self, bundled):
         infra, _ = bundled
         for sid in range(infra.num_servers):
-            i, s = infra.server_location(sid)
+            i, s = server_location(infra, sid)
             assert infra.server_id(i, s) == sid
 
     def test_failure_lookup(self, bundled):

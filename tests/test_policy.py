@@ -558,6 +558,9 @@ class TestPolicyArtifact:
              f"mean_value_trace[{len(saved['mean_value_trace'])}]"),
             ({"sup_diff_trace": [-math.inf] + saved["sup_diff_trace"][1:]}, "sup_diff_trace[0]"),
             ({"epsilon": math.nan}, "epsilon"),
+            # an integer beyond a float's range used to raise OverflowError
+            ({"values": [10**400] + saved["values"][1:]}, "values[0]"),
+            ({"gamma": 10**400}, "gamma"),
         ):
             path.write_text(json.dumps({**saved, **edit}))
             with pytest.raises(ValueError, match=rf"^{re.escape(where)}: expected a finite number"):

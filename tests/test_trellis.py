@@ -421,6 +421,23 @@ class TestStageKernel:
                         assert tp.stages[k][0][state] < np.inf
         assert dead_seen > 0
 
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "two_resource"])
+    def test_main_stages_leave_state_zero_dead(self, setup, request):
+        # so a backup stage's dead column, which picks row 0, is at cost
+        # inf without a mask of its own
+        infra, catalog = request.getfixturevalue(setup)
+        rng = np.random.default_rng(4)
+        mains = 0
+        for _ in range(20):
+            batch = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+            tp = nv.TrellisPlacement(*batch, catalog, infra)
+            tp.run()
+            for (cost, *_), (_, _, backup) in zip(tp.stages[1:], tp._stage_info):
+                if not backup:
+                    assert cost[0] == np.inf
+                    mains += 1
+        assert mains > 50
+
     def test_middle_stage_lookup_after_run(self, bundled):
         # run() leaves only back-pointers behind; survivors looked up at a
         # middle stage afterwards must trace back to the pair loop's paths
