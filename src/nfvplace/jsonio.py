@@ -18,6 +18,10 @@ _JSON_TYPES = {
     "an object": dict,
 }
 
+# the integers a field may hold: each is read into int64 arrays, and Python
+# tests an int's membership in a range without iterating it
+INT64 = range(-(2**63), 2**63)
+
 
 def at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
@@ -29,6 +33,8 @@ def json_value(value, expected: str, name: str):
     kind = _JSON_TYPES[expected]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{name}: expected {expected}, got {type(value).__name__}")
+    if kind is int and value not in INT64:
+        raise ValueError(f"{name}: expected an integer within int64, got one of {value.bit_length()} bits")
     return value
 
 
@@ -37,7 +43,10 @@ def json_list(values, expected: str, name: str) -> list:
     ``expected``; an entry's path is formed only for its error."""
     kind = _JSON_TYPES[expected]
     for k, v in enumerate(json_value(values, "a list", name)):
-        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        if (
+            not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool)
+            or (kind is int and v not in INT64)
+        ):
             json_value(v, expected, f"{name}[{k}]")
     return values
 

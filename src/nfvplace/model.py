@@ -24,11 +24,18 @@ class LedgerError(RuntimeError):
     """A ledger operation would leave idle resources out of bounds."""
 
 
+# the largest server capacity or demand: one unit more, which the trellis
+# asks of a stock that must never fit, is still an int64
+MAX_AMOUNT = 2**63 - 2
+
+
 def _whole(value, what: str) -> int:
     """``value`` as an int; a fractional value is an error, not truncated."""
     n = int(value)
     if n != value:
         raise ValueError(f"{what} must be integers, got {value!r}")
+    if n > MAX_AMOUNT:
+        raise ValueError(f"{what} must be at most {MAX_AMOUNT}, got {n}")
     return n
 
 

@@ -38,9 +38,15 @@ class SimParams:
     slots: int = 1000
     seed: int = 0
 
+    # a run holds five per-slot metric columns, so its slot count bounds
+    # their size: 10**7 slots take about 500 MB at four service types
+    MAX_SLOTS = 10**7
+
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ValueError("slots: must be positive")
+        if self.slots > self.MAX_SLOTS:
+            raise ValueError(f"slots: must be at most {self.MAX_SLOTS}")
         if self.seed < 0:
             raise ValueError("seed: must be non-negative")
 

@@ -21,7 +21,10 @@ per state, with a state that nothing feasible reaches dead at cost inf.
 Each state keeps a back-pointer to its predecessor instead of its path,
 which is traced back only when it is read. Tables that depend only
 on the setup live in a :class:`PlacementContext`, built once and shared
-by every batch.
+by every batch, each at the shape of the stage matrix it meets, as the
+decoder runs the same add-compare-select at every stage. A stage's
+feasibility is one compare with its need table, which also keeps a
+backup off its main's server.
 """
 
 from __future__ import annotations
@@ -41,14 +44,12 @@ from .model import (
 )
 
 
-def _short(stock: np.ndarray, need: np.ndarray, backup: bool, same_server: np.ndarray):
-    """The (predecessor, state) pairs that cannot move: some resource short,
-    or at a backup stage the main's own server, as a backup never shares it."""
+def _short(stock: np.ndarray, need: np.ndarray):
+    """The (predecessor, state) pairs that cannot move: some resource of the
+    stock short of the stage's need table, which is of the stock's shape."""
     short = stock < need
     if short.ndim == 3:
         short = np.logical_or.reduce(short, axis=2)
-    if backup:
-        short |= same_server
     return short
 
 
@@ -56,10 +57,11 @@ def _traceback(records: list[tuple], m: int, x: int) -> tuple[int, ...]:
     """Server choices of state ``x`` at stage ``m``, read back through each
     stage's back-pointers."""
     path = []
-    for *_, pick in records[m:0:-1]:
+    for _, _, _, pick in records[m:0:-1]:
         path.append(x)
         x = pick.item(x)
-    return tuple(reversed(path))
+    path.reverse()
+    return tuple(path)
 
 
 @dataclass
@@ -82,6 +84,12 @@ class PlacementContext:
     subtract from an integer or a float stock exactly: one table set
     serves every snapshot dtype.
 
+    Each table the stage kernel combines with a stage's (predecessor,
+    state) matrix has that matrix's shape, as numpy runs a call on
+    same-shape operands at about half the cost of a broadcast one, and is
+    shared by every stage that reads the same values: one need and one
+    draw table per demand row, one charge table per (type, VNF).
+
     State id 0 is "no server": zero charge, no links and a failure
     probability of 1, so it never improves reliability.
     """
@@ -90,19 +98,24 @@ class PlacementContext:
         self.catalog = catalog
         self.infra = infra
         n = infra.num_servers
-        link = np.zeros((n + 1, n + 1))
+        full = (n + 1, n + 1)
+        link = np.zeros(full)
         link[1:, 1:] = infra.link_cost
         self.link = link.tolist()
         v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
-        self.up = 1.0 - v
+        up = 1.0 - v
+        # the matrices of a stage: row x1 is the predecessor, column x2 the state
+        self.up_rows = np.tile(up, (n + 1, 1))
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
         # the main's factor that a backup stage divides out, per main state;
         # state 0 is never a live main, and 1.0 keeps its dead row finite
-        self.main_up = np.concatenate(([1.0], self.up[1:]))[:, None]
+        self.main_up = np.tile(np.concatenate(([1.0], up[1:]))[:, None], (1, n + 1))
         states = self.states = np.arange(n + 1)
         self.targets = [np.where(states == 0, 1.0, 1.0 - t.failure_cap) for t in catalog]
         # the stock of the kernel's state-0 row: it fits every demand
         self.pad = max((max(spec.demands) for t in catalog for spec in t.vnfs), default=0)
+        # a need above every stock a stage can hold, the pad row's included
+        never = max(self.pad, int(infra.capacity.max())) + 1
         # stage 0: state 0 at cost 0 and reliability 1, every other state
         # dead at cost inf; every stage's stock is (S + 1, S + 1, R), or
         # (S + 1, S + 1) when R = 1
@@ -110,55 +123,64 @@ class PlacementContext:
         self.origin_cost[0] = 0.0
         self.origin_reliability = np.ones(n + 1)
         r = infra.num_resources
-        self.stock_shape = (n + 1, n + 1) + ((r,) if r > 1 else ())
-        # per (type, vnf): the charge of hosting it on each state
-        self.terms: list[list[np.ndarray]] = []
+        self.stock_shape = full + ((r,) if r > 1 else ())
+        # per (type, vnf): the charge of hosting it on each state, as Python
+        # floats for the read-out's scalar sums
+        self.terms: list[list[list[float]]] = []
         # per type: the demand of each of its stages, main then backup per
         # VNF, so a batch's usage is one scatter-add over the states of its
         # path (state 0, no backup, collects the rest)
         self.stage_usage: list[np.ndarray] = []
         # per type, in search order, one tuple per stage: the vnf index and
-        # whether it is a backup stage; the stock each state needs, (S + 1,
-        # R), or (S + 1,) when R = 1, which the state-0 row's stock fits at
-        # a backup stage ("no backup") and misses at a main stage; the
-        # stock each state draws, of the stock's shape, with the demand at
-        # row x, column x (state 0 draws nothing); the charge row; the
-        # reliability target, one value at a main stage, whose state-0
-        # column never fits, and one per state at a backup stage; for a
-        # chain's first VNF, the score ``term + 0.0 + hinge`` before the
-        # path cost is added (per main state at a backup stage), else None;
-        # the type's bandwidth and its penalty. Each scalar is a 0-d array,
-        # which a ufunc takes with less work than a Python float
+        # whether it is a backup stage; the need table, the stock each
+        # (predecessor, state) pair needs, of the stock's shape: a main
+        # stage's state-0 column, and a backup stage's diagonal (a backup
+        # never shares its main's server), ask for ``never``; the draw
+        # table, with the demand at row x, column x (state 0 draws
+        # nothing); the charge row and its full table; the reliability
+        # target, one value at a main stage and a full table at a backup
+        # stage; for a chain's first VNF, the score ``term + 0.0 + hinge``
+        # before the path cost is added, else None; the type's bandwidth and
+        # its penalty. Each scalar is a 0-d array, which a ufunc takes with
+        # less work than a Python float
         self.stage_tables: list[list[tuple]] = []
-        # the link table as the kernel reads it, and row x marking state x:
-        # a backup stage's predecessor holds its main there
+        # the link table as the kernel reads it
         self.link_rows = link
-        self.same_server = np.eye(n + 1, dtype=bool)
         servers = states[1:]
+        # (main need, backup need, draw) per demand row
+        demand_tables: dict[tuple[int, ...], tuple] = {}
         for l, stype in enumerate(catalog):
             terms, usage, tables = [], [], []
+            target_rows = np.tile(self.targets[l], (n + 1, 1))
             for u, spec in enumerate(stype.vnfs):
                 demand = np.array(spec.demands, dtype=np.int64)
+                if spec.demands not in demand_tables:
+                    main_need = np.empty(full + demand.shape, dtype=np.int64)
+                    main_need[...] = demand
+                    backup_need = main_need.copy()
+                    main_need[:, 0] = never
+                    backup_need[states, states] = never
+                    draw = np.zeros(full + demand.shape, dtype=np.int64)
+                    draw[servers, servers] = demand
+                    demand_tables[spec.demands] = tuple(
+                        table.reshape(self.stock_shape) for table in (main_need, backup_need, draw)
+                    )
+                main_need, backup_need, draw = demand_tables[spec.demands]
                 per_inp = infra.unit_cost @ demand.astype(float)
                 per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
                 term = np.concatenate(([0.0], per_inp[infra.server_inp]))
-                draw = np.zeros((n + 1, n + 1, len(demand)), dtype=np.int64)
-                draw[servers, servers] = demand
+                charge = np.tile(term, (n + 1, 1))
                 for backup in (False, True):
-                    need = np.tile(demand, (n + 1, 1))
-                    if not backup:
-                        need[0] = self.pad + 1
-                    target = self.targets[l] if backup else np.array(1.0 - stype.failure_cap)
+                    target = target_rows if backup else np.array(1.0 - stype.failure_cap)
                     base = None
                     if u == 0:
-                        up = self.backup_up if backup else self.up
-                        base = term + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
+                        up = self.backup_up if backup else self.up_rows
+                        base = charge + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
                     tables.append((
-                        u, backup, need.reshape(self.stock_shape[1:]),
-                        draw.reshape(self.stock_shape), term, target, base,
-                        np.array(stype.bandwidth), np.array(stype.penalty),
+                        u, backup, backup_need if backup else main_need, draw, term, charge,
+                        target, base, np.array(stype.bandwidth), np.array(stype.penalty),
                     ))
-                terms.append(term)
+                terms.append(term.tolist())
                 usage += [demand, demand]
             self.terms.append(terms)
             self.stage_usage.append(np.array(usage))
@@ -244,12 +266,11 @@ class TrellisPlacement:
         from a live predecessor, counted from the stage records."""
         if not self.stages:
             return 0
-        same_server = self.context.same_server
         tables = [t for l in self.arrangement for t in self.context.stage_tables[l]]
         count = 0
         # a failed main stage left no record; no pair fit from a live state there
-        for (cost, _, stock, _), (_, backup, need, *_) in zip(self.stages, tables):
-            count += np.count_nonzero(~_short(stock, need, backup, same_server)[cost < np.inf])
+        for (cost, _, stock, _), (_, _, need, *_) in zip(self.stages, tables):
+            count += np.count_nonzero(~_short(stock, need)[cost < np.inf])
         return int(count)
 
     # -- search ---------------------------------------------------------
@@ -276,23 +297,30 @@ class TrellisPlacement:
         that no feasible pair reaches is dead, at cost inf, so its row
         scores inf and no live state ever picks it. Every stage scores the
         same S + 1 columns: the stock carries a state-0 row that fits every
-        demand, so "no backup" needs no special column, and a main stage's
-        state-0 column never fits. A main stage routes from the previous
-        VNF's main (``back1``) and backup (the row); the backup stage after
-        it links to the same two servers, so it takes the main stage's route
-        rows along the back-pointers instead of forming them again.
+        demand, so "no backup" needs no special column. Feasibility is one
+        compare of the stock with the stage's need table, whose state-0
+        column at a main stage and diagonal at a backup stage no stock
+        meets. Every other operand is a table of the stage's own shape, or
+        a 0-d scalar, so the path vectors (``cost[:, None]`` and
+        ``reliability[:, None]``) are the only operands broadcast. A main
+        stage routes from the previous VNF's main (``back1``) and backup
+        (the row); the backup stage after it links to the same two servers,
+        so it takes the main stage's route rows along the back-pointers
+        instead of forming them again.
         """
         ctx = self.context
         cost, reliability, stock, _ = records[0]
-        up, backup_up, main_up, link = ctx.up, ctx.backup_up, ctx.main_up, ctx.link_rows
-        states, same_server = ctx.states, ctx.same_server
+        up_rows, backup_up, main_up = ctx.up_rows, ctx.backup_up, ctx.main_up
+        link, states = ctx.link_rows, ctx.states
         # 0-d operands, as in the stage tables
         width, zero, inf = np.array(len(states)), np.array(0.0), np.array(np.inf)
         for l in self.arrangement:
-            for u, backup, need, draw, term, target, base, bandwidth, penalty in ctx.stage_tables[l]:
-                short = _short(stock, need, backup, same_server)
+            for u, backup, need, draw, term, charge, target, base, bandwidth, penalty in (
+                ctx.stage_tables[l]
+            ):
+                short = _short(stock, need)
                 if u == 0:
-                    tau = backup_up if backup else up
+                    tau = backup_up if backup else up_rows
                     theta = base + cost[:, None]
                 else:
                     if backup:
@@ -303,11 +331,11 @@ class TrellisPlacement:
                         route = link.take(back1, axis=0)
                         route += link
                         route *= bandwidth
-                        tau = reliability[:, None] * up
+                        tau = reliability[:, None] * up_rows
                     hinge = target - tau
                     np.maximum(hinge, zero, out=hinge)
                     hinge *= penalty
-                    theta = term + route
+                    theta = charge + route
                     theta += hinge
                     theta += cost[:, None]
                 # argmin keeps the first minimum: ties go to the lowest x1;
@@ -326,15 +354,12 @@ class TrellisPlacement:
                 # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
                 # a first VNF is left out, as no cost is ever -0.0
                 cost = cost.take(pick) + term
-                if tau.ndim == 2:
-                    reliability = tau.take(at)
-                    if u:
-                        cost += route.take(at)
-                        if not backup:
-                            # the backup stage's route rows
-                            route = route.take(pick, axis=0)
-                else:
-                    reliability = tau
+                reliability = tau.take(at)
+                if u:
+                    cost += route.take(at)
+                    if not backup:
+                        # the backup stage's route rows
+                        route = route.take(pick, axis=0)
                 if backup:
                     # no mask: a dead column picks row 0, and state 0 of the
                     # main stage before is dead, as no main fits there, so
@@ -383,10 +408,10 @@ class TrellisPlacement:
                     # servers; a first VNF routes nothing, and its "+ 0.0" is
                     # left out, as no cost is ever -0.0
                     to_main, to_backup = link[main], link[backup]
-                    cost = cost + term.item(x) + bandwidth * (to_main[x] + to_backup[x])
-                    cost = cost + term.item(y) + bandwidth * (to_backup[y] + to_main[y])
+                    cost = cost + term[x] + bandwidth * (to_main[x] + to_backup[x])
+                    cost = cost + term[y] + bandwidth * (to_backup[y] + to_main[y])
                 else:
-                    cost = cost + term.item(x) + term.item(y)
+                    cost = cost + term[x] + term[y]
                 main, backup = x, y
                 vnfs.append(VnfPlacement(x - 1, y - 1 if y else None))
             offset = len(placements) * width

@@ -295,6 +295,28 @@ class PathState:
     path: tuple[int, ...]
 
 
+def context_bytes(context):
+    """Bytes of the arrays a :class:`nfvplace.PlacementContext` holds itself
+    (its catalog and infrastructure left out), each buffer counted once
+    however many views of it the context keeps."""
+    todo = [v for k, v in vars(context).items() if k not in ("catalog", "infra")]
+    seen, buffers = set(), {}
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return sum(buffers.values())
+
+
 def best_move(tp, m, preds, x2):
     """Reference add-compare-select for state ``x2`` at stage ``m`` of
     ``tp``, one pair at a time: score the move from each ``(x1, survivor)``

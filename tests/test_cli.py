@@ -189,6 +189,8 @@ class TestSimulate:
             )),
             # raised OverflowError out of main
             ("values[0]", lambda p: p["values"].__setitem__(0, 10**400)),
+            # an int field holds int64 values only
+            ("iterations", lambda p: p.update(iterations=10**400)),
         ],
         ids=[
             "missing-actions", "short-actions", "short-arrangements", "short-values", "literal",
@@ -196,6 +198,7 @@ class TestSimulate:
             "seed-fraction", "iterations-fraction", "arrangements-bool", "gamma-string",
             "value-string", "action-float", "gamma-range", "seed-negative",
             "fingerprint-misspelled", "values-nan", "values-huge-integer",
+            "iterations-huge-integer",
         ],
     )
     def test_malformed_policy_rejected(self, cfg_path, tmp_path, capsys, field, edit):
@@ -422,6 +425,28 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{prefix}: expected a finite number")
+
+    # the demand raised OverflowError out of main, and each slot count exited
+    # 1 with numpy's "Maximum allowed dimension exceeded" and no field path
+    @pytest.mark.parametrize("edit, flags, prefix", [
+        (lambda cfg: cfg["service_types"][0]["vnfs"][0].update(demands=[10**400]), [],
+         "service_types[0].vnfs[0].demands[0]: expected an integer within int64"),
+        (lambda cfg: cfg["sim"].update(slots=10**400), [],
+         "sim.slots: expected an integer within int64"),
+        (lambda cfg: None, ["--slots", str(10**30)], "--slots: must be at most"),
+    ], ids=["demand", "sim-slots", "slots-flag"])
+    def test_integer_out_of_range_exits_two(self, tmp_path, capsys, edit, flags, prefix):
+        cfg = small_config_dict()
+        edit(cfg)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(path), "--strategy", "trellis",
+                   "--out", str(tmp_path / "x.csv")] + flags)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(prefix)
+        assert not (tmp_path / "x.csv").exists()
 
     # each repeat used to add an identical CSV row and count again in the
     # summary's means and stddevs

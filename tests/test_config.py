@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nfvplace as nv
+from nfvplace.model import MAX_AMOUNT
 from nfvplace.policy import MdpParams
 from nfvplace.sim import SimParams
 
@@ -208,8 +209,9 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("field, value, message", [
         ("slots", 0, "must be positive"),
+        ("slots", SimParams.MAX_SLOTS + 1, f"must be at most {SimParams.MAX_SLOTS}"),
         ("seed", -1, "must be non-negative"),
-    ], ids=["slots", "seed"])
+    ], ids=["slots", "slots-bound", "seed"])
     def test_sim_parameter_out_of_range_rejected(self, base, field, value, message):
         base["sim"][field] = value
         with pytest.raises(nv.ConfigError) as err:
@@ -235,6 +237,43 @@ class TestDiagnostics:
          "service_types[0].vnfs[0].demands[0]: expected an integer, got str"),
     ], ids=["server-fraction", "server-float", "server-row", "demand-fraction", "demand-string"])
     def test_non_integer_amount_rejected(self, base, edit, prefix):
+        edit(base)
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(json.loads(json.dumps(base)))
+        assert str(err.value).startswith(prefix)
+
+
+    # json reads an integer of any size, and one beyond int64 raised
+    # OverflowError, or a numpy error without a path, where an array took it
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["sim"].update(seed=2**63), "sim.seed"),
+        (lambda cfg: cfg["mdp"].update(seed=-(2**63) - 1), "mdp.seed"),
+        (lambda cfg: cfg["infrastructure"]["inps"][1]["servers"][2].__setitem__(0, 2**63),
+         "infrastructure.inps[1].servers[2][0]"),
+        (lambda cfg: cfg["service_types"][2]["vnfs"][3].update(demands=[10**400]),
+         "service_types[2].vnfs[3].demands[0]"),
+    ], ids=["int", "int-negative", "table-entry", "list-entry"])
+    def test_integer_beyond_int64_rejected(self, base, edit, prefix):
+        edit(base)
+        with pytest.raises(nv.ConfigError) as err:
+            nv.parse_config(json.loads(json.dumps(base)))
+        assert str(err.value).startswith(f"{prefix}: expected an integer within int64")
+
+    def test_int64_edges_load(self, base):
+        base["sim"]["seed"] = 2**63 - 1
+        base["infrastructure"]["inps"][0]["servers"][0][0] = MAX_AMOUNT
+        cfg = nv.parse_config(json.loads(json.dumps(base)))
+        assert (cfg.sim.seed, cfg.infrastructure.capacity[0, 0]) == (2**63 - 1, MAX_AMOUNT)
+
+    # the trellis asks one unit more of a stock than any amount, which the
+    # top int64 value has no room for
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda cfg: cfg["infrastructure"]["inps"][1]["servers"][2].__setitem__(0, 2**63 - 1),
+         "infrastructure.inps[1]: server capacities must be at most"),
+        (lambda cfg: cfg["service_types"][2]["vnfs"][3].update(demands=[2**63 - 1]),
+         "service_types[2].vnfs[3]: demands must be at most"),
+    ], ids=["capacity", "demand"])
+    def test_amount_above_limit_rejected(self, base, edit, prefix):
         edit(base)
         with pytest.raises(nv.ConfigError) as err:
             nv.parse_config(json.loads(json.dumps(base)))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
+from nfvplace.model import MAX_AMOUNT
 
-from helpers import random_batch_inputs, reduced_setup, replay, search_pairs, survivors
+from helpers import (
+    context_bytes, random_batch_inputs, reduced_setup, replay, search_pairs, survivors,
+)
 
 
 def full_snapshot(infra):
@@ -552,6 +555,52 @@ class TestPlacementContext:
         # the walk reached into the nested per-type tables
         assert all(id(term) in seen for terms in context.terms for term in terms)
         assert max(a.size for a in arrays) <= bound
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2", "two_resource"])
+    def test_folded_needs_exceed_every_stock(self, setup, request):
+        # a backup stage's diagonal (its main's own server, and state 0 of
+        # the main stage, which is dead) and a main stage's state-0 column
+        # ask for more than any stock the kernel holds: a server's capacity,
+        # or the pad of the state-0 row; every other entry is the demand
+        infra, catalog = request.getfixturevalue(setup)
+        context = nv.PlacementContext(catalog, infra)
+        most = max(context.pad, int(infra.capacity.max()))
+        width = infra.num_servers + 1
+        states = np.arange(width)
+        folded = np.zeros((width, width), dtype=bool)
+        for stype, tables in zip(catalog, context.stage_tables):
+            for u, backup, need, *_ in tables:
+                need = need.reshape(width, width, infra.num_resources)
+                folded[:] = False
+                if backup:
+                    folded[states, states] = True
+                else:
+                    folded[:, 0] = True
+                assert need[folded].min() > most
+                assert (need[~folded] == stype.vnfs[u].demands).all()
+
+    def test_amounts_at_the_limit_place(self):
+        # a need table asks one unit more than the largest amount, which
+        # must still be an int64
+        infra = nv.Infrastructure(
+            [nv.InP(0.1, ((MAX_AMOUNT,), (MAX_AMOUNT,)))], alpha=[1.0], beta=1.0, v_base=0.1,
+            deployment_cost=[[0.0]],
+        )
+        for demand, servers in ((5, {0, 1}), (MAX_AMOUNT, {0, None})):
+            # a backup takes the other server, never its main's; at the
+            # largest demand its charge outweighs the reliability penalty
+            svc = nv.ServiceType(
+                0.05, 0.5, 1.0, (nv.VnfSpec(0, (demand,)),), (0.5, 0.5), 10.0, 2, name="t"
+            )
+            res = nv.place_batch((1,), (0,), full_snapshot(infra), (svc,), infra)
+            vp = res.services[0].placement.vnfs[0]
+            assert res.valid and {vp.main, vp.backup} == servers
+
+    def test_bundled_context_stays_small(self, bundled):
+        # one context lives per Simulation; the same-shape stage tables are
+        # shared between stages, which held 104 KiB before them
+        infra, catalog = bundled
+        assert context_bytes(nv.PlacementContext(catalog, infra)) <= 256 * 1024
 
     def test_context_of_another_setup_rejected(self, reduced):
         infra, catalog = reduced
