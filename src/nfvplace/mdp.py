@@ -39,6 +39,11 @@ class StateSpace:
         self.num_active = math.prod(self.active_sizes)
         self.num_arrival = math.prod(self.arrival_sizes)
         self.size = self.num_active * self.num_arrival
+        # per type: both bounds and both strides into the flat state id
+        self._id_terms = tuple(zip(
+            self.lambda_max, self.sigma_max,
+            (d * self.num_active for d in self.arrival_strides), self.active_strides,
+        ))
 
     @property
     def num_types(self) -> int:
@@ -65,10 +70,22 @@ class StateSpace:
         return _unpack(index - 1, self.arrival_sizes)
 
     def state_id(self, lam: Sequence[int], sigma: Sequence[int]) -> int:
-        """0-based flat state index, arrival ordinal major."""
-        return (self.arrival_index(lam) - 1) * self.num_active + (
-            self.active_index(sigma) - 1
-        )
+        """0-based flat state index, arrival ordinal major: both ordinals
+        formed in one pass, with ``arrival_index``'s and ``active_index``'s
+        checks and errors."""
+        terms = self._id_terms
+        if len(lam) == len(sigma) == len(terms):
+            sid = 0
+            for a, s, (a_max, s_max, a_stride, s_stride) in zip(lam, sigma, terms):
+                if not (0 <= a <= a_max and 0 <= s <= s_max):
+                    break
+                sid += a * a_stride + s * s_stride
+            else:
+                return sid
+        # one of these raises: the arrival vector's error comes first
+        self._check(lam, self.lambda_max, "arrival count")
+        self._check(sigma, self.sigma_max, "active count")
+        raise AssertionError("unreachable")
 
     def state_of(self, sid: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if not 0 <= sid < self.size:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -64,11 +65,11 @@ def sample_departures(rng: np.random.Generator, actives, catalog: Catalog) -> li
     """Indices of active services that depart at the end of the slot."""
     if not actives:
         return []
-    draws = rng.random(len(actives))
+    draws = rng.random(len(actives)).tolist()
     return [
         i
-        for i, svc in enumerate(actives)
-        if draws[i] < catalog[svc.type_index].departure_prob
+        for i, (svc, u) in enumerate(zip(actives, draws))
+        if u < catalog[svc.type_index].departure_prob
     ]
 
 
@@ -210,13 +211,9 @@ class Simulation:
         self.rng = np.random.default_rng(SimParams(seed=seed).seed)
         self.ledger = ResourceLedger.full(infra)
         self.actives: list[PlacedService] = []
+        # per type, how many services ``actives`` holds, kept as they come and go
+        self.active_counts = [0] * len(catalog)
         self.slot = 0
-
-    def _active_counts(self) -> tuple[int, ...]:
-        counts = [0] * len(self.catalog)
-        for svc in self.actives:
-            counts[svc.type_index] += 1
-        return tuple(counts)
 
     def run_slot(self) -> dict:
         """Advance one slot; returns the per-slot metric row."""
@@ -224,7 +221,7 @@ class Simulation:
         lam = sample_arrivals(self.rng, catalog)
 
         if self.strategy == MDP_STRATEGY:
-            action, arrangement = self.policy.lookup(lam, self._active_counts())
+            action, arrangement = self.policy.lookup(lam, self.active_counts)
         else:
             # static strategies take every arrival, in type order
             action, arrangement = lam, tuple(l for l, n in enumerate(lam) for _ in range(n))
@@ -252,15 +249,19 @@ class Simulation:
         for svc in admitted:
             self.ledger.allocate(svc.usage)
             self.actives.append(svc)
+            self.active_counts[svc.type_index] += 1
             admissions[svc.type_index] += 1
             cost += svc.cost
             vnfs += len(svc.placement.vnfs)
             backups += sum(1 for vp in svc.placement.vnfs if vp.backup is not None)
 
-        # departures include services admitted this very slot
-        for i in sorted(sample_departures(self.rng, self.actives, catalog), reverse=True):
-            self.ledger.release(self.actives[i].usage)
-            self.actives.pop(i)
+        # departures include services admitted this very slot; the indices
+        # come out ascending, so the last goes first and none shifts
+        for i in reversed(sample_departures(self.rng, self.actives, catalog)):
+            svc = self.actives[i]
+            self.ledger.release(svc.usage)
+            del self.actives[i]
+            self.active_counts[svc.type_index] -= 1
 
         # the idle stock plus every active service's usage, one int64 sum
         total = np.add.reduce([self.ledger.server_idle] + [svc.usage for svc in self.actives])
@@ -279,26 +280,25 @@ class Simulation:
     def run(self, slots: int) -> MetricsReport:
         slots = SimParams(slots=slots).slots
         L = len(self.catalog)
-        arrivals = np.zeros((slots, L), dtype=np.int32)
-        admissions = np.zeros((slots, L), dtype=np.int32)
-        cost = np.zeros(slots)
-        backups = np.zeros(slots, dtype=np.int32)
-        vnfs = np.zeros(slots, dtype=np.int32)
-        for n in range(slots):
+        # each slot's figures go to typed buffers, copied into the report's
+        # numpy columns once at the end, each at its exact size
+        arrivals, admissions = array("i"), array("i")
+        cost, backups, vnfs = array("d"), array("i"), array("i")
+        for _ in range(slots):
             row = self.run_slot()
-            arrivals[n] = row["arrivals"]
-            admissions[n] = row["admissions"]
-            cost[n] = row["placement_cost"]
-            backups[n] = row["backups"]
-            vnfs[n] = row["vnfs"]
+            arrivals.extend(row["arrivals"])
+            admissions.extend(row["admissions"])
+            cost.append(row["placement_cost"])
+            backups.append(row["backups"])
+            vnfs.append(row["vnfs"])
         return MetricsReport(
             num_types=L,
             chain_lengths=tuple(t.num_vnfs for t in self.catalog),
-            arrivals=arrivals,
-            admissions=admissions,
-            placement_cost=cost,
-            backups=backups,
-            vnfs=vnfs,
+            arrivals=np.array(arrivals, np.int32).reshape(slots, L),
+            admissions=np.array(admissions, np.int32).reshape(slots, L),
+            placement_cost=np.array(cost),
+            backups=np.array(backups, np.int32),
+            vnfs=np.array(vnfs, np.int32),
         )
 
 

@@ -40,7 +40,6 @@ from .model import (
     PlacementPlan,
     ServicePlacement,
     VnfPlacement,
-    service_failure_probability,
 )
 
 
@@ -102,7 +101,8 @@ class PlacementContext:
         link = np.zeros(full)
         link[1:, 1:] = infra.link_cost
         self.link = link.tolist()
-        v = np.array([1.0] + [infra.server_failure(s) for s in range(n)])
+        failure = [infra.server_failure(s) for s in range(n)]
+        v = np.array([1.0] + failure)
         up = 1.0 - v
         # the matrices of a stage: row x1 is the predecessor, column x2 the state
         self.up_rows = np.tile(up, (n + 1, 1))
@@ -122,6 +122,21 @@ class PlacementContext:
         self.origin_cost = np.full(n + 1, np.inf)
         self.origin_cost[0] = 0.0
         self.origin_reliability = np.ones(n + 1)
+        # the kernel's 0-d operands, which a ufunc takes with less work than
+        # a Python scalar
+        self.width, self.zero, self.inf = np.array(n + 1), np.array(0.0), np.array(np.inf)
+        # per (main, backup) state pair: one shared placement record and its
+        # survival factor ``1.0 - f``, f formed as service_failure_probability
+        # forms it; the pairs no stage reaches (state 0 as a main, or a
+        # backup on its main's server) hold None
+        self.vnf_placements: list[list] = [[None] * (n + 1) for _ in states]
+        self.survival: list[list] = [[None] * (n + 1) for _ in states]
+        for x in range(1, n + 1):
+            for y in range(n + 1):
+                if y != x:
+                    f = failure[x - 1] * failure[y - 1] if y else failure[x - 1]
+                    self.vnf_placements[x][y] = VnfPlacement(x - 1, y - 1 if y else None)
+                    self.survival[x][y] = 1.0 - f
         r = infra.num_resources
         self.stock_shape = full + ((r,) if r > 1 else ())
         # per (type, vnf): the charge of hosting it on each state, as Python
@@ -144,6 +159,8 @@ class PlacementContext:
         # its penalty. Each scalar is a 0-d array, which a ufunc takes with
         # less work than a Python float
         self.stage_tables: list[list[tuple]] = []
+        # per type: its stage count, two per VNF
+        self.stage_counts: list[int] = []
         # the link table as the kernel reads it
         self.link_rows = link
         servers = states[1:]
@@ -185,6 +202,7 @@ class PlacementContext:
             self.terms.append(terms)
             self.stage_usage.append(np.array(usage))
             self.stage_tables.append(tables)
+            self.stage_counts.append(len(tables))
 
 
 class TrellisPlacement:
@@ -245,7 +263,8 @@ class TrellisPlacement:
         shape = self.context.stock_shape
         self._stock = np.ndarray(shape, stock_dtype, row, 0, (0,) + row.strides[: len(shape) - 1])
 
-        self.num_stages = sum(len(self.context.stage_tables[l]) for l in self.arrangement)
+        counts = self.context.stage_counts
+        self.num_stages = sum(counts[l] for l in self.arrangement)
         # one record per stage, stage 0 first, as run() leaves them, each
         # indexed by state id: every state's cost, inf for a dead state, its
         # reliability, its stock behind a state-0 row, and its predecessor
@@ -312,8 +331,7 @@ class TrellisPlacement:
         cost, reliability, stock, _ = records[0]
         up_rows, backup_up, main_up = ctx.up_rows, ctx.backup_up, ctx.main_up
         link, states = ctx.link_rows, ctx.states
-        # 0-d operands, as in the stage tables
-        width, zero, inf = np.array(len(states)), np.array(0.0), np.array(np.inf)
+        width, zero, inf = ctx.width, ctx.zero, ctx.inf
         for l in self.arrangement:
             for u, backup, need, draw, term, charge, target, base, bandwidth, penalty in (
                 ctx.stage_tables[l]
@@ -377,7 +395,10 @@ class TrellisPlacement:
         the last service's hinge added back, and traces the winner's path
         through the back-pointers. Every state keeps one survivor, so that
         path fixes each stage's routing charge, recomputed from it in the
-        float order of the reference ``best_move``. Every service's usage is
+        float order of the reference ``best_move``. Each VNF's placement
+        record and survival factor are the context's, shared by every batch,
+        and its failure probability is their product taken in chain order,
+        as service_failure_probability takes it. Every service's usage is
         one scatter-add of its stages' demands over its path's states.
         """
         ctx = self.context
@@ -389,17 +410,18 @@ class TrellisPlacement:
         # argmin keeps the first minimum, as a strict "<" scan in state order
         path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
 
-        link = ctx.link
+        link, pairs, survival = ctx.link, ctx.vnf_placements, ctx.survival
         width = len(ctx.states)
         rows, index = [], []
         placements = []
         end = 0
         for l in self.arrangement:
             # the service's stages, main then backup per VNF
-            first, end = end, end + len(ctx.stage_tables[l])
+            first, end = end, end + ctx.stage_counts[l]
             seg = path[first:end]
             terms, bandwidth = ctx.terms[l], self.catalog[l].bandwidth
             cost = 0.0
+            up = 1.0
             vnfs = []
             for u, (x, y) in enumerate(zip(seg[::2], seg[1::2])):
                 term = terms[u]
@@ -413,22 +435,20 @@ class TrellisPlacement:
                 else:
                     cost = cost + term[x] + term[y]
                 main, backup = x, y
-                vnfs.append(VnfPlacement(x - 1, y - 1 if y else None))
+                vnfs.append(pairs[x][y])
+                up *= survival[x][y]
             offset = len(placements) * width
             index += [offset + x for x in seg]
             rows.append(ctx.stage_usage[l])
-            placements.append((l, tuple(vnfs), cost))
+            placements.append((l, tuple(vnfs), cost, 1.0 - up))
 
         # row k * (S + 1) + x of the flat table is service k's usage on state x
         usage = np.zeros((len(placements), width, self.infra.num_resources), dtype=np.int64)
         demands = rows[0] if len(rows) == 1 else np.concatenate(rows)
         np.add.at(usage.reshape(-1, usage.shape[2]), np.array(index), demands)
         services = [
-            PlacedService(
-                l, ServicePlacement(l, vnfs), cost,
-                service_failure_probability(vnfs, self.infra), usage[k, 1:],
-            )
-            for k, (l, vnfs, cost) in enumerate(placements)
+            PlacedService(l, ServicePlacement(l, vnfs), cost, failure, usage[k, 1:])
+            for k, (l, vnfs, cost, failure) in enumerate(placements)
         ]
         return TrellisResult(True, services, path)
 

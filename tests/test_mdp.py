@@ -41,6 +41,34 @@ class TestStateSpace:
             lam, sigma = space.state_of(sid)
             assert space.state_id(lam, sigma) == sid
 
+    def test_state_id_keeps_the_index_errors(self):
+        # one pass forms both ordinals; a bad vector still raises the error
+        # arrival_index or active_index raises, the arrival vector's first
+        space = nv.StateSpace((5, 2), (1, 3))
+        lam, sigma = (1, 2), (4, 0)
+        cases = [
+            ((1,), sigma, "arrival count vector has wrong length"),
+            ((1, 2, 0), sigma, "arrival count vector has wrong length"),
+            ((2, 2), sigma, "arrival count (2, 2) out of bounds (1, 3)"),
+            ((0, -1), sigma, "arrival count (0, -1) out of bounds (1, 3)"),
+            (lam, (4,), "active count vector has wrong length"),
+            (lam, (6, 0), "active count (6, 0) out of bounds (5, 2)"),
+            (lam, (0, -1), "active count (0, -1) out of bounds (5, 2)"),
+            ((2, 2), (6,), "arrival count (2, 2) out of bounds (1, 3)"),
+            ((1,), (6, 0), "arrival count vector has wrong length"),
+        ]
+        for lam_bad, sigma_bad, message in cases:
+            with pytest.raises(ValueError) as indexed:
+                space.arrival_index(lam_bad)
+                space.active_index(sigma_bad)
+            assert str(indexed.value) == message
+            with pytest.raises(ValueError) as formed:
+                space.state_id(lam_bad, sigma_bad)
+            assert str(formed.value) == message
+        assert space.state_id(lam, sigma) == (
+            (space.arrival_index(lam) - 1) * space.num_active + space.active_index(sigma) - 1
+        )
+
     def test_bundled_catalog_size(self, bundled):
         _, catalog = bundled
         space = nv.build_state_space(catalog)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nfvplace as nv
+from nfvplace.sim import SimParams
 
 
 def always_two_type(demand=5, d=1.0, cap=0.5):
@@ -68,6 +69,22 @@ class TestSampling:
         assert nv.sample_departures(rng, actives, sure) == [0, 1, 2, 3]
         assert nv.sample_departures(rng, actives, never) == []
         assert nv.sample_departures(rng, [], sure) == []
+
+    def test_departures_ascending_as_numpy_compares(self, reduced):
+        # Python floats compare as the generator's float64 draws do, and
+        # run_slot releases the indices in reverse, relying on their order
+        _, catalog = reduced
+        for seed in range(50):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            actives = [SimpleNamespace(type_index=seed * k % len(catalog)) for k in range(seed % 9)]
+            departing = nv.sample_departures(ours, actives, catalog)
+            draws = reference.random(len(actives)) if actives else []
+            assert departing == [
+                i for i, svc in enumerate(actives)
+                if draws[i] < catalog[svc.type_index].departure_prob
+            ]
+            assert departing == sorted(set(departing))
+            assert ours.random() == reference.random()
 
 
 class TestBatchSemantics:
@@ -261,7 +278,62 @@ class TestConservationAndErrors:
             nv.run_experiment(infra, catalog, "trellis", slots=10, seed=-1)
 
 
+@pytest.fixture(scope="module")
+def reduced_policy(reduced):
+    infra, catalog = reduced
+    space = nv.build_state_space(catalog)
+    return nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=1)
+
+
+class TestRunReport:
+    """``run`` gathers each slot's figures in typed buffers and views them
+    as numpy once; its report must hold a twin simulation's ``run_slot``
+    rows at the report's dtypes."""
+
+    DTYPES = {
+        "arrivals": np.int32, "admissions": np.int32, "placement_cost": np.float64,
+        "backups": np.int32, "vnfs": np.int32,
+    }
+
+    @pytest.mark.parametrize("strategy", ["trellis", "cera", "mdp"])
+    def test_run_equals_run_slot_rows(self, reduced, reduced_policy, strategy):
+        infra, catalog = reduced
+        policy = reduced_policy if strategy == "mdp" else None
+        slots = 300
+        report = nv.Simulation(infra, catalog, strategy, policy=policy, seed=3).run(slots)
+        twin = nv.Simulation(infra, catalog, strategy, policy=policy, seed=3)
+        rows = [twin.run_slot() for _ in range(slots)]
+        for name, dtype in self.DTYPES.items():
+            column, expected = getattr(report, name), np.array([row[name] for row in rows], dtype)
+            assert column.dtype == dtype and column.itemsize == np.dtype(dtype).itemsize
+            assert column.shape == expected.shape
+            assert np.array_equal(column, expected)
+        assert report.arrivals.sum() > 0 and report.admissions.sum() > 0
+
+    def test_max_slots_memory_note(self, reduced):
+        # SimParams: "10**7 slots take about 500 MB at four service types"
+        infra, catalog = reduced
+        report = nv.run_experiment(infra, catalog, "trellis", 10, 1)
+        per_type = (report.arrivals.nbytes + report.admissions.nbytes) / (10 * len(catalog))
+        rest = (report.placement_cost.nbytes + report.backups.nbytes + report.vnfs.nbytes) / 10
+        assert 450e6 <= SimParams.MAX_SLOTS * (4 * per_type + rest) <= 500e6
+
+
 class TestPolicyDriven:
+    def test_kept_active_counts_match_a_recount(self, reduced, reduced_policy):
+        infra, catalog = reduced
+        sim = nv.Simulation(infra, catalog, "mdp", policy=reduced_policy, seed=1)
+        changed = 0
+        for _ in range(500):
+            before = list(sim.active_counts)
+            sim.run_slot()
+            recount = [0] * len(catalog)
+            for svc in sim.actives:
+                recount[svc.type_index] += 1
+            assert sim.active_counts == recount
+            changed += sim.active_counts != before
+        assert changed > 50
+
     def test_policy_run_respects_active_register(self, reduced):
         infra, catalog = reduced
         space = nv.build_state_space(catalog)

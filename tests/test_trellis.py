@@ -1,5 +1,6 @@
 """Layered-graph batch placement: staging, scoring, search, read-out."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -297,23 +298,28 @@ class TestInputValidation:
 
 
 class TestSelfConsistency:
-    def test_reported_figures_match_model(self, bundled, rng):
-        infra, catalog = bundled
-        checked = 0
-        for _ in range(25):
-            action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog)
-            res = nv.place_batch(action, arrangement, snapshot, catalog, infra)
-            if not res.valid:
-                continue
-            for svc in res.services:
-                bd = nv.service_cost(svc.placement, infra, catalog)
-                assert svc.cost == pytest.approx(bd.total, abs=1e-9)
-                e = nv.service_failure_probability(svc.placement.vnfs, infra)
-                assert svc.failure_prob == pytest.approx(e, abs=1e-12)
-                usage = nv.service_usage(svc.placement, infra, catalog)
-                assert np.array_equal(svc.usage, usage)
-                checked += 1
-        assert checked > 0
+    def test_reported_figures_match_model(self, request, rng):
+        for setup in ("bundled", "reduced", "two_resource"):
+            infra, catalog = request.getfixturevalue(setup)
+            checked = 0
+            for _ in range(25):
+                action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog)
+                res = nv.place_batch(action, arrangement, snapshot, catalog, infra)
+                if not res.valid:
+                    continue
+                for svc in res.services:
+                    bd = nv.service_cost(svc.placement, infra, catalog)
+                    assert svc.cost == pytest.approx(bd.total, abs=1e-9)
+                    # the need tables alone keep a backup off its main's
+                    # server, the case service_failure_probability refuses
+                    assert all(vp.backup != vp.main for vp in svc.placement.vnfs)
+                    # the read-out multiplies the same factors in the same order
+                    e = nv.service_failure_probability(svc.placement.vnfs, infra)
+                    assert svc.failure_prob == e
+                    usage = nv.service_usage(svc.placement, infra, catalog)
+                    assert np.array_equal(svc.usage, usage)
+                    checked += 1
+            assert checked > 0, setup
 
     def test_reported_figures_are_python_floats(self, bundled, rng):
         # the charge rows are numpy arrays; the read-out's sums must not be
@@ -595,6 +601,37 @@ class TestPlacementContext:
             res = nv.place_batch((1,), (0,), full_snapshot(infra), (svc,), infra)
             vp = res.services[0].placement.vnfs[0]
             assert res.valid and {vp.main, vp.backup} == servers
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "two_resource"])
+    def test_shared_vnf_placements(self, setup, request):
+        # one frozen record and one survival factor per (main, backup) state
+        # pair, shared by every batch; the pairs no stage reaches hold None
+        infra, catalog = request.getfixturevalue(setup)
+        context = nv.PlacementContext(catalog, infra)
+        n = infra.num_servers
+        for x in range(n + 1):
+            for y in range(n + 1):
+                record, factor = context.vnf_placements[x][y], context.survival[x][y]
+                if x == 0 or x == y:
+                    assert record is None and factor is None
+                    continue
+                assert record == nv.VnfPlacement(x - 1, y - 1 if y else None)
+                f = infra.server_failure(x - 1)
+                if y:
+                    f *= infra.server_failure(y - 1)
+                assert type(factor) is float and factor == 1.0 - f
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    record.main = 0
+        # a read-out hands out the context's records themselves
+        rng = np.random.default_rng(3)
+        shared = {id(r) for row in context.vnf_placements for r in row if r is not None}
+        placed = 0
+        for _ in range(20):
+            batch = random_batch_inputs(rng, infra, catalog)
+            for svc in nv.place_batch(*batch, catalog, infra, context).services:
+                assert all(id(vp) in shared for vp in svc.placement.vnfs)
+                placed += 1
+        assert placed > 0
 
     def test_bundled_context_stays_small(self, bundled):
         # one context lives per Simulation; the same-shape stage tables are
