@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
@@ -69,7 +70,11 @@ class ResourceEstimator:
 
     Each estimate is held as one flat row of floats in (server, resource)
     row-major order, with its float64 bytes kept as the state's memo key;
-    the key is formed again only after an update has touched the row.
+    the key is formed again only after an update has moved the row.
+
+    A row also keeps the tuple samples it came back settled for (see
+    :meth:`update`), by identity, until it moves: a tuple cannot change,
+    so passing one of them again skips the blend and only steps down.
     """
 
     def __init__(
@@ -93,6 +98,7 @@ class ResourceEstimator:
         self.keys[self.idle_id] = None
         self.alpha = [float(alpha_init)] * space.num_active
         self.discount = float(discount)
+        self.settled_by: list[dict[int, tuple] | None] = [None] * space.num_active
 
     def snapshot(self, eta: int) -> np.ndarray:
         """Copy of the estimate for active ordinal ``eta`` (1-based)."""
@@ -106,12 +112,21 @@ class ResourceEstimator:
             key = self.keys[idx] = self._pack(*self.rows[idx])
         return key
 
-    def update(self, eta_next: int, sample: Sequence[float]) -> None:
+    def update(self, eta_next: int, sample: Sequence[float]) -> bool:
         """Blend an observed sample into the destination state's estimate.
 
         ``sample`` is the idle snapshot the placement consumed from minus
         what the reliable admissions actually took, flattened in row-major
         order: a fresh sample of idle stock at the destination.
+
+        Returns whether the row is settled for this sample: it came back
+        bit-equal at a step ``a`` with ``1.0 - a == 1.0``, or ``a`` is 0.0.
+        The same sample at any later step, which is never larger, leaves it
+        bit-equal too: where ``1.0 - a == 1.0`` the blend is the clipped,
+        rounded ``r + a * o``, which rounding keeps monotone in ``a`` and
+        which is ``r`` at 0.0 and at this step, so at every step between.
+        Where ``1.0 - a < 1.0`` no such rule holds: ``r * (1 - a)`` and
+        ``a * o`` may round to cancel at one step and not at a smaller one.
         """
         idx = eta_next - 1
         a = self.alpha[idx]
@@ -119,18 +134,36 @@ class ResourceEstimator:
             # the step has underflowed: ``r * 1.0 + 0.0 * o`` is ``r`` for a
             # finite ``o``, and no row holds -0.0, so the row, its key and
             # its step all stay as they are
-            return
+            return True
+        settled = self.settled_by[idx]
+        if settled is not None and settled.get(id(sample)) is sample:
+            self.alpha[idx] = a * self.discount
+            return True
         b = 1.0 - a
+        row = self.rows[idx]
         # convex combination, clipped to [0, capacity] only to trim float
         # drift at the edges; the same operations in the same order as
         # numpy's ``minimum(maximum(r * (1 - a) + a * o, 0.0), capacity)``,
         # which also turns -0.0 into 0.0
-        self.rows[idx] = [
+        blended = [
             c if (v := r * b + a * o) > c else (v if v > 0.0 else 0.0)
-            for r, o, c in zip(self.rows[idx], sample, self.capacity)
+            for r, o, c in zip(row, sample, self.capacity)
         ]
-        self.keys[idx] = None
         self.alpha[idx] = a * self.discount
+        # the clip leaves no -0.0 and no NaN in a row, so == is bit equality;
+        # an unchanged row keeps its key
+        if blended != row:
+            self.rows[idx] = blended
+            self.keys[idx] = None
+            self.settled_by[idx] = None
+            return False
+        if b != 1.0:
+            return False
+        if type(sample) is tuple:
+            if settled is None:
+                settled = self.settled_by[idx] = {}
+            settled[id(sample)] = sample
+        return True
 
     def unestimated(self) -> int:
         """Non-empty active states whose estimate still holds no idle stock,
@@ -331,9 +364,23 @@ def value_iteration(
     The trellis search runs once per distinct (action, arrangement,
     snapshot) input of the call; a repeated input reuses that outcome,
     but still updates the estimator and the arrangement ledger, so the
-    result is the same as scoring every input afresh. Within a sweep, the
-    expected previous-sweep value after each distinct post-admission active
-    vector is computed once; ``Policy.sweep_counts`` records both savings.
+    result is the same as scoring every input afresh. A sweep first scores
+    every (state, action) pair in state order into flat reward and
+    destination buffers, then backs them up in numpy: the expected
+    previous-sweep value after each distinct post-admission active vector
+    is computed once, and each state takes its first best pair, as a
+    scan in feasible-action order would. ``Policy.sweep_counts`` records
+    both savings.
+
+    The scoring table settles for good after a sweep that ran with every
+    arrangement pool spent (``sweep > num_arrangements``) and whose every
+    estimator update reported its row settled (see
+    :meth:`ResourceEstimator.update`). No estimate moved in that sweep, so
+    the next sweep reads the same snapshots and orders, finds every input
+    in the memo and makes the same updates at smaller steps, which leave
+    every row as it is again. Each later sweep therefore only replays that
+    sweep's updates, so the estimator's steps and call count stay as if
+    scored, and backs up the same table.
     """
     params = MdpParams(**settings)
     if params.epsilon is None:
@@ -345,56 +392,65 @@ def value_iteration(
     context = PlacementContext(catalog, infra)
     usage_shape = (infra.num_servers, infra.num_resources)
     strides = space.active_strides
-
-    arrival_vecs = [space.arrival_vector(i + 1) for i in range(space.num_arrival)]
     active_vecs = [space.active_vector(j + 1) for j in range(space.num_active)]
-    # per state, built on its first visit: (action, arrangement ledger) per
-    # feasible action, in feasible_actions order
-    plans: list[list[tuple[tuple[int, ...], _ArrangementLedger]] | None] = [None] * space.size
+
+    # every (state, action) pair, by state and then in feasible_actions
+    # order, with its arrangement ledger; state sid owns pairs
+    # bounds[sid]:bounds[sid + 1]. Equal actions share one tuple, so the
+    # pairs hold one per distinct action rather than one each.
+    actions: list[tuple[int, ...]] = []
+    ledgers: list[_ArrangementLedger] = []
+    bounds = [0]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i in range(space.num_arrival):
+        lam = space.arrival_vector(i + 1)
+        for sigma in active_vecs:
+            for action in space.feasible_actions(lam, sigma):
+                actions.append(shared.setdefault(action, action))
+                ledgers.append(_ArrangementLedger(generate_arrangements(action, num_arrangements, rng)))
+            bounds.append(len(actions))
+    num_pairs = len(actions)
+    starts = np.array(bounds[:-1], dtype=np.int64)
+    pair_counts = np.diff(bounds)
+    # per pair, from the last scoring pass: reward, destination active
+    # ordinal and the sample its update blended in (None for no update)
+    rewards = array("d", bytes(8 * num_pairs))
+    dests = array("q", bytes(8 * num_pairs))
+    samples: list[tuple | None] = [None] * num_pairs
+    reward_view = np.frombuffer(rewards)
+    dest_view = np.frombuffer(dests, dtype=np.int64)
     # trellis outcome per exact (action, arrangement, snapshot bytes) input:
     # (reward, admitted counts' active-ordinal offset, observed idle sample
     # as update takes it), or None for an invalid batch
     scores: dict[tuple[tuple[int, ...], tuple[int, ...], bytes], tuple | None] = {}
 
     values = np.zeros(space.size)
-    best_actions: list[tuple[int, ...]] = [(0,) * space.num_types] * space.size
-    best_arrangements: list[tuple[int, ...]] = [()] * space.size
     mean_trace: list[float] = []
     diff_trace: list[float] = []
     sweep_counts: list[SweepCounts] = []
     converged = False
+    settled = False
     iterations = 0
 
     for sweep in range(1, params.max_iterations + 1):
-        prev_matrix = values.reshape(space.num_arrival, space.num_active)
-        expected_prev = model.arrival_probs @ prev_matrix  # over destination actives
-        new_values = np.empty_like(values)
-        # expected previous-sweep value per post-admission active ordinal
-        continuation: dict[int, float] = {}
-        searches = memo_hits = 0
-
-        for i, lam in enumerate(arrival_vecs):
-            base_sid = i * space.num_active
-            for j, sigma in enumerate(active_vecs):
-                sid = base_sid + j
-                plan = plans[sid]
-                if plan is None:
-                    plan = plans[sid] = []
-                    for action in space.feasible_actions(lam, sigma):
-                        drawn = generate_arrangements(action, num_arrangements, rng)
-                        plan.append((action, _ArrangementLedger(drawn)))
-                eta = j + 1
+        searches = 0
+        if settled:
+            # the settled sweep's updates, in order: each leaves its row
+            # bit-equal and only steps it down
+            for dest, sample in zip(dests, samples):
+                if sample is not None:
+                    estimator.update(dest, sample)
+        else:
+            settled = sweep > num_arrangements
+            for sid in range(space.size):
+                eta = sid % space.num_active + 1
                 omega_bytes = estimator.key(eta)
-
-                best_q = -np.inf
-                best_action, best_ledger = plan[0]
-                for action, ledger in plan:
+                for p in range(bounds[sid], bounds[sid + 1]):
+                    action, ledger = actions[p], ledgers[p]
                     rho = ledger.next_arrangement()
                     key = (action, rho, omega_bytes)
                     scored = scores.get(key, _UNSCORED)
-                    if scored is not _UNSCORED:
-                        memo_hits += 1
-                    else:
+                    if scored is _UNSCORED:
                         searches += 1
                         # the estimate as this state's visit began: an
                         # update from an earlier action may have moved it
@@ -403,7 +459,7 @@ def value_iteration(
                         if outcome.valid:
                             admitted, used = realized_action(action, outcome, catalog, usage_shape)
                             offset = sum(a * d for a, d in zip(admitted, strides))
-                            sample = (omega - used).ravel().tolist()
+                            sample = tuple((omega - used).ravel().tolist())
                             scored = (action_reward(action, outcome, catalog), offset, sample)
                         else:
                             scored = None
@@ -414,39 +470,44 @@ def value_iteration(
                         # so the memo keeps an offset from eta, not a state;
                         # feasible actions keep sigma + admitted in bounds
                         dest = eta + offset
-                        estimator.update(dest, sample)
+                        if not estimator.update(dest, sample):
+                            settled = False
                         ledger.record(reward, rho)
                     else:
-                        reward = 0.0
-                        dest = eta
-                    c = continuation.get(dest)
-                    if c is None:
-                        c = continuation[dest] = float(
-                            model.departure_row(active_vecs[dest - 1]) @ expected_prev
-                        )
-                    q = reward + gamma * c
-                    if q > best_q:
-                        best_q = q
-                        best_action, best_ledger = action, ledger
-                new_values[sid] = best_q
-                best_actions[sid] = best_action
-                best_arrangements[sid] = best_ledger.best
+                        reward, dest, sample = 0.0, eta, None
+                    rewards[p] = reward
+                    dests[p] = dest
+                    samples[p] = sample
+
+        # Bellman backup of the pair table against the previous sweep
+        expected_prev = model.arrival_probs @ values.reshape(space.num_arrival, space.num_active)
+        distinct = np.flatnonzero(np.bincount(dest_view))
+        continuation = np.zeros(space.num_active + 1)
+        for dest in distinct.tolist():
+            continuation[dest] = float(model.departure_row(active_vecs[dest - 1]) @ expected_prev)
+        q = reward_view + gamma * continuation[dest_view]
+        best = np.repeat(np.maximum.reduceat(q, starts), pair_counts)
+        ties = np.flatnonzero(q == best)
+        # each state's first best pair: every state holds one of the ties
+        choice = ties[np.searchsorted(ties, starts)]
+        new_values = q[choice]
 
         diff = float(np.max(np.abs(new_values - values)))
         values = new_values
         iterations = sweep
         mean_trace.append(float(np.mean(values)))
         diff_trace.append(diff)
-        sweep_counts.append(SweepCounts(searches, memo_hits, len(continuation)))
+        sweep_counts.append(SweepCounts(searches, num_pairs - searches, len(distinct)))
         if sweep >= 2 and diff < epsilon:
             converged = True
             break
 
+    picked = choice.tolist()
     return Policy(
         sigma_max=space.sigma_max,
         lambda_max=space.lambda_max,
-        actions=best_actions,
-        arrangements=best_arrangements,
+        actions=[actions[p] for p in picked],
+        arrangements=[ledgers[p].best for p in picked],
         values=values,
         gamma=gamma,
         epsilon=float(epsilon),

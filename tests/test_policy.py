@@ -129,6 +129,81 @@ class TestResourceEstimator:
         # both clips fired
         assert below > 0 and above > 0
 
+    def test_update_reports_a_settled_row(self):
+        # the row holds 41.63...; a step of 2**-48 leaves it bit-equal,
+        # but 1.0 - a < 1.0 there and 2**-49 moves it, so only a step with
+        # 1.0 - a == 1.0 (or 0.0) may report it settled
+        infra, catalog = big_server_setup()
+        assert infra.capacity[0, 0] >= 100
+        space = nv.build_state_space(catalog)
+        r, o = 41.63330424763298, 42.260007261958926
+
+        def update_at(a, sample=(o,)):
+            est = nv.ResourceEstimator(space, infra)
+            est.rows[1], est.alpha[1] = [r], a
+            return est.update(2, sample), est.rows[1]
+
+        assert 1.0 - 2.0**-48 < 1.0
+        assert update_at(2.0**-48) == (False, [r])
+        settled, row = update_at(2.0**-49)
+        assert not settled and row != [r]
+        for a in (2.0**-54, 2.0**-60, 2.0**-1074, 0.0):
+            assert update_at(a) == (True, [r]), a
+            assert update_at(a, [o]) == (True, [r]), a
+        # a row that moved is not settled, also at a step with 1.0 - a == 1.0
+        for a in (0.5, 2.0**-54):
+            settled, row = update_at(a, (1e9,))
+            assert settled is False and row != [r], a
+
+    def test_settled_tuple_sample_skips_the_blend_until_the_row_moves(self):
+        infra, catalog = big_server_setup()
+        est = nv.ResourceEstimator(nv.build_state_space(catalog), infra)
+        r, o = 41.63330424763298, 42.260007261958926
+        est.rows[1], est.alpha[1] = [r], 2.0**-60
+        sample = (o,)
+        assert est.update(2, sample) and est.settled_by[1] == {id(sample): sample}
+        row, key = est.rows[1], est.key(2)
+        # the blend is skipped: the step still goes down
+        assert est.update(2, sample) and est.alpha[1] == 2.0**-62
+        assert est.rows[1] is row and est.keys[1] is key
+        # a list may change after the call, so it is not kept
+        assert est.update(2, [o]) and est.settled_by[1] == {id(sample): sample}
+        # a moved row forgets every sample it was settled for
+        assert not est.update(2, (1e6,)) and est.settled_by[1] is None
+        assert est.rows[1] != [r] and est.keys[1] is None
+
+    @pytest.mark.parametrize("infra", [
+        reduced_setup()[0], nv.seven_providers().infrastructure, two_resource_setup()[0],
+    ], ids=["6x1", "21x1", "9x2"])
+    def test_repeated_tuple_samples_bit_equal_to_numpy(self, infra):
+        # a few tuple samples passed again and again, so that every row's
+        # step falls far below 2**-53 and the settled skip fires
+        svc = nv.ServiceType(0.5, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 4, name="s")
+        space = nv.build_state_space((svc,))
+        est = nv.ResourceEstimator(space, infra)
+        capacity = infra.capacity.astype(float)
+        ref = np.zeros((space.num_active,) + capacity.shape)
+        ref[space.active_index((0,)) - 1] = capacity
+        alpha = [1.0] * space.num_active
+        rng = np.random.default_rng(capacity.size)
+        pool = [
+            rng.uniform(-0.2, 1.2, capacity.shape) * capacity for _ in range(3)
+        ] + [capacity.copy()]
+        samples = [tuple(x.ravel().tolist()) for x in pool]
+        skipped = 0
+        for step in range(600):
+            eta = int(rng.integers(1, space.num_active + 1))
+            k = int(rng.integers(len(pool)))
+            numpy_blend(ref[eta - 1], alpha[eta - 1], pool[k], 0.0, capacity)
+            alpha[eta - 1] *= 0.5
+            kept = est.settled_by[eta - 1]
+            skipped += kept is not None and id(samples[k]) in kept
+            est.update(eta, samples[k])
+            assert est.snapshot(eta).tobytes() == ref[eta - 1].tobytes(), step
+            assert est.key(eta) == est.snapshot(eta).tobytes()
+        assert est.alpha == alpha
+        assert skipped > 100
+
 
 class TestArrangements:
     def test_all_orderings_reachable(self):
@@ -440,6 +515,71 @@ class TestSlowStepSolveReference:
         ) == bits
 
 
+class TestSettledSweeps:
+    """Once a sweep with every arrangement pool spent leaves every estimate
+    bit-equal at steps with ``1.0 - a == 1.0``, later sweeps replay its
+    updates and back up the same table; each scored sweep asks every
+    ledger for one order, a replayed sweep none."""
+
+    @pytest.fixture()
+    def asked(self, monkeypatch):
+        asked = []
+        next_arrangement = policy_module._ArrangementLedger.next_arrangement
+
+        def counting(self):
+            asked.append(1)
+            return next_arrangement(self)
+
+        monkeypatch.setattr(policy_module._ArrangementLedger, "next_arrangement", counting)
+        return asked
+
+    @staticmethod
+    def _scored_sweeps(asked, **settings):
+        asked.clear()
+        infra, catalog = reduced_setup()
+        space = nv.build_state_space(catalog)
+        pairs = sum(len(space.feasible_actions(*space.state_of(sid))) for sid in range(space.size))
+        policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, **settings)
+        scored, rest = divmod(len(asked), pairs)
+        assert rest == 0
+        return policy, scored, pairs
+
+    def test_reduced_solves_score_15_sweeps_and_replay_48(self, asked):
+        for seed in REDUCED_SOLVE_BITS:
+            policy, scored, pairs = self._scored_sweeps(asked, seed=seed)
+            assert (scored, policy.iterations - scored) == (15, 48), seed
+            for counts in policy.sweep_counts[scored:]:
+                assert counts.trellis_searches == 0 and counts.memo_hits == pairs
+            assert _sha256(policy.values.tobytes()) == REDUCED_SOLVE_BITS[seed][0]
+
+    def test_slow_steps_score_every_sweep(self, asked):
+        policy, scored, _ = self._scored_sweeps(
+            asked, seed=1, alpha_init=0.7, estimate_discount=0.9
+        )
+        assert scored == policy.iterations == SLOW_STEP_SOLVE_BITS[0]
+
+    def test_update_without_a_report_scores_every_sweep_to_the_same_bits(
+        self, asked, monkeypatch
+    ):
+        update = nv.ResourceEstimator.update
+
+        def silent_update(self, *args):
+            update(self, *args)
+
+        monkeypatch.setattr(nv.ResourceEstimator, "update", silent_update)
+        policy, scored, _ = self._scored_sweeps(asked, seed=1)
+        assert scored == policy.iterations == 63
+        monkeypatch.undo()
+        ref = _reduced_solve(seed=1)
+        assert (policy.actions, policy.arrangements) == (ref.actions, ref.arrangements)
+        assert policy.values.tobytes() == ref.values.tobytes()
+        assert (policy.mean_value_trace, policy.sup_diff_trace) == (
+            ref.mean_value_trace, ref.sup_diff_trace
+        )
+        assert policy.sweep_counts == ref.sweep_counts
+        assert _sha256(policy.values.tobytes()) == REDUCED_SOLVE_BITS[1][0]
+
+
 def _rung_solve(num_types: int, seed: int = 1) -> nv.Policy:
     """Solve the bundled setup restricted to its first ``num_types``
     service types, with the default solver settings."""
@@ -494,7 +634,6 @@ class TestBundledRungReference:
     def test_two_types(self):
         self._check(2)
 
-    @pytest.mark.slow
     def test_three_types(self):
         self._check(3)
 
