@@ -148,14 +148,6 @@ class Infrastructure:
         # each server's failure probability as a float, read by server_failure
         self._server_failure = self.v[self.server_inp].tolist()
 
-    def server_id(self, inp: int, server: int) -> int:
-        """Flat index of the given provider-local server."""
-        if not 0 <= inp < self.num_inps:
-            raise IndexError(f"provider {inp} out of range")
-        if not 0 <= server < self.servers_per_inp[inp]:
-            raise IndexError(f"server {server} out of range for provider {inp}")
-        return sum(self.servers_per_inp[:inp]) + server
-
     def server_failure(self, sid: int) -> float:
         """Failure probability of the provider owning the given server."""
         if not 0 <= sid < self.num_servers:

@@ -43,15 +43,6 @@ from .model import (
 )
 
 
-def _short(stock: np.ndarray, need: np.ndarray):
-    """The (predecessor, state) pairs that cannot move: some resource of the
-    stock short of the stage's need table, which is of the stock's shape."""
-    short = stock < need
-    if short.ndim == 3:
-        short = np.logical_or.reduce(short, axis=2)
-    return short
-
-
 def _traceback(records: list[tuple], m: int, x: int) -> tuple[int, ...]:
     """Server choices of state ``x`` at stage ``m``, read back through each
     stage's back-pointers."""
@@ -91,6 +82,9 @@ class PlacementContext:
 
     State id 0 is "no server": zero charge, no links and a failure
     probability of 1, so it never improves reliability.
+
+    Every array is read-only: stage-1 records hold the context's own
+    reliability row and back-pointers, shared by every batch.
     """
 
     def __init__(self, catalog: Catalog, infra: Infrastructure) -> None:
@@ -103,7 +97,10 @@ class PlacementContext:
         self.link = link.tolist()
         failure = [infra.server_failure(s) for s in range(n)]
         v = np.array([1.0] + failure)
-        up = 1.0 - v
+        # stage 1's reliability row and back-pointers: the origin is its
+        # only live predecessor
+        up = self.up = 1.0 - v
+        self.first_pick = np.zeros(n + 1, dtype=np.intp)
         # the matrices of a stage: row x1 is the predecessor, column x2 the state
         self.up_rows = np.tile(up, (n + 1, 1))
         self.backup_up = 1.0 - v[:, None] * v  # [main, backup]
@@ -142,10 +139,9 @@ class PlacementContext:
         # per (type, vnf): the charge of hosting it on each state, as Python
         # floats for the read-out's scalar sums
         self.terms: list[list[list[float]]] = []
-        # per type: the demand of each of its stages, main then backup per
-        # VNF, so a batch's usage is one scatter-add over the states of its
-        # path (state 0, no backup, collects the rest)
-        self.stage_usage: list[np.ndarray] = []
+        # per (type, vnf): its demand tuple, which the read-out adds up as
+        # Python ints over the servers of each service's path
+        self.demands: list[list[tuple[int, ...]]] = []
         # per type, in search order, one tuple per stage: the vnf index and
         # whether it is a backup stage; the need table, the stock each
         # (predecessor, state) pair needs, of the stock's shape: a main
@@ -167,8 +163,10 @@ class PlacementContext:
         # (main need, backup need, draw) per demand row
         demand_tables: dict[tuple[int, ...], tuple] = {}
         for l, stype in enumerate(catalog):
-            terms, usage, tables = [], [], []
+            terms, tables = [], []
             target_rows = np.tile(self.targets[l], (n + 1, 1))
+            main_target = np.array(1.0 - stype.failure_cap)
+            bandwidth, penalty = np.array(stype.bandwidth), np.array(stype.penalty)
             for u, spec in enumerate(stype.vnfs):
                 demand = np.array(spec.demands, dtype=np.int64)
                 if spec.demands not in demand_tables:
@@ -188,21 +186,28 @@ class PlacementContext:
                 term = np.concatenate(([0.0], per_inp[infra.server_inp]))
                 charge = np.tile(term, (n + 1, 1))
                 for backup in (False, True):
-                    target = target_rows if backup else np.array(1.0 - stype.failure_cap)
+                    target = target_rows if backup else main_target
                     base = None
                     if u == 0:
                         up = self.backup_up if backup else self.up_rows
                         base = charge + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
                     tables.append((
                         u, backup, backup_need if backup else main_need, draw, term, charge,
-                        target, base, np.array(stype.bandwidth), np.array(stype.penalty),
+                        target, base, bandwidth, penalty,
                     ))
                 terms.append(term.tolist())
-                usage += [demand, demand]
             self.terms.append(terms)
-            self.stage_usage.append(np.array(usage))
+            self.demands.append([spec.demands for spec in stype.vnfs])
             self.stage_tables.append(tables)
             self.stage_counts.append(len(tables))
+        # every array read-only, with the base that each view keeps; stages
+        # share tables, and each is visited once, as setflags is not free
+        stage_arrays = (t for tables in self.stage_tables for stage in tables for t in stage[2:])
+        arrays = {id(t): t for t in (*vars(self).values(), *self.targets, *stage_arrays)}
+        for table in arrays.values():
+            while isinstance(table, np.ndarray):
+                table.setflags(write=False)
+                table = table.base
 
 
 class TrellisPlacement:
@@ -263,8 +268,11 @@ class TrellisPlacement:
         shape = self.context.stock_shape
         self._stock = np.ndarray(shape, stock_dtype, row, 0, (0,) + row.strides[: len(shape) - 1])
 
-        counts = self.context.stage_counts
-        self.num_stages = sum(counts[l] for l in self.arrangement)
+        # the batch's stage tables, in search order
+        tables = self._tables = []
+        for l in self.arrangement:
+            tables += self.context.stage_tables[l]
+        self.num_stages = len(tables)
         # one record per stage, stage 0 first, as run() leaves them, each
         # indexed by state id: every state's cost, inf for a dead state, its
         # reliability, its stock behind a state-0 row, and its predecessor
@@ -272,24 +280,18 @@ class TrellisPlacement:
         self.stages: list[tuple] | None = None
 
     @property
-    def _stage_info(self) -> list[tuple[int, int, bool]]:
-        """Each stage's (type, vnf index, backup stage?), main before backup."""
-        return [
-            (l, u, backup) for l in self.arrangement
-            for u, backup, *_ in self.context.stage_tables[l]
-        ]
-
-    @property
     def evaluations(self) -> int:
         """The (predecessor, state) pairs that run() scored: those that fit
         from a live predecessor, counted from the stage records."""
         if not self.stages:
             return 0
-        tables = [t for l in self.arrangement for t in self.context.stage_tables[l]]
         count = 0
         # a failed main stage left no record; no pair fit from a live state there
-        for (cost, _, stock, _), (_, _, need, *_) in zip(self.stages, tables):
-            count += np.count_nonzero(~_short(stock, need)[cost < np.inf])
+        for (cost, _, stock, _), (_, _, need, *_) in zip(self.stages, self._tables):
+            short = stock < need
+            if short.ndim == 3:
+                short = np.logical_or.reduce(short, axis=2)
+            count += np.count_nonzero(~short[cost < np.inf])
         return int(count)
 
     # -- search ---------------------------------------------------------
@@ -326,66 +328,82 @@ class TrellisPlacement:
         (the row); the backup stage after it links to the same two servers,
         so it takes the main stage's route rows along the back-pointers
         instead of forming them again.
+
+        Stage 1, the first main stage, is formed in closed form: the origin
+        is its only live predecessor, so every state picks row 0 and each
+        matrix is its row 0.
         """
         ctx = self.context
-        cost, reliability, stock, _ = records[0]
+        width, zero, inf = ctx.width, ctx.zero, ctx.inf
+        tables = iter(self._tables)
+        _, _, need, draw, term, *_ = next(tables)
+        short = self._stock[0] < need[0]
+        if short.ndim == 2:
+            short = np.logical_or.reduce(short, axis=1)
+        if np.count_nonzero(short) == width:
+            return False
+        # the origin's cost 0.0 plus the charge, as a later stage adds them
+        cost = term + zero
+        np.putmask(cost, short, inf)
+        # each state's stock: the snapshot row less its draw, in the row's dtype
+        stock = np.subtract(self._stock, draw, out=np.empty(ctx.stock_shape, self._stock.dtype))
+        records.append((cost, ctx.up, stock, ctx.first_pick))
+
         up_rows, backup_up, main_up = ctx.up_rows, ctx.backup_up, ctx.main_up
         link, states = ctx.link_rows, ctx.states
-        width, zero, inf = ctx.width, ctx.zero, ctx.inf
-        for l in self.arrangement:
-            for u, backup, need, draw, term, charge, target, base, bandwidth, penalty in (
-                ctx.stage_tables[l]
-            ):
-                short = _short(stock, need)
-                if u == 0:
-                    tau = backup_up if backup else up_rows
-                    theta = base + cost[:, None]
-                else:
-                    if backup:
-                        # swap the trailing main-only factor for the protected one
-                        tau = reliability[:, None] * backup_up
-                        tau /= main_up
-                    else:
-                        route = link.take(back1, axis=0)
-                        route += link
-                        route *= bandwidth
-                        tau = reliability[:, None] * up_rows
-                    hinge = target - tau
-                    np.maximum(hinge, zero, out=hinge)
-                    hinge *= penalty
-                    theta = charge + route
-                    theta += hinge
-                    theta += cost[:, None]
-                # argmin keeps the first minimum: ties go to the lowest x1;
-                # a column whose minimum is inf is dead
-                np.putmask(theta, short, inf)
-                pick = theta.argmin(axis=0)
-                at = pick * width  # each state's (predecessor, state) entry, flattened
-                at += states
-                if not backup:
-                    dead = np.isinf(theta.take(at))  # no cost is ever -inf
-                    if np.count_nonzero(dead) == width:
-                        return False
-
-                stock = stock.take(pick, axis=0)
-                stock -= draw
-                # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
-                # a first VNF is left out, as no cost is ever -0.0
-                cost = cost.take(pick) + term
-                reliability = tau.take(at)
-                if u:
-                    cost += route.take(at)
-                    if not backup:
-                        # the backup stage's route rows
-                        route = route.take(pick, axis=0)
+        for u, backup, need, draw, term, charge, target, base, bandwidth, penalty in tables:
+            short = stock < need
+            if short.ndim == 3:
+                short = np.logical_or.reduce(short, axis=2)
+            if u == 0:
+                tau = backup_up if backup else up_rows
+                theta = base + cost[:, None]
+            else:
                 if backup:
-                    # no mask: a dead column picks row 0, and state 0 of the
-                    # main stage before is dead, as no main fits there, so
-                    # the column's cost comes out inf
-                    back1 = pick
+                    # swap the trailing main-only factor for the protected one
+                    tau = reliability[:, None] * backup_up
+                    tau /= main_up
                 else:
-                    np.putmask(cost, dead, inf)
-                records.append((cost, reliability, stock, pick))
+                    route = link.take(back1, axis=0)
+                    route += link
+                    route *= bandwidth
+                    tau = reliability[:, None] * up_rows
+                hinge = target - tau
+                np.maximum(hinge, zero, out=hinge)
+                hinge *= penalty
+                theta = charge + route
+                theta += hinge
+                theta += cost[:, None]
+            # argmin keeps the first minimum: ties go to the lowest x1;
+            # a column whose minimum is inf is dead
+            np.putmask(theta, short, inf)
+            pick = theta.argmin(axis=0)
+            at = pick * width  # each state's (predecessor, state) entry, flattened
+            at += states
+            if not backup:
+                dead = np.isinf(theta.take(at))  # no cost is ever -inf
+                if np.count_nonzero(dead) == width:
+                    return False
+
+            stock = stock.take(pick, axis=0)
+            stock -= draw
+            # hinge kept out of path cost; the pair-by-pair "+ 0.0" route of
+            # a first VNF is left out, as no cost is ever -0.0
+            cost = cost.take(pick) + term
+            reliability = tau.take(at)
+            if u:
+                cost += route.take(at)
+                if not backup:
+                    # the backup stage's route rows
+                    route = route.take(pick, axis=0)
+            if backup:
+                # no mask: a dead column picks row 0, and state 0 of the
+                # main stage before is dead, as no main fits there, so
+                # the column's cost comes out inf
+                back1 = pick
+            else:
+                np.putmask(cost, dead, inf)
+            records.append((cost, reliability, stock, pick))
         return True
 
     def _read_out(self, records: list[tuple]) -> TrellisResult:
@@ -398,8 +416,10 @@ class TrellisPlacement:
         float order of the reference ``best_move``. Each VNF's placement
         record and survival factor are the context's, shared by every batch,
         and its failure probability is their product taken in chain order,
-        as service_failure_probability takes it. Every service's usage is
-        one scatter-add of its stages' demands over its path's states.
+        as service_failure_probability takes it. The usage of the batch is
+        one flat list of Python ints, each VNF's demand tuple added at its
+        main's and its backup's servers, made one int64 array at the end;
+        each service's usage is an (S, R) row of that array.
         """
         ctx = self.context
         final_cost, reliability, _, _ = records[-1]
@@ -411,15 +431,19 @@ class TrellisPlacement:
         path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
 
         link, pairs, survival = ctx.link, ctx.vnf_placements, ctx.survival
-        width = len(ctx.states)
-        rows, index = [], []
+        n, r = self.infra.num_servers, self.infra.num_resources
+        # entry k * S * R + (x - 1) * R + j: service k's usage of resource j
+        # on state x
+        usage = [0] * (len(self.arrangement) * n * r)
         placements = []
         end = 0
         for l in self.arrangement:
             # the service's stages, main then backup per VNF
             first, end = end, end + ctx.stage_counts[l]
             seg = path[first:end]
-            terms, bandwidth = ctx.terms[l], self.catalog[l].bandwidth
+            terms, demands, bandwidth = ctx.terms[l], ctx.demands[l], self.catalog[l].bandwidth
+            # where state 0 of this service would start
+            offset = (len(placements) * n - 1) * r
             cost = 0.0
             up = 1.0
             vnfs = []
@@ -437,17 +461,17 @@ class TrellisPlacement:
                 main, backup = x, y
                 vnfs.append(pairs[x][y])
                 up *= survival[x][y]
-            offset = len(placements) * width
-            index += [offset + x for x in seg]
-            rows.append(ctx.stage_usage[l])
+                demand = demands[u]
+                for at, d in enumerate(demand, offset + x * r):
+                    usage[at] += d
+                if y:
+                    for at, d in enumerate(demand, offset + y * r):
+                        usage[at] += d
             placements.append((l, tuple(vnfs), cost, 1.0 - up))
 
-        # row k * (S + 1) + x of the flat table is service k's usage on state x
-        usage = np.zeros((len(placements), width, self.infra.num_resources), dtype=np.int64)
-        demands = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        np.add.at(usage.reshape(-1, usage.shape[2]), np.array(index), demands)
+        usage = np.array(usage, dtype=np.int64).reshape(len(placements), n, r)
         services = [
-            PlacedService(l, ServicePlacement(l, vnfs), cost, failure, usage[k, 1:])
+            PlacedService(l, ServicePlacement(l, vnfs), cost, failure, usage[k])
             for k, (l, vnfs, cost, failure) in enumerate(placements)
         ]
         return TrellisResult(True, services, path)

@@ -295,26 +295,45 @@ class PathState:
     path: tuple[int, ...]
 
 
-def context_bytes(context):
-    """Bytes of the arrays a :class:`nfvplace.PlacementContext` holds itself
-    (its catalog and infrastructure left out), each buffer counted once
-    however many views of it the context keeps."""
-    todo = [v for k, v in vars(context).items() if k not in ("catalog", "infra")]
-    seen, buffers = set(), {}
+def reachable(root):
+    """Every object reachable from ``root`` through list, tuple and dict
+    entries, object attributes and the base of each array view, as a dict
+    from id to object."""
+    todo, seen = [root], {}
     while todo:
         obj = todo.pop()
         if id(obj) in seen:
             continue
-        seen.add(id(obj))
+        seen[id(obj)] = obj
         if isinstance(obj, np.ndarray):
-            while obj.base is not None:
-                obj = obj.base
-            buffers[id(obj)] = obj.nbytes
+            todo.append(obj.base)  # a view keeps its whole base alive
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         elif isinstance(obj, dict):
             todo.extend(obj.values())
-    return sum(buffers.values())
+        elif hasattr(obj, "__dict__"):
+            todo.append(vars(obj))
+    return seen
+
+
+def context_bytes(context):
+    """Bytes of the arrays a :class:`nfvplace.PlacementContext` holds itself
+    (its catalog and infrastructure left out), each buffer counted once
+    however many views of it the context keeps."""
+    tables = [v for k, v in vars(context).items() if k not in ("catalog", "infra")]
+    return sum(
+        obj.nbytes for obj in reachable(tables).values()
+        if isinstance(obj, np.ndarray) and obj.base is None
+    )
+
+
+def stage_info(tp):
+    """Each stage of ``tp``'s batch as (type, vnf index, backup stage?),
+    main before backup."""
+    return [
+        (l, u, backup) for l in tp.arrangement
+        for u, backup, *_ in tp.context.stage_tables[l]
+    ]
 
 
 def best_move(tp, m, preds, x2):
@@ -324,7 +343,7 @@ def best_move(tp, m, preds, x2):
     to the first predecessor. ``route`` charges the links ``x2`` creates,
     ``tau`` is the service's chain reliability after the move, ``hinge`` its
     shortfall penalty. The stage kernel forms each float in this order."""
-    l, u, backup = tp._stage_info[m - 1]
+    l, u, backup = stage_info(tp)[m - 1]
     stype = tp.catalog[l]
     link = tp.context.link
     # each state's failure probability; state 0, "no server", always fails
@@ -402,7 +421,7 @@ def search_pairs(tp, snapshot):
     demands = [[np.array(spec.demands) for spec in t.vnfs] for t in tp.catalog]
     stages = [{0: PathState(0.0, 1.0, snap, ())}]
     evaluations = 0
-    for m, (l, u, backup) in enumerate(tp._stage_info, start=1):
+    for m, (l, u, backup) in enumerate(stage_info(tp), start=1):
         r = demands[l][u]
         term = ctx.terms[l][u]
         prev = stages[-1]
@@ -588,9 +607,18 @@ def transition_prob(model, state, realized_action, next_state):
     )
 
 
+def server_id(infra, inp, server):
+    """Flat index of provider ``inp``'s local server ``server``."""
+    if not 0 <= inp < infra.num_inps:
+        raise IndexError(f"provider {inp} out of range")
+    if not 0 <= server < infra.servers_per_inp[inp]:
+        raise IndexError(f"server {server} out of range for provider {inp}")
+    return sum(infra.servers_per_inp[:inp]) + server
+
+
 def server_location(infra, sid):
-    """Inverse of ``Infrastructure.server_id``: the (provider, local
-    server) pair of flat server ``sid``."""
+    """Inverse of :func:`server_id`: the (provider, local server) pair of
+    flat server ``sid``."""
     if not 0 <= sid < infra.num_servers:
         raise IndexError(f"server {sid} out of range")
     inp = int(infra.server_inp[sid])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nfvplace as nv
 
-from helpers import server_location
+from helpers import server_id, server_location
 
 
 def one_inp(v=0.1, caps=((10,),), alpha=(1.0,), beta=1.0, v_base=0.1, dc=0.0):
@@ -329,7 +329,7 @@ class TestInfrastructure:
         infra, _ = bundled
         for sid in range(infra.num_servers):
             i, s = server_location(infra, sid)
-            assert infra.server_id(i, s) == sid
+            assert server_id(infra, i, s) == sid
 
     def test_failure_lookup(self, bundled):
         infra, _ = bundled

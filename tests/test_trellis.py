@@ -10,7 +10,8 @@ import nfvplace as nv
 from nfvplace.model import MAX_AMOUNT
 
 from helpers import (
-    context_bytes, random_batch_inputs, reduced_setup, replay, search_pairs, survivors,
+    context_bytes, random_batch_inputs, reachable, reduced_setup, replay, search_pairs,
+    stage_info, survivors,
 )
 
 
@@ -194,10 +195,15 @@ class TestSearchBehavior:
         assert all(r.path == first.path for r in results)
 
     def test_infeasible_batch_places_nothing(self, tiny2):
+        # nothing fits the first stage, so the search stops at the origin
         infra, catalog = tiny2
-        res = nv.place_batch((1,), (0,), np.zeros_like(full_snapshot(infra)), catalog, infra)
+        tp = nv.TrellisPlacement((1,), (0,), np.zeros_like(full_snapshot(infra)), catalog, infra)
+        res = tp.run()
         assert not res.valid
         assert res.services == []
+        assert len(tp.stages) == 1 and tp.evaluations == 0
+        cost, reliability, _, pick = tp.stages[0]
+        assert cost is tp.context.origin_cost and pick is None
 
     def test_whole_batch_fails_on_one_unplaceable_service(self):
         infra = nv.Infrastructure(
@@ -392,6 +398,36 @@ class TestStageKernel:
         # some invalid batch failed past stage 1, so a nonzero count was compared
         assert invalid_scored > 0
 
+    @pytest.mark.parametrize("setup", ["reduced", "two_resource"])
+    @pytest.mark.parametrize("dtype", ["uint8", "int64", "float32", "float64"])
+    def test_first_stage_in_closed_form(self, setup, dtype, request):
+        # the origin is stage 1's only live predecessor: every state picks
+        # it, takes the context's reliability row and holds its stock in the
+        # snapshot's signed dtype; every stage still equals the pair loop
+        infra, catalog = request.getfixturevalue(setup)
+        context = nv.PlacementContext(catalog, infra)
+        rng = np.random.default_rng(9)
+        first_stages = 0
+        for _ in range(20):
+            action, arrangement, snapshot = random_batch_inputs(rng, infra, catalog, max_per_type=3)
+            if dtype.startswith("float"):
+                snapshot = infra.capacity * rng.uniform(size=infra.capacity.shape)
+            snapshot = snapshot.astype(dtype)
+            tp = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra, context)
+            result = tp.run()
+            # the reference holds its stock in the snapshot's dtype
+            signed = snapshot.astype(np.promote_types(dtype, np.int8))
+            valid, stages, path, evaluations = search_pairs(tp, signed)
+            assert (result.valid, result.path, tp.evaluations) == (valid, path, evaluations)
+            assert self._survivors(self._kernel_stages(tp)) == self._survivors(stages)
+            if len(tp.stages) > 1:
+                _, reliability, stock, pick = tp.stages[1]
+                assert stock.dtype == np.promote_types(dtype, np.int8)
+                assert reliability is context.up and pick is context.first_pick
+                assert not pick.any()
+                first_stages += 1
+        assert first_stages >= 10
+
     def test_run_leaves_stage_survivors(self, bundled, reduced, tiny2, two_resource):
         # one kernel at every width: no server count keeps the pair loop
         for infra, catalog in (bundled, reduced, tiny2, two_resource):
@@ -441,7 +477,7 @@ class TestStageKernel:
             batch = random_batch_inputs(rng, infra, catalog, max_per_type=3)
             tp = nv.TrellisPlacement(*batch, catalog, infra)
             tp.run()
-            for (cost, *_), (_, _, backup) in zip(tp.stages[1:], tp._stage_info):
+            for (cost, *_), (_, _, backup) in zip(tp.stages[1:], stage_info(tp)):
                 if not backup:
                     assert cost[0] == np.inf
                     mains += 1
@@ -543,24 +579,30 @@ class TestPlacementContext:
         infra, catalog = request.getfixturevalue(setup)
         bound = (infra.num_servers + 1) ** 2 * infra.num_resources
         context = nv.PlacementContext(catalog, infra)
-        seen, todo, arrays = set(), [context], []
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-                todo.append(obj.base)  # a view keeps its whole base alive
-            elif isinstance(obj, (list, tuple)):
-                todo.extend(obj)
-            elif isinstance(obj, dict):
-                todo.extend(obj.values())
-            elif hasattr(obj, "__dict__"):
-                todo.append(vars(obj))
+        seen = reachable(context)
         # the walk reached into the nested per-type tables
         assert all(id(term) in seen for terms in context.terms for term in terms)
-        assert max(a.size for a in arrays) <= bound
+        assert max(a.size for a in seen.values() if isinstance(a, np.ndarray)) <= bound
+
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "two_resource"])
+    def test_every_table_read_only(self, setup, request):
+        # stage-1 records hold the context's reliability row and
+        # back-pointers, shared by every batch, so no batch may write to any
+        # array the context reaches
+        infra, catalog = request.getfixturevalue(setup)
+        context = nv.PlacementContext(catalog, infra)
+        arrays = [a for a in reachable(context).values() if isinstance(a, np.ndarray)]
+        # the walk reached the per-stage tables and every view's base
+        need = context.stage_tables[0][0][2]
+        assert need.base is not None and any(a is need.base for a in arrays)
+        assert [a for a in arrays if a.flags.writeable] == []
+        tp = nv.TrellisPlacement((1,) + (0,) * (len(catalog) - 1), (0,), full_snapshot(infra),
+                                 catalog, infra, context)
+        tp.run()
+        _, reliability, _, pick = tp.stages[1]
+        for shared in (reliability, pick):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[1] = 0
 
     @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2", "two_resource"])
     def test_folded_needs_exceed_every_stock(self, setup, request):
