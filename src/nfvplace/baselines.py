@@ -9,7 +9,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -63,21 +62,19 @@ class BaselineOutcome:
 
 class BaselineTables:
     """Per-setup lookups the baselines read on every scan, built once from
-    ``(infra, catalog)``: one int64 table of every (type, VNF) demand row,
-    in catalog order, and the row of each type's first VNF; per type the
-    demand totals; per (type, VNF) per-server lists of the server term ``d
-    @ unit_cost[inp]`` (``d`` the float demand row), the deployment term and
-    their sum, the charge, each formed as :func:`service_cost` forms it;
-    the per-server failure and provider lists and the link table as lists.
-    The trellis forms the server term as ``unit_cost @ d``; with more than
-    one resource the two can differ in the last bits, so it has its own."""
+    ``(infra, catalog)``: per type the demand totals; per (type, VNF)
+    per-server lists of the server term ``d @ unit_cost[inp]`` (``d`` the
+    float demand row), the deployment term and their sum, the charge, each
+    formed as :func:`service_cost` forms it; the per-server failure and
+    provider lists, the servers by ``(failure, index)`` and the link table
+    as lists. The trellis forms the server term as ``unit_cost @ d``; with
+    more than one resource the two can differ in the last bits, so it has
+    its own."""
 
     def __init__(self, infra: Infrastructure, catalog: Catalog) -> None:
         self.infra = infra
         self.catalog = catalog
         inps = infra.server_inp.tolist()
-        self.demand_rows = np.array([v.demands for t in catalog for v in t.vnfs], dtype=np.int64)
-        self.first_row = list(accumulate((t.num_vnfs for t in catalog[:-1]), initial=0))
         self.demand_sums = [[sum(v.demands) for v in t.vnfs] for t in catalog]
         self.server_terms = [
             [[float(np.asarray(v.demands, dtype=float) @ infra.unit_cost[i]) for i in inps] for v in t.vnfs]
@@ -91,6 +88,8 @@ class BaselineTables:
             for terms in zip(self.server_terms, self.deploy_terms)
         ]
         self.failure = [infra.server_failure(srv) for srv in range(infra.num_servers)]
+        # a stable sort: ties keep the lower index first
+        self.reliability_order = array("I", sorted(range(infra.num_servers), key=self.failure.__getitem__))
         self.inps, self.inp_failure = inps, infra.v.tolist()
         self.link = infra.link_cost.tolist()
         self._main_orders = [[[None] * infra.num_servers for _ in t.vnfs] for t in catalog]
@@ -111,12 +110,21 @@ class BaselineTables:
         return orders[prev]
 
 
-def _fits(idle: Stock, srv: int, demand: tuple[int, ...]) -> bool:
-    """Whether server ``srv``'s idle stock covers ``demand``."""
-    for column, d in zip(idle, demand):
-        if column[srv] < d:
-            return False
-    return True
+def _first_fit(
+    order: Sequence[int], idle: Stock, demand: tuple[int, ...], skip: int = -1
+) -> int | None:
+    """The first server in ``order``, other than ``skip``, whose idle stock
+    covers ``demand``; None when there is none."""
+    column, *columns = idle
+    need, *needs = demand
+    for srv in order:
+        if column[srv] >= need and srv != skip:
+            for rest, d in zip(columns, needs):
+                if rest[srv] < d:
+                    break
+            else:
+                return srv
+    return None
 
 
 def _take(idle: Stock, srv: int, demand: tuple[int, ...]) -> None:
@@ -141,10 +149,9 @@ def _place_mains(l: int, idle: Stock, tables: BaselineTables) -> ServiceBuild | 
     rolled back."""
     build = ServiceBuild(l)
     for u, spec in enumerate(tables.catalog[l].vnfs):
-        for best in tables.main_order(l, u, build.mains[-1] if build.mains else 0):
-            if _fits(idle, best, spec.demands):
-                break
-        else:
+        order = tables.main_order(l, u, build.mains[-1] if build.mains else 0)
+        best = _first_fit(order, idle, spec.demands)
+        if best is None:
             _release(build, idle, tables)
             return None
         _take(idle, best, spec.demands)
@@ -162,24 +169,41 @@ def _survival(build: ServiceBuild, failure: list[float]) -> tuple[float, list[fl
     return 1.0 - math.prod(factors), factors
 
 
-def _backup_scan(
-    build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
-) -> tuple[list[int], list[float]]:
-    """Servers other than VNF u's main with room for its demand, and the
-    build's failure probability with VNF u, which has no backup yet, backed
-    up on each, from the build's survival ``factors`` in their order."""
-    main = build.mains[u]
+def _provider_failures(
+    build: ServiceBuild, u: int, factors: list[float], tables: BaselineTables
+) -> list[float]:
+    """Per provider, the build's failure probability with VNF u, which has
+    no backup yet, backed up on one of its servers, from the build's
+    survival ``factors`` in their order. A host's figure depends on it only
+    through its provider's failure probability ``v``, and every rounding
+    step of ``1 - head * (1 - f_main * v) * tail`` is monotone with every
+    operand in [0, 1], so the figure never falls as ``v`` rises."""
     head = math.prod(factors[:u])
-    # a host's figure depends on it only through its provider's failure
-    # probability, so it is formed once per provider
-    ups = [head * (1.0 - tables.failure[main] * v) for v in tables.inp_failure]
+    f_main = tables.failure[build.mains[u]]
+    ups = [head * (1.0 - f_main * v) for v in tables.inp_failure]
     for factor in factors[u + 1:]:
         ups = [up * factor for up in ups]
+    return [1.0 - up for up in ups]
+
+
+def _backup_hosts(build: ServiceBuild, u: int, idle: Stock, tables: BaselineTables) -> list[int]:
+    """Servers other than VNF u's main with room for its demand."""
+    main = build.mains[u]
     demand = tables.catalog[build.type_index].vnfs[u].demands
     hosts = [srv for srv, x in enumerate(idle[0]) if x >= demand[0] and srv != main]
     for column, d in zip(idle[1:], demand[1:]):
         hosts = [srv for srv in hosts if column[srv] >= d]
-    return hosts, [1.0 - ups[tables.inps[srv]] for srv in hosts]
+    return hosts
+
+
+def _backup_scan(
+    build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
+) -> tuple[list[int], list[float]]:
+    """:func:`_backup_hosts` and the build's failure probability with VNF u
+    backed up on each, as :func:`_provider_failures` forms it."""
+    failures = _provider_failures(build, u, factors, tables)
+    hosts = _backup_hosts(build, u, idle, tables)
+    return hosts, [failures[tables.inps[srv]] for srv in hosts]
 
 
 def _backup_prices(
@@ -201,15 +225,21 @@ def _choose_backup(
     build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
 ) -> int | None:
     """Cheapest backup that meets the service target, else the most
-    reliable feasible server, else None."""
-    failure_cap = tables.catalog[build.type_index].failure_cap
-    hosts, failures = _backup_scan(build, u, factors, idle, tables)
-    if not hosts:
+    reliable feasible server, ties to the lowest index, else None. No host
+    has a lower figure than the most reliable one (see
+    :func:`_provider_failures`), so when it misses the target every host
+    does, and hosts are listed and priced only when it meets the target."""
+    stype = tables.catalog[build.type_index]
+    first = _first_fit(tables.reliability_order, idle, stype.vnfs[u].demands, build.mains[u])
+    if first is None:
         return None
-    sufficient = [srv for srv, e in zip(hosts, failures) if e <= failure_cap]
-    if sufficient:
-        return min(zip(_backup_prices(build, u, sufficient, tables), sufficient))[1]
-    return min((tables.failure[srv], srv) for srv in hosts)[1]
+    failure_cap, inps = stype.failure_cap, tables.inps
+    failures = _provider_failures(build, u, factors, tables)
+    if failures[inps[first]] > failure_cap:
+        return first
+    sufficient = [srv for srv in _backup_hosts(build, u, idle, tables)
+                  if failures[inps[srv]] <= failure_cap]
+    return min(zip(_backup_prices(build, u, sufficient, tables), sufficient))[1]
 
 
 def _smallest_demand_first(build: ServiceBuild, u: int, tables: BaselineTables) -> int:
@@ -282,29 +312,35 @@ def _outcomes(
 ) -> list[BaselineOutcome]:
     """Each build's figures: its cost summed from the table terms in
     :func:`service_cost`'s accumulators and order, and its usage, row k of
-    one int64 (placed, S, R) table that one scatter-add fills for the k-th
-    placed build."""
-    infra = tables.infra
-    width = infra.num_servers
-    outcomes, placed, index, rows = [], [], [], []
+    one int64 (placed, S, R) table for the k-th placed build. The table is
+    one flat list of Python ints, each VNF's demand tuple added at its
+    main's and its backup's servers, made one array at the end."""
+    infra, link = tables.infra, tables.link
+    n, r = infra.num_servers, infra.num_resources
+    usage: list[int] = []
+    outcomes, placed = [], []
     for l, build in zip(type_indices, builds):
         if build is None:
             outcomes.append(BaselineOutcome(l, None, None, None, None))
             continue
         bandwidth = tables.catalog[l].bandwidth
-        offset, first = len(placed) * width, tables.first_row[l]
+        offset = len(usage)
+        usage += [0] * (n * r)
         server = forward = deploy = 0.0
         prev: tuple[int, ...] = ()
-        for u, (main, backup) in enumerate(zip(build.mains, build.backups)):
+        vnfs = tables.catalog[l].vnfs
+        for main, backup, spec, server_terms, deploy_terms in zip(
+            build.mains, build.backups, vnfs, tables.server_terms[l], tables.deploy_terms[l]
+        ):
             hosts = (main,) if backup is None else (main, backup)
             for srv in hosts:
-                server += tables.server_terms[l][u][srv]
-                deploy += tables.deploy_terms[l][u][srv]
-                index.append(offset + srv)
-                rows.append(first + u)
+                server += server_terms[srv]
+                deploy += deploy_terms[srv]
+                for at, d in enumerate(spec.demands, offset + srv * r):
+                    usage[at] += d
             for a in prev:
                 for b in hosts:
-                    forward += bandwidth * tables.link[a][b]
+                    forward += bandwidth * link[a][b]
             prev = hosts
         placement = ServicePlacement(l, tuple(map(VnfPlacement, build.mains, build.backups)))
         outcome = BaselineOutcome(
@@ -314,10 +350,9 @@ def _outcomes(
         outcomes.append(outcome)
         placed.append(outcome)
     if placed:
-        usage = np.zeros((len(placed), width, infra.num_resources), dtype=np.int64)
-        np.add.at(usage.reshape(-1, usage.shape[2]), index, tables.demand_rows.take(rows, axis=0))
+        rows = np.array(usage, dtype=np.int64).reshape(len(placed), n, r)
         for k, outcome in enumerate(placed):
-            outcome.usage = usage[k]
+            outcome.usage = rows[k]
     return outcomes
 
 

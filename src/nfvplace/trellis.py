@@ -44,12 +44,13 @@ from .model import (
 
 
 def _traceback(records: list[tuple], m: int, x: int) -> tuple[int, ...]:
-    """Server choices of state ``x`` at stage ``m``, read back through each
-    stage's back-pointers."""
-    path = []
-    for _, _, _, pick in records[m:0:-1]:
-        path.append(x)
+    """Server choices of state ``x`` at stage ``m`` >= 1, read back through
+    the back-pointers of stages ``m`` down to 2: every stage-1 state's
+    points to the origin, so stage 1's are never read."""
+    path = [x]
+    for _, _, _, pick in records[m:1:-1]:
         x = pick.item(x)
+        path.append(x)
     path.reverse()
     return tuple(path)
 

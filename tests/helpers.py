@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import nfvplace as nv
+from nfvplace.baselines import _backup_prices, _backup_scan
 from nfvplace.trellis import _traceback
 
 
@@ -394,7 +395,7 @@ def survivors(tp, m):
     return {
         x: PathState(
             float(cost[x]), float(reliability[x]), stock[x, 1:].reshape(shape),
-            _traceback(tp.stages, m, x),
+            _traceback(tp.stages, m, x) if m else (),
         )
         for x in np.flatnonzero(cost < np.inf).tolist()
     }
@@ -501,6 +502,21 @@ def backup_cost(build, u, srv, tables):
                 if neighbor is not None:
                     cost += bandwidth * tables.link[neighbor][srv]
     return cost
+
+
+def choose_backup_reference(build, u, factors, idle, tables):
+    """Reference for the baselines' backup choice, by a full scan: every
+    host priced when one meets the service target, the cheapest of those
+    chosen, else the most reliable host, ties to the lowest index, else
+    None. ``idle`` is a stock as the baselines keep it."""
+    failure_cap = tables.catalog[build.type_index].failure_cap
+    hosts, failures = _backup_scan(build, u, factors, idle, tables)
+    if not hosts:
+        return None
+    sufficient = [srv for srv, e in zip(hosts, failures) if e <= failure_cap]
+    if sufficient:
+        return min(zip(_backup_prices(build, u, sufficient, tables), sufficient))[1]
+    return min((tables.failure[srv], srv) for srv in hosts)[1]
 
 
 def numpy_blend(row, a, source, usage, capacity):

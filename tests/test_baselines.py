@@ -1,5 +1,6 @@
 """Static comparison strategies: greedy mains plus backup policies."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -9,7 +10,9 @@ import pytest
 import nfvplace as nv
 import nfvplace.baselines as nb
 
-from helpers import backup_cost, backup_probe, random_tiny_instance, two_resource_setup
+from helpers import (
+    backup_cost, backup_probe, choose_backup_reference, random_tiny_instance, two_resource_setup,
+)
 
 BACKUP_BASELINES = ["min_resource", "min_reliability", "cera", "redundant_vnf"]
 
@@ -270,9 +273,11 @@ class TestTables:
                             tables=nv.BaselineTables(*bundled))
 
 
-def multi_resource_setup(seed, num_resources):
+def multi_resource_setup(seed, num_resources, tied=False):
     """Random six-provider infrastructure with ``num_resources`` resource
-    types, free links and four VNF types of fixed demand each.
+    types, free links and four VNF types of fixed demand each; with
+    ``tied``, the first and the last provider share a failure probability
+    below every other's.
 
     Each provider's deployment cost for a VNF type is set so that every
     server charges the same for it in exact arithmetic; which server the
@@ -280,12 +285,15 @@ def multi_resource_setup(seed, num_resources):
     change in that arithmetic changes outcomes."""
     rng = np.random.default_rng(seed)
     v_base = 0.2
+    vs = rng.uniform(0.01, v_base, size=6)
+    if tied:
+        vs[0] = vs[-1] = vs.min() / 2
     inps = [
         nv.InP(float(v), tuple(
             tuple(int(c) for c in rng.integers(8, 31, size=num_resources))
             for _ in range(int(rng.integers(1, 4)))
         ))
-        for v in rng.uniform(0.01, v_base, size=6)
+        for v in vs
     ]
     alpha = rng.uniform(0.2, 1.0, size=num_resources)
     beta = float(rng.uniform(2.0, 20.0))
@@ -501,6 +509,108 @@ class TestBackupScan:
                 assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))
                 checked += 1
         assert checked > 50
+
+
+class TestBackupChoice:
+    """The reliability-first backup choice and the first-fit scan against
+    full-scan and per-server references."""
+
+    @staticmethod
+    def _setup(name, bundled, reduced):
+        if name == "tied":
+            return multi_resource_setup(40, 1, tied=True)
+        return TestBackupScan._setup(name, bundled, reduced)
+
+    @staticmethod
+    def _idle(rng, infra):
+        # some servers emptied, so that at times no host has room
+        frac = rng.uniform(0.0, 1.0, size=(infra.num_servers, 1))
+        frac[rng.random(infra.num_servers) < rng.random()] = 0.0
+        return np.floor(infra.capacity * frac).astype(np.int64)
+
+    @pytest.mark.parametrize("name", SCAN_SETUPS + ["tied"])
+    def test_choice_equals_full_scan(self, name, bundled, reduced):
+        infra, catalog = self._setup(name, bundled, reduced)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(14)
+        branches = {"none": 0, "fallback": 0, "priced": 0}
+        for _ in range(300):
+            build = random_build(rng, infra, catalog)
+            idle = self._idle(rng, infra).T.tolist()
+            factors = nb._survival(build, tables.failure)[1]
+            cap = catalog[build.type_index].failure_cap
+            for u, backup in enumerate(build.backups):
+                if backup is not None:
+                    continue
+                want = choose_backup_reference(build, u, factors, idle, tables)
+                assert nb._choose_backup(build, u, factors, idle, tables) == want
+                hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
+                branches["none" if not hosts else
+                         "priced" if min(failures) <= cap else "fallback"] += 1
+        assert min(branches.values()) >= 10, branches
+
+    def test_cap_met_exactly_is_priced(self):
+        # each type's cap set to the most reliable host's figure: that host
+        # meets it, so the cheapest host of that figure is chosen, which
+        # with the first provider made dearer is often on the last one
+        infra, catalog = multi_resource_setup(40, 1, tied=True)
+        deployment = np.array(infra.deployment_cost)
+        deployment[0] += 1.0
+        infra = dataclasses.replace(infra, deployment_cost=deployment)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(16)
+        priced = 0
+        for _ in range(100):
+            build = random_build(rng, infra, catalog)
+            idle = self._idle(rng, infra).T.tolist()
+            factors = nb._survival(build, tables.failure)[1]
+            u = build.backups.index(None)
+            hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
+            if not hosts:
+                continue
+            l = build.type_index
+            cap = dataclasses.replace(catalog[l], failure_cap=min(failures))
+            exact = nv.BaselineTables(infra, (*catalog[:l], cap, *catalog[l + 1:]))
+            want = choose_backup_reference(build, u, factors, idle, exact)
+            assert nb._choose_backup(build, u, factors, idle, exact) == want
+            priced += want != min((tables.failure[srv], srv) for srv in hosts)[1]
+        assert priced >= 10, priced
+
+    def test_tied_providers_fall_back_to_the_lowest_index(self):
+        infra, catalog = multi_resource_setup(40, 1, tied=True)
+        # a cap no backup can meet, so the most reliable host with room is chosen
+        catalog = (dataclasses.replace(catalog[0], failure_cap=1e-9), *catalog[1:])
+        tables = nv.BaselineTables(infra, catalog)
+        n = infra.num_servers
+        tied = [srv for srv in range(n) if tables.failure[srv] == min(tables.failure)]
+        assert sorted({tables.inps[srv] for srv in tied}) == [0, 5]
+        last = [srv for srv in tied if tables.inps[srv] == 5]
+        worst = max(range(n), key=tables.failure.__getitem__)
+        build = nb.ServiceBuild(0, [worst] * catalog[0].num_vnfs, [None] * catalog[0].num_vnfs)
+        factors = nb._survival(build, tables.failure)[1]
+        for room, want in ((range(n), tied[0]), (last, last[0])):
+            idle = [[100 if srv in room else 0 for srv in range(n)]]
+            assert choose_backup_reference(build, 0, factors, idle, tables) == want
+            assert nb._choose_backup(build, 0, factors, idle, tables) == want
+
+    @pytest.mark.parametrize("name", ["bundled", "two_resource", "random-r3"])
+    def test_first_fit_equals_per_server_scan(self, name, bundled, reduced):
+        infra, catalog = self._setup(name, bundled, reduced)
+        rng = np.random.default_rng(15)
+        found = skipped = 0
+        for _ in range(300):
+            idle = self._idle(rng, infra)
+            order = rng.permutation(infra.num_servers).tolist()[:int(rng.integers(infra.num_servers + 1))]
+            demand = tuple(int(d) for d in rng.integers(0, 20, size=infra.num_resources))
+            fits = [srv for srv in order if (idle[srv] >= demand).all()]
+            got = nb._first_fit(order, idle.T.tolist(), demand)
+            assert got == (fits[0] if fits else None)
+            if fits:
+                found += 1
+                got = nb._first_fit(order, idle.T.tolist(), demand, fits[0])
+                assert got == (fits[1] if len(fits) > 1 else None)
+                skipped += len(fits) > 1
+        assert found > 50 and skipped > 30, (found, skipped)
 
 
 class TestRunOutputs:

@@ -428,6 +428,25 @@ class TestStageKernel:
                 first_stages += 1
         assert first_stages >= 10
 
+    @pytest.mark.parametrize("setup", ["bundled", "reduced", "two_resource"])
+    def test_read_out_skips_the_first_pick(self, setup, request):
+        # every stage-1 state comes from the origin, so the trace back
+        # stops at stage 2: with nothing in stage 1's pick, every batch
+        # still reads out the same path and services
+        infra, catalog = request.getfixturevalue(setup)
+        rng = np.random.default_rng(12)
+        read = 0
+        for _ in range(40):
+            batch = random_batch_inputs(rng, infra, catalog, max_per_type=1)
+            tp = nv.TrellisPlacement(*batch, catalog, infra)
+            res = tp.run()
+            if not res.valid:
+                continue
+            tp.stages[1] = (*tp.stages[1][:3], None)
+            assert outcome_record(tp, tp._read_out(tp.stages)) == outcome_record(tp, res)
+            read += 1
+        assert read >= 10
+
     def test_run_leaves_stage_survivors(self, bundled, reduced, tiny2, two_resource):
         # one kernel at every width: no server count keeps the pair loop
         for infra, catalog in (bundled, reduced, tiny2, two_resource):
