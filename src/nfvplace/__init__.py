@@ -13,14 +13,7 @@ everything on admission ratio, placement cost, and backup overhead
 from .baselines import BaselineId, BaselineOutcome, BaselineTables, run_baseline
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .datasets import seven_providers, seven_providers_path
-from .mdp import (
-    StateSpace,
-    TransitionModel,
-    action_reward,
-    arrival_prob,
-    build_state_space,
-    departure_prob,
-)
+from .mdp import StateSpace, TransitionModel, build_state_space
 from .model import (
     CostBreakdown,
     InP,
@@ -33,13 +26,12 @@ from .model import (
     ServiceType,
     VnfPlacement,
     VnfSpec,
-    placement_cost,
     service_cost,
     service_failure_probability,
     service_usage,
     validate_plan,
 )
-from .oracle import OracleError, OracleResult, best_placement, failure_by_enumeration
+from .oracle import OracleError, OracleResult, best_placement
 from .policy import (
     Policy,
     ResourceEstimator,
@@ -88,18 +80,13 @@ __all__ = [
     "TrellisResult",
     "VnfPlacement",
     "VnfSpec",
-    "action_reward",
-    "arrival_prob",
     "best_placement",
     "build_state_space",
     "catalog_fingerprint",
-    "departure_prob",
-    "failure_by_enumeration",
     "generate_arrangements",
     "load_config",
     "parse_config",
     "place_batch",
-    "placement_cost",
     "run_baseline",
     "run_experiment",
     "sample_arrivals",

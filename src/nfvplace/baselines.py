@@ -19,6 +19,7 @@ from .model import (
     ResourceLedger,
     ServicePlacement,
     VnfPlacement,
+    check_type_indices,
     service_failure_probability,
 )
 
@@ -196,16 +197,6 @@ def _backup_hosts(build: ServiceBuild, u: int, idle: Stock, tables: BaselineTabl
     return hosts
 
 
-def _backup_scan(
-    build: ServiceBuild, u: int, factors: list[float], idle: Stock, tables: BaselineTables
-) -> tuple[list[int], list[float]]:
-    """:func:`_backup_hosts` and the build's failure probability with VNF u
-    backed up on each, as :func:`_provider_failures` forms it."""
-    failures = _provider_failures(build, u, factors, tables)
-    hosts = _backup_hosts(build, u, idle, tables)
-    return hosts, [failures[tables.inps[srv]] for srv in hosts]
-
-
 def _backup_prices(
     build: ServiceBuild, u: int, hosts: list[int], tables: BaselineTables
 ) -> list[float]:
@@ -264,10 +255,11 @@ def _protect_ranked(
     VNF with no backup host is skipped, or with ``abandon`` ends the
     attempt. Returns whether the target was met. A rank reads only mains
     and demands, which backups leave as they are, so one order serves
-    every step."""
-    failure_cap = tables.catalog[build.type_index].failure_cap
+    every step. A backup forms only its VNF's survival factor and their
+    product again, as :func:`_survival` forms them."""
+    failure_cap, failure = tables.catalog[build.type_index].failure_cap, tables.failure
+    e, factors = _survival(build, failure)
     for u in sorted(range(len(build.mains)), key=lambda u: (rank(build, u, tables), u)):
-        e, factors = _survival(build, tables.failure)
         if e <= failure_cap:
             return True
         srv = _choose_backup(build, u, factors, idle, tables)
@@ -277,23 +269,26 @@ def _protect_ranked(
             continue
         build.backups[u] = srv
         _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
-    return _survival(build, tables.failure)[0] <= failure_cap
+        factors[u] = 1.0 - failure[build.mains[u]] * failure[srv]
+        e = 1.0 - math.prod(factors)
+    return e <= failure_cap
 
 
 def _protect_cera(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> None:
     """Cost-efficiency driven protection: commit the (VNF, server) pair with
     the best reliability gain per unit of added cost; zero-cost gains rank
-    as infinite and go first."""
-    failure_cap = tables.catalog[build.type_index].failure_cap
-    while (survival := _survival(build, tables.failure))[0] > failure_cap:
-        e, factors = survival
+    as infinite and go first. Survival is kept as in :func:`_protect_ranked`."""
+    failure_cap, failure = tables.catalog[build.type_index].failure_cap, tables.failure
+    e, factors = _survival(build, failure)
+    while e > failure_cap:
         best = None  # (cim, u, srv)
         for u in range(len(build.mains)):
             if build.backups[u] is not None:
                 continue
-            hosts, failures = _backup_scan(build, u, factors, idle, tables)
-            for srv, f, cost in zip(hosts, failures, _backup_prices(build, u, hosts, tables)):
-                gain = e - f
+            failures = _provider_failures(build, u, factors, tables)
+            hosts = _backup_hosts(build, u, idle, tables)
+            for srv, cost in zip(hosts, _backup_prices(build, u, hosts, tables)):
+                gain = e - failures[tables.inps[srv]]
                 if cost <= 0.0:
                     cim = np.inf if gain > 0 else 0.0
                 else:
@@ -305,6 +300,8 @@ def _protect_cera(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> N
         _, u, srv = best
         build.backups[u] = srv
         _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
+        factors[u] = 1.0 - failure[build.mains[u]] * failure[srv]
+        e = 1.0 - math.prod(factors)
 
 
 def _outcomes(
@@ -384,10 +381,7 @@ def run_baseline(
         tables = BaselineTables(infra, catalog)
     elif tables.infra is not infra or tables.catalog is not catalog:
         raise ValueError("baseline tables were built for another infrastructure or catalog")
-    for l in type_indices:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < len(catalog):
-            raise ValueError(f"type index {l!r} is not an integer in range({len(catalog)})")
-    type_indices = [int(l) for l in type_indices]
+    type_indices = check_type_indices(type_indices, catalog)
     idle: Stock = ledger.server_idle.T.tolist()
     if baseline is BaselineId.REDUNDANT_VNF:
         builds = []

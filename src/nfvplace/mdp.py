@@ -1,5 +1,5 @@
-"""State indexing, feasible actions, transition structure and admission
-reward for the slotted arrival/departure decision process.
+"""State indexing, feasible actions and transition structure for the
+slotted arrival/departure decision process.
 
 A state pairs the per-type arrival counts seen this slot with the per-type
 counts of services still active. Both vectors are packed into 1-based
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Catalog, meets_target
+from .model import Catalog
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -54,11 +54,6 @@ class StateSpace:
         self._check(sigma, self.sigma_max, "active count")
         return 1 + sum(s * d for s, d in zip(sigma, self.active_strides))
 
-    def arrival_index(self, lam: Sequence[int]) -> int:
-        """1-based ordinal of an arrival vector."""
-        self._check(lam, self.lambda_max, "arrival count")
-        return 1 + sum(a * d for a, d in zip(lam, self.arrival_strides))
-
     def active_vector(self, index: int) -> tuple[int, ...]:
         if not 1 <= index <= self.num_active:
             raise IndexError(f"active index {index} out of range")
@@ -70,9 +65,9 @@ class StateSpace:
         return _unpack(index - 1, self.arrival_sizes)
 
     def state_id(self, lam: Sequence[int], sigma: Sequence[int]) -> int:
-        """0-based flat state index, arrival ordinal major: both ordinals
-        formed in one pass, with ``arrival_index``'s and ``active_index``'s
-        checks and errors."""
+        """0-based flat state index, arrival ordinal major: both 1-based
+        ordinals formed in one pass, with the arrival vector checked, and
+        its error raised, before the active one's."""
         terms = self._id_terms
         if len(lam) == len(sigma) == len(terms):
             sid = 0
@@ -138,44 +133,6 @@ def build_state_space(catalog: Catalog, cap: int = DEFAULT_STATE_CAP) -> StateSp
     return space
 
 
-def _binomial_term(j: int, k: int, d: float) -> float:
-    """Probability that exactly ``k`` of ``j`` services survive a slot in
-    which each departs independently with probability ``d``."""
-    return math.comb(j, k) * d ** (j - k) * (1.0 - d) ** k
-
-
-def departure_prob(
-    source: Sequence[int],
-    survivors: Sequence[int],
-    catalog: Catalog,
-) -> float:
-    """Probability that ``source`` active services thin down to ``survivors``.
-
-    Each active service departs independently with its type's probability,
-    so each type contributes one binomial factor.
-    """
-    if len(source) != len(catalog) or len(survivors) != len(catalog):
-        raise ValueError("vector lengths must match the catalog")
-    p = 1.0
-    for j, k, stype in zip(source, survivors, catalog):
-        if k > j or k < 0 or j < 0:
-            return 0.0
-        p *= _binomial_term(j, k, stype.departure_prob)
-    return p
-
-
-def arrival_prob(lam: Sequence[int], catalog: Catalog) -> float:
-    """Joint probability of a per-type arrival vector (types independent)."""
-    if len(lam) != len(catalog):
-        raise ValueError("vector length must match the catalog")
-    p = 1.0
-    for a, stype in zip(lam, catalog):
-        if not 0 <= a <= stype.lambda_max:
-            return 0.0
-        p *= stype.arrival_pmf[a]
-    return p
-
-
 class TransitionModel:
     """Factored transition kernel over the state space.
 
@@ -202,26 +159,15 @@ class TransitionModel:
             for j, stype, size in zip(key, self.catalog, self.space.active_sizes):
                 if not 0 <= j < size:
                     raise ValueError(f"source count {j} out of range")
+                # exactly k of the j services survive, each departing
+                # independently with the type's probability d
+                d = stype.departure_prob
                 vec = np.zeros(size)
                 for k in range(j + 1):
-                    vec[k] = _binomial_term(j, k, stype.departure_prob)
+                    vec[k] = math.comb(j, k) * d ** (j - k) * (1.0 - d) ** k
                 per_type.append(vec)
             row = reduce(np.kron, reversed(per_type))
             row.setflags(write=False)
             self._rows[key] = row
         return row
 
-
-def action_reward(action: Sequence[int], outcome, catalog: Catalog) -> float:
-    """Net slot reward of an admission attempt.
-
-    Every placed service pays its placement cost and earns its type's
-    reward only if it meets the reliability target; a failed batch places
-    nothing and so scores zero.
-    """
-    total = 0.0
-    for svc in outcome.services:
-        total -= svc.cost
-        if meets_target(svc, catalog):
-            total += catalog[svc.type_index].admission_reward
-    return total

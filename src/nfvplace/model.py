@@ -227,6 +227,15 @@ class ServiceType:
 Catalog = Sequence[ServiceType]
 
 
+def check_type_indices(type_indices: Sequence[int], catalog: Catalog) -> list[int]:
+    """``type_indices`` as a list of ints; an entry that is not an integer
+    in ``range(len(catalog))``, a bool included, raises ``ValueError``."""
+    for l in type_indices:
+        if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < len(catalog):
+            raise ValueError(f"type index {l!r} is not an integer in range({len(catalog)})")
+    return [int(l) for l in type_indices]
+
+
 @dataclass(frozen=True)
 class VnfPlacement:
     """Servers hosting one VNF: a main and an optional distinct backup."""
@@ -277,13 +286,6 @@ class CostBreakdown:
     def total(self) -> float:
         return self.server + self.forwarding + self.deployment
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.server + other.server,
-            self.forwarding + other.forwarding,
-            self.deployment + other.deployment,
-        )
-
 
 def service_cost(placement: ServicePlacement, infra: Infrastructure, catalog: Catalog) -> CostBreakdown:
     """Cost of one placed service.
@@ -316,14 +318,6 @@ def service_cost(placement: ServicePlacement, infra: Infrastructure, catalog: Ca
                     forward += stype.bandwidth * float(infra.link_cost[a, b])
         prev = vp
     return CostBreakdown(server, forward, deploy)
-
-
-def placement_cost(plan: PlacementPlan, infra: Infrastructure, catalog: Catalog) -> CostBreakdown:
-    """Total cost of a plan; sums per-service costs."""
-    total = CostBreakdown(0.0, 0.0, 0.0)
-    for placement in plan.services:
-        total = total + service_cost(placement, infra, catalog)
-    return total
 
 
 def service_failure_probability(vnfs: Sequence[VnfPlacement], infra: Infrastructure) -> float:

@@ -1,16 +1,15 @@
-"""Reference solvers built by exhaustive enumeration.
+"""Reference batch placement by exhaustive enumeration.
 
-These are deliberately naive: they search every feasible assignment with
-branch and bound, so they only handle small instances, but their answers
-do not depend on any of the pipeline's algorithmic machinery.  The test
-suite uses them as ground truth; the command line exposes them for spot
+Deliberately naive: the search tries every feasible assignment with
+branch and bound, so it only handles small instances, but its answers do
+not depend on any of the pipeline's algorithmic machinery.  The test
+suite uses it as ground truth; the command line exposes it for spot
 checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .model import (
     PlacementPlan,
     ServicePlacement,
     VnfPlacement,
+    check_type_indices,
 )
 
 OBJECTIVES = ("penalized", "reliable")
@@ -39,34 +39,6 @@ class OracleResult:
     plan: PlacementPlan | None
     failure_probs: tuple[float, ...]
     nodes: int
-
-
-def failure_by_enumeration(placement: ServicePlacement, infra: Infrastructure) -> float:
-    """Service failure probability by summing over every up/down pattern
-    of the servers the placement touches.  Exponential in the number of
-    distinct servers; keep those below about a dozen."""
-    servers = sorted(
-        {vp.main for vp in placement.vnfs}
-        | {vp.backup for vp in placement.vnfs if vp.backup is not None}
-    )
-    if len(servers) > 20:
-        raise OracleError(f"{len(servers)} distinct servers is too many to enumerate")
-    fail_prob = 0.0
-    for pattern in product((False, True), repeat=len(servers)):
-        up = dict(zip(servers, pattern))
-        weight = 1.0
-        for srv, is_up in up.items():
-            v = infra.server_failure(srv)
-            weight *= (1.0 - v) if is_up else v
-        works = True
-        for vp in placement.vnfs:
-            alive = up[vp.main] or (vp.backup is not None and up[vp.backup])
-            if not alive:
-                works = False
-                break
-        if not works:
-            fail_prob += weight
-    return fail_prob
 
 
 def _per_vnf_options(infra: Infrastructure):
@@ -103,6 +75,7 @@ def best_placement(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    type_indices = check_type_indices(type_indices, catalog)
     snapshot = np.asarray(snapshot)
     if snapshot.shape != (infra.num_servers, infra.num_resources):
         raise ValueError("snapshot shape does not match the infrastructure")

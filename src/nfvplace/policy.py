@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .jsonio import read_fields, to_json
-from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel, action_reward
+from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel
 from .model import Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
 
@@ -86,7 +86,6 @@ class ResourceEstimator:
     ) -> None:
         MdpParams(alpha_init=alpha_init, estimate_discount=discount)  # range check
         self.space = space
-        self.shape = (infra.num_servers, infra.num_resources)
         self.capacity = infra.capacity.astype(float).ravel().tolist()
         self._pack = struct.Struct(f"{len(self.capacity)}d").pack
         # untouched rows share one row and one key; an update replaces both
@@ -100,12 +99,9 @@ class ResourceEstimator:
         self.discount = float(discount)
         self.settled_by: list[dict[int, tuple] | None] = [None] * space.num_active
 
-    def snapshot(self, eta: int) -> np.ndarray:
-        """Copy of the estimate for active ordinal ``eta`` (1-based)."""
-        return np.array(self.rows[eta - 1]).reshape(self.shape)
-
     def key(self, eta: int) -> bytes:
-        """``snapshot(eta).tobytes()``, formed once per change of the row."""
+        """The float64 bytes of the estimate for active ordinal ``eta``
+        (1-based), formed once per change of the row."""
         idx = eta - 1
         key = self.keys[idx]
         if key is None:
@@ -173,21 +169,25 @@ class ResourceEstimator:
         return sum(1 for j, row in enumerate(self.rows) if j != self.idle_id and not any(row))
 
 
-def realized_action(
+def score_outcome(
     action: Sequence[int], outcome: TrellisResult, catalog: Catalog, shape: tuple[int, int]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Per-type counts of the placed services that meet their reliability
-    target, and the server resources those admissions consume in total."""
+) -> tuple[float, tuple[int, ...], np.ndarray]:
+    """An admission attempt's net slot reward, and the per-type counts and
+    summed server usage of the placed services that meet their reliability
+    target. Every placed service pays its cost, and only those earn their
+    type's reward; a failed batch places nothing and scores zero."""
+    reward = 0.0
     counts = [0] * len(catalog)
     usage = np.zeros(shape)
     for svc in outcome.services:
+        reward -= svc.cost
         if meets_target(svc, catalog):
+            reward += catalog[svc.type_index].admission_reward
             counts[svc.type_index] += 1
             usage += svc.usage
-    for c, a in zip(counts, action):
-        if c > a:
-            raise RuntimeError("outcome admits more services than requested")
-    return tuple(counts), usage
+    if any(c > a for c, a in zip(counts, action)):
+        raise RuntimeError("outcome admits more services than requested")
+    return reward, tuple(counts), usage
 
 
 def generate_arrangements(
@@ -293,9 +293,6 @@ class Policy:
         """Admission vector and service order for one observed state."""
         sid = self._space.state_id(lam, sigma)
         return self.actions[sid], self.arrangements[sid]
-
-    def value(self, lam: Sequence[int], sigma: Sequence[int]) -> float:
-        return float(self.values[self._space.state_id(lam, sigma)])
 
     def save(self, path) -> None:
         payload = {"format": POLICY_FORMAT, "version": POLICY_VERSION, **to_json(self)}
@@ -457,10 +454,9 @@ def value_iteration(
                         omega = np.frombuffer(omega_bytes).reshape(usage_shape)
                         outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
                         if outcome.valid:
-                            admitted, used = realized_action(action, outcome, catalog, usage_shape)
+                            reward, admitted, used = score_outcome(action, outcome, catalog, usage_shape)
                             offset = sum(a * d for a, d in zip(admitted, strides))
-                            sample = tuple((omega - used).ravel().tolist())
-                            scored = (action_reward(action, outcome, catalog), offset, sample)
+                            scored = (reward, offset, tuple((omega - used).ravel().tolist()))
                         else:
                             scored = None
                         scores[key] = scored

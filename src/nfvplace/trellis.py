@@ -37,7 +37,6 @@ from .model import (
     Catalog,
     Infrastructure,
     PlacedService,
-    PlacementPlan,
     ServicePlacement,
     VnfPlacement,
 )
@@ -63,9 +62,6 @@ class TrellisResult:
     valid: bool
     services: list[PlacedService]
     path: tuple[int, ...]
-
-    def plan(self) -> PlacementPlan:
-        return PlacementPlan(tuple(s.placement for s in self.services))
 
 
 class PlacementContext:
@@ -95,7 +91,7 @@ class PlacementContext:
         full = (n + 1, n + 1)
         link = np.zeros(full)
         link[1:, 1:] = infra.link_cost
-        self.link = link.tolist()
+        self.link = link
         failure = [infra.server_failure(s) for s in range(n)]
         v = np.array([1.0] + failure)
         # stage 1's reliability row and back-pointers: the origin is its
@@ -137,12 +133,9 @@ class PlacementContext:
                     self.survival[x][y] = 1.0 - f
         r = infra.num_resources
         self.stock_shape = full + ((r,) if r > 1 else ())
-        # per (type, vnf): the charge of hosting it on each state, as Python
-        # floats for the read-out's scalar sums
-        self.terms: list[list[list[float]]] = []
-        # per (type, vnf): its demand tuple, which the read-out adds up as
-        # Python ints over the servers of each service's path
-        self.demands: list[list[tuple[int, ...]]] = []
+        # per (type, vnf): the charge of hosting it on each state, the row
+        # its stage tables hold
+        self.terms: list[list[np.ndarray]] = []
         # per type, in search order, one tuple per stage: the vnf index and
         # whether it is a backup stage; the need table, the stock each
         # (predecessor, state) pair needs, of the stock's shape: a main
@@ -156,10 +149,6 @@ class PlacementContext:
         # its penalty. Each scalar is a 0-d array, which a ufunc takes with
         # less work than a Python float
         self.stage_tables: list[list[tuple]] = []
-        # per type: its stage count, two per VNF
-        self.stage_counts: list[int] = []
-        # the link table as the kernel reads it
-        self.link_rows = link
         servers = states[1:]
         # (main need, backup need, draw) per demand row
         demand_tables: dict[tuple[int, ...], tuple] = {}
@@ -196,11 +185,9 @@ class PlacementContext:
                         u, backup, backup_need if backup else main_need, draw, term, charge,
                         target, base, bandwidth, penalty,
                     ))
-                terms.append(term.tolist())
+                terms.append(term)
             self.terms.append(terms)
-            self.demands.append([spec.demands for spec in stype.vnfs])
             self.stage_tables.append(tables)
-            self.stage_counts.append(len(tables))
         # every array read-only, with the base that each view keeps; stages
         # share tables, and each is visited once, as setflags is not free
         stage_arrays = (t for tables in self.stage_tables for stage in tables for t in stage[2:])
@@ -351,7 +338,7 @@ class TrellisPlacement:
         records.append((cost, ctx.up, stock, ctx.first_pick))
 
         up_rows, backup_up, main_up = ctx.up_rows, ctx.backup_up, ctx.main_up
-        link, states = ctx.link_rows, ctx.states
+        link, states = ctx.link, ctx.states
         for u, backup, need, draw, term, charge, target, base, bandwidth, penalty in tables:
             short = stock < need
             if short.ndim == 3:
@@ -439,34 +426,31 @@ class TrellisPlacement:
         placements = []
         end = 0
         for l in self.arrangement:
+            terms, specs, bandwidth = ctx.terms[l], self.catalog[l].vnfs, self.catalog[l].bandwidth
             # the service's stages, main then backup per VNF
-            first, end = end, end + ctx.stage_counts[l]
+            first, end = end, end + 2 * len(terms)
             seg = path[first:end]
-            terms, demands, bandwidth = ctx.terms[l], ctx.demands[l], self.catalog[l].bandwidth
             # where state 0 of this service would start
             offset = (len(placements) * n - 1) * r
             cost = 0.0
             up = 1.0
             vnfs = []
-            for u, (x, y) in enumerate(zip(seg[::2], seg[1::2])):
-                term = terms[u]
+            for u, (x, y, term, spec) in enumerate(zip(seg[::2], seg[1::2], terms, specs)):
                 if u:
                     # main x and backup y each link to the previous vnf's two
                     # servers; a first VNF routes nothing, and its "+ 0.0" is
                     # left out, as no cost is ever -0.0
-                    to_main, to_backup = link[main], link[backup]
-                    cost = cost + term[x] + bandwidth * (to_main[x] + to_backup[x])
-                    cost = cost + term[y] + bandwidth * (to_backup[y] + to_main[y])
+                    cost = cost + term.item(x) + bandwidth * (link.item(main, x) + link.item(backup, x))
+                    cost = cost + term.item(y) + bandwidth * (link.item(backup, y) + link.item(main, y))
                 else:
-                    cost = cost + term[x] + term[y]
+                    cost = cost + term.item(x) + term.item(y)
                 main, backup = x, y
                 vnfs.append(pairs[x][y])
                 up *= survival[x][y]
-                demand = demands[u]
-                for at, d in enumerate(demand, offset + x * r):
+                for at, d in enumerate(spec.demands, offset + x * r):
                     usage[at] += d
                 if y:
-                    for at, d in enumerate(demand, offset + y * r):
+                    for at, d in enumerate(spec.demands, offset + y * r):
                         usage[at] += d
             placements.append((l, tuple(vnfs), cost, 1.0 - up))
 

@@ -8,11 +8,12 @@ suites. Everything here is deterministic given the caller's rng.
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 import nfvplace as nv
-from nfvplace.baselines import _backup_prices, _backup_scan
+from nfvplace.baselines import _backup_hosts, _backup_prices, _provider_failures
 from nfvplace.trellis import _traceback
 
 
@@ -351,7 +352,7 @@ def best_move(tp, m, preds, x2):
     fail = [1.0] + tp.infra.v[tp.infra.server_inp].tolist()
     bandwidth = stype.bandwidth
     penalty = stype.penalty
-    base = tp.context.terms[l][u][x2]
+    base = tp.context.terms[l][u].item(x2)
     v2 = fail[x2]
     target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
     best = None
@@ -365,7 +366,7 @@ def best_move(tp, m, preds, x2):
             # backup stage
             path = st1.path
             route = bandwidth * (
-                link[path[m - 3]][x2] + link[path[m - 4] if backup else path[m - 2]][x2]
+                link.item(path[m - 3], x2) + link.item(path[m - 4] if backup else path[m - 2], x2)
             )
         if not backup:
             tau = (1.0 - v2) if u == 0 else st1.reliability * (1.0 - v2)
@@ -445,7 +446,7 @@ def search_pairs(tp, snapshot):
             remaining = chosen.remaining.copy()
             if x2 != 0:
                 remaining[x2 - 1] -= r
-            cost = chosen.cost + term[x2] + route  # hinge kept out of path cost
+            cost = chosen.cost + term.item(x2) + route  # hinge kept out of path cost
             cur[x2] = PathState(cost, tau, remaining, chosen.path + (x2,))
         if not cur:
             # only main stages can empty out: even stages always keep state 0
@@ -504,13 +505,22 @@ def backup_cost(build, u, srv, tables):
     return cost
 
 
+def backup_scan(build, u, factors, idle, tables):
+    """The baselines' backup hosts for VNF u of ``build``, and the build's
+    failure probability with VNF u backed up on each, as ``_protect_cera``
+    forms them."""
+    failures = _provider_failures(build, u, factors, tables)
+    hosts = _backup_hosts(build, u, idle, tables)
+    return hosts, [failures[tables.inps[srv]] for srv in hosts]
+
+
 def choose_backup_reference(build, u, factors, idle, tables):
     """Reference for the baselines' backup choice, by a full scan: every
     host priced when one meets the service target, the cheapest of those
     chosen, else the most reliable host, ties to the lowest index, else
     None. ``idle`` is a stock as the baselines keep it."""
     failure_cap = tables.catalog[build.type_index].failure_cap
-    hosts, failures = _backup_scan(build, u, factors, idle, tables)
+    hosts, failures = backup_scan(build, u, factors, idle, tables)
     if not hosts:
         return None
     sufficient = [srv for srv, e in zip(hosts, failures) if e <= failure_cap]
@@ -618,7 +628,7 @@ def transition_prob(model, state, realized_action, next_state):
             raise ValueError("realized action overflows the active-count register")
     row = model.departure_row(source)
     return float(
-        nv.arrival_prob(lam_next, model.catalog)
+        arrival_prob(lam_next, model.catalog)
         * row[model.space.active_index(sigma_next) - 1]
     )
 
@@ -639,3 +649,58 @@ def server_location(infra, sid):
         raise IndexError(f"server {sid} out of range")
     inp = int(infra.server_inp[sid])
     return inp, sid - sum(infra.servers_per_inp[:inp])
+
+
+def failure_by_enumeration(placement, infra):
+    """Reference for ``service_failure_probability``: the service failure
+    probability by summing over every up/down pattern of the servers the
+    placement touches.  Exponential in the number of distinct servers; keep
+    those below about a dozen."""
+    servers = sorted(
+        {vp.main for vp in placement.vnfs}
+        | {vp.backup for vp in placement.vnfs if vp.backup is not None}
+    )
+    if len(servers) > 20:
+        raise nv.OracleError(f"{len(servers)} distinct servers is too many to enumerate")
+    fail_prob = 0.0
+    for pattern in product((False, True), repeat=len(servers)):
+        up = dict(zip(servers, pattern))
+        weight = 1.0
+        for srv, is_up in up.items():
+            v = infra.server_failure(srv)
+            weight *= (1.0 - v) if is_up else v
+        works = True
+        for vp in placement.vnfs:
+            alive = up[vp.main] or (vp.backup is not None and up[vp.backup])
+            if not alive:
+                works = False
+                break
+        if not works:
+            fail_prob += weight
+    return fail_prob
+
+
+def arrival_prob(lam, catalog):
+    """Reference for ``TransitionModel.arrival_probs``: the joint
+    probability of a per-type arrival vector (types independent)."""
+    if len(lam) != len(catalog):
+        raise ValueError("vector length must match the catalog")
+    p = 1.0
+    for a, stype in zip(lam, catalog):
+        if not 0 <= a <= stype.lambda_max:
+            return 0.0
+        p *= stype.arrival_pmf[a]
+    return p
+
+
+def arrival_index(space, lam):
+    """Reference for the arrival half of ``StateSpace.state_id``: the
+    1-based ordinal of an arrival vector, with its bound check."""
+    space._check(lam, space.lambda_max, "arrival count")
+    return 1 + sum(a * d for a, d in zip(lam, space.arrival_strides))
+
+
+def snapshot(est, infra, eta):
+    """Reference for ``ResourceEstimator.key``: a copy of the estimate for
+    active ordinal ``eta`` (1-based) as a (servers, resources) array."""
+    return np.array(est.rows[eta - 1]).reshape(infra.capacity.shape)

@@ -23,12 +23,14 @@ from nfvplace.model import (
     service_failure_probability,
     service_usage,
 )
-from nfvplace.oracle import best_placement, failure_by_enumeration
+from nfvplace.oracle import best_placement
 from nfvplace.sim import sample_arrivals, sample_departures
 
 from helpers import (
     analytic_setup,
+    arrival_index,
     contraction_setup,
+    failure_by_enumeration,
     penalized_objective,
     random_batch_inputs,
     random_service_placement,
@@ -108,7 +110,7 @@ def test_02_transition_rows_are_stochastic(bundled):
         ns = tuple(int(rng.integers(0, s + 1)) for s in source)
         p = transition_prob(model, (lam, sigma), realized, (nl, ns))
         q = float(
-            model.arrival_probs[space.arrival_index(nl) - 1]
+            model.arrival_probs[arrival_index(space, nl) - 1]
             * row[space.active_index(ns) - 1]
         )
         assert math.isclose(p, q, rel_tol=0.0, abs_tol=1e-15)
@@ -181,7 +183,8 @@ def test_04_trellis_never_beats_the_oracle():
         if not res.valid or not res.services:
             continue
         checked += 1
-        mine = penalized_objective(res.plan(), catalog, infra)
+        plan = nv.PlacementPlan(tuple(s.placement for s in res.services))
+        mine = penalized_objective(plan, catalog, infra)
         opt = best_placement(
             list(type_indices), catalog, infra, snapshot, objective="penalized"
         )

@@ -11,7 +11,8 @@ import nfvplace as nv
 import nfvplace.baselines as nb
 
 from helpers import (
-    backup_cost, backup_probe, choose_backup_reference, random_tiny_instance, two_resource_setup,
+    backup_cost, backup_probe, backup_scan, choose_backup_reference, random_tiny_instance,
+    two_resource_setup,
 )
 
 BACKUP_BASELINES = ["min_resource", "min_reliability", "cera", "redundant_vnf"]
@@ -447,7 +448,7 @@ class TestBackupScan:
             for u, backup in enumerate(build.backups):
                 if backup is not None:
                     continue
-                hosts, failures = nb._backup_scan(build, u, factors, idle.T.tolist(), tables)
+                hosts, failures = backup_scan(build, u, factors, idle.T.tolist(), tables)
                 r = np.array(catalog[build.type_index].vnfs[u].demands)
                 assert hosts == [
                     srv for srv, fits in enumerate((idle >= r).all(axis=1).tolist())
@@ -544,7 +545,7 @@ class TestBackupChoice:
                     continue
                 want = choose_backup_reference(build, u, factors, idle, tables)
                 assert nb._choose_backup(build, u, factors, idle, tables) == want
-                hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
+                hosts, failures = backup_scan(build, u, factors, idle, tables)
                 branches["none" if not hosts else
                          "priced" if min(failures) <= cap else "fallback"] += 1
         assert min(branches.values()) >= 10, branches
@@ -565,7 +566,7 @@ class TestBackupChoice:
             idle = self._idle(rng, infra).T.tolist()
             factors = nb._survival(build, tables.failure)[1]
             u = build.backups.index(None)
-            hosts, failures = nb._backup_scan(build, u, factors, idle, tables)
+            hosts, failures = backup_scan(build, u, factors, idle, tables)
             if not hosts:
                 continue
             l = build.type_index

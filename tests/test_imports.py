@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module. Neither
-pyflakes nor ruff is a dependency, so the check walks each module's syntax
+"""Every name a package module imports is used in that module, and the
+package exports exactly the names its ``__init__`` imports. Neither
+pyflakes nor ruff is a dependency, so the checks walk each module's syntax
 tree with ``ast``."""
 
 import ast
@@ -55,3 +56,18 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # __init__.py names each export twice: in its imports and in __all__
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__" for alias in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert len(set(exported)) == len(exported) and len(set(imported)) == len(imported)
+    assert set(exported) == set(imported)

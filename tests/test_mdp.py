@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import nfvplace as nv
 from nfvplace.model import PlacedService
+from nfvplace.policy import score_outcome
 from nfvplace.trellis import TrellisResult
 
-from helpers import transition_prob
+from helpers import arrival_index, arrival_prob, transition_prob
 
 
 def uniform_type(pmf, d=0.5, sigma_max=5, q=10.0, name="u"):
@@ -59,14 +60,14 @@ class TestStateSpace:
         ]
         for lam_bad, sigma_bad, message in cases:
             with pytest.raises(ValueError) as indexed:
-                space.arrival_index(lam_bad)
+                arrival_index(space, lam_bad)
                 space.active_index(sigma_bad)
             assert str(indexed.value) == message
             with pytest.raises(ValueError) as formed:
                 space.state_id(lam_bad, sigma_bad)
             assert str(formed.value) == message
         assert space.state_id(lam, sigma) == (
-            (space.arrival_index(lam) - 1) * space.num_active + space.active_index(sigma) - 1
+            (arrival_index(space, lam) - 1) * space.num_active + space.active_index(sigma) - 1
         )
 
     def test_bundled_catalog_size(self, bundled):
@@ -106,33 +107,37 @@ class TestStateSpace:
 class TestArrivals:
     def test_uniform_thirds(self):
         t = uniform_type((1 / 3, 1 / 3, 1 / 3))
-        assert nv.arrival_prob((1, 2), (t, t)) == pytest.approx(1 / 9)
+        assert arrival_prob((1, 2), (t, t)) == pytest.approx(1 / 9)
 
     def test_out_of_support_is_zero(self):
         t = uniform_type((0.5, 0.5))
-        assert nv.arrival_prob((2,), (t,)) == 0.0
+        assert arrival_prob((2,), (t,)) == 0.0
 
     def test_marginalizes_to_one(self):
         a = uniform_type((0.2, 0.5, 0.3))
         b = uniform_type((0.7, 0.3))
         total = sum(
-            nv.arrival_prob((i, j), (a, b)) for i in range(3) for j in range(2)
+            arrival_prob((i, j), (a, b)) for i in range(3) for j in range(2)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDepartures:
-    def test_binomial_point(self):
+    @staticmethod
+    def _row(source):
+        """``departure_row(source)`` of one type with departure probability
+        0.5: entry k is the chance that k of the services survive."""
         t = (uniform_type((0.5, 0.5), d=0.5),)
-        assert nv.departure_prob((3,), (1,), t) == pytest.approx(0.375)
+        return nv.TransitionModel(nv.build_state_space(t), t).departure_row(source)
+
+    def test_binomial_point(self):
+        assert self._row((3,))[1] == pytest.approx(0.375)
 
     def test_all_survive(self):
-        t = (uniform_type((0.5, 0.5), d=0.5),)
-        assert nv.departure_prob((3,), (3,), t) == pytest.approx((1 - 0.5) ** 3)
+        assert self._row((3,))[3] == pytest.approx((1 - 0.5) ** 3)
 
     def test_more_survivors_than_sources_impossible(self):
-        t = (uniform_type((0.5, 0.5), d=0.5),)
-        assert nv.departure_prob((1,), (2,), t) == 0.0
+        assert self._row((1,))[2] == 0.0
 
     @given(
         j=st.integers(min_value=0, max_value=5),
@@ -175,7 +180,7 @@ class TestTransitionModel:
         p = transition_prob(model, state, realized, nxt)
         source = (3, 1)
         row = model.departure_row(source)
-        expected = nv.arrival_prob((0, 1), catalog) * row[space.active_index((1, 1)) - 1]
+        expected = arrival_prob((0, 1), catalog) * row[space.active_index((1, 1)) - 1]
         assert p == pytest.approx(expected, abs=1e-15)
 
     def test_realized_action_overflow_rejected(self, reduced):
@@ -202,16 +207,16 @@ class TestReward:
 
     def test_reliable_service_earns_reward_minus_cost(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)
-        assert nv.action_reward((1,), self._outcome(350.0, 0.01), t) == pytest.approx(3650.0)
+        assert score_outcome((1,), self._outcome(350.0, 0.01), t, (1, 1))[0] == pytest.approx(3650.0)
         # a service exactly at the cap meets its target
-        assert nv.action_reward((1,), self._outcome(350.0, 0.05), t) == pytest.approx(3650.0)
+        assert score_outcome((1,), self._outcome(350.0, 0.05), t, (1, 1))[0] == pytest.approx(3650.0)
 
     def test_unreliable_service_pays_cost_only(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)
-        assert nv.action_reward((1,), self._outcome(350.0, 0.2), t) == pytest.approx(-350.0)
+        assert score_outcome((1,), self._outcome(350.0, 0.2), t, (1, 1))[0] == pytest.approx(-350.0)
         just_over = float(np.nextafter(0.05, 1))
-        assert nv.action_reward((1,), self._outcome(350.0, just_over), t) == pytest.approx(-350.0)
+        assert score_outcome((1,), self._outcome(350.0, just_over), t, (1, 1))[0] == pytest.approx(-350.0)
 
     def test_failed_batch_is_zero(self):
         t = (uniform_type((0.5, 0.5), q=4000.0),)
-        assert nv.action_reward((1,), TrellisResult(False, [], ()), t) == 0.0
+        assert score_outcome((1,), TrellisResult(False, [], ()), t, (1, 1))[0] == 0.0

@@ -2,6 +2,7 @@
 search is pinned node for node."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import nfvplace as nv
 from nfvplace.oracle import best_placement
 
-from helpers import random_tiny_instance, reduced_setup, two_resource_setup
+from helpers import random_tiny_instance, reduced_setup, tiny_two_inps, two_resource_setup
 
 PACKAGE = Path(nv.__file__).parent
 
@@ -101,3 +102,19 @@ def test_search_pinned_node_for_node():
             name, objective)
         assert tuple(f.hex() for f in result.failure_probs) == failures
         assert result.valid == (plan is not None)
+
+
+@pytest.mark.parametrize("entry", [1, -1, 1.0, True, "0", None])
+def test_type_index_outside_catalog_rejected(entry):
+    # the setup has one type: -1 must not place as the last type, nor True
+    # or 1.0 as type 1, as run_baseline rejects them too
+    infra, catalog = tiny_two_inps()
+    with pytest.raises(ValueError, match=re.escape(f"type index {entry!r} is not an integer in range(1)")):
+        best_placement([entry], catalog, infra, infra.capacity.copy())
+
+
+def test_numpy_type_indices_accepted():
+    infra, catalog = tiny_two_inps()
+    plain = best_placement([0], catalog, infra, infra.capacity.copy())
+    numpy = best_placement(np.array([0]), catalog, infra, infra.capacity.copy())
+    assert numpy == plain and type(numpy.plan.services[0].type_index) is int

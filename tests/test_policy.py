@@ -13,13 +13,14 @@ import nfvplace as nv
 import nfvplace.policy as policy_module
 from nfvplace.model import PlacedService
 from nfvplace.trellis import TrellisResult
-from nfvplace.policy import MdpParams, realized_action
+from nfvplace.policy import MdpParams, score_outcome
 
 from helpers import (
     DequeLedger,
     analytic_setup,
     numpy_blend,
     reduced_setup,
+    snapshot,
     tiny_two_inps,
     two_resource_setup,
     wrong_json_values,
@@ -44,29 +45,29 @@ class TestResourceEstimator:
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
         est.update(1, [100.0 - 40.0])
-        assert est.snapshot(1)[0, 0] == pytest.approx(60.0)
+        assert snapshot(est, infra, 1)[0, 0] == pytest.approx(60.0)
         est.update(1, [80.0 - 30.0])
-        assert est.snapshot(1)[0, 0] == pytest.approx(55.0)
+        assert snapshot(est, infra, 1)[0, 0] == pytest.approx(55.0)
 
     def test_empty_state_pinned_to_capacity(self):
         infra, catalog = big_server_setup()
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
         idle = space.active_index((0,))
-        assert np.array_equal(est.snapshot(idle), infra.capacity)
+        assert np.array_equal(snapshot(est, infra, idle), infra.capacity)
 
     def test_other_states_start_empty(self):
         infra, catalog = big_server_setup()
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
-        assert np.all(est.snapshot(space.active_index((1,))) == 0.0)
+        assert np.all(snapshot(est, infra, space.active_index((1,))) == 0.0)
 
     def test_estimates_clipped_to_capacity(self):
         infra, catalog = big_server_setup()
         space = nv.build_state_space(catalog)
         est = nv.ResourceEstimator(space, infra)
         est.update(2, [5000.0 - 0.0])
-        assert est.snapshot(2)[0, 0] <= infra.capacity[0, 0]
+        assert snapshot(est, infra, 2)[0, 0] <= infra.capacity[0, 0]
 
     def test_step_bounds_checked(self):
         infra, catalog = big_server_setup()
@@ -123,8 +124,8 @@ class TestResourceEstimator:
             alpha[eta - 1] *= 0.5
             est.update(eta, (source - usage).ravel().tolist())
             for k in range(1, space.num_active + 1):
-                assert est.snapshot(k).tobytes() == ref[k - 1].tobytes(), (step, k)
-                assert est.key(k) == est.snapshot(k).tobytes()
+                assert snapshot(est, infra, k).tobytes() == ref[k - 1].tobytes(), (step, k)
+                assert est.key(k) == snapshot(est, infra, k).tobytes()
         assert est.alpha == alpha
         # both clips fired
         assert below > 0 and above > 0
@@ -199,8 +200,8 @@ class TestResourceEstimator:
             kept = est.settled_by[eta - 1]
             skipped += kept is not None and id(samples[k]) in kept
             est.update(eta, samples[k])
-            assert est.snapshot(eta).tobytes() == ref[eta - 1].tobytes(), step
-            assert est.key(eta) == est.snapshot(eta).tobytes()
+            assert snapshot(est, infra, eta).tobytes() == ref[eta - 1].tobytes(), step
+            assert est.key(eta) == snapshot(est, infra, eta).tobytes()
         assert est.alpha == alpha
         assert skipped > 100
 
@@ -266,24 +267,32 @@ class TestRealizedAction:
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         catalog = (svc, svc)
         out = self._result([(0, 0.01), (0, 0.2), (1, 0.04)])
-        assert realized_action((2, 1), out, catalog, (1, 1))[0] == (1, 1)
+        assert score_outcome((2, 1), out, catalog, (1, 1))[1] == (1, 1)
         # the cap itself is admitted; the next float above it is not
         out = self._result([(0, 0.05), (1, float(np.nextafter(0.05, 1)))])
-        assert realized_action((1, 1), out, catalog, (1, 1))[0] == (1, 0)
+        assert score_outcome((1, 1), out, catalog, (1, 1))[1] == (1, 0)
 
     def test_usage_counts_reliable_only(self):
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         catalog = (svc, svc)
         out = self._result([(0, 0.01), (0, 0.2), (1, 0.04)])
-        _, usage = realized_action((2, 1), out, catalog, (1, 1))
+        _, _, usage = score_outcome((2, 1), out, catalog, (1, 1))
         assert usage[0, 0] == pytest.approx(4.0)
 
     def test_invalid_batch_realizes_nothing(self):
         svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
         out = TrellisResult(False, [], ())
-        counts, usage = realized_action((1,), out, (svc,), (1, 1))
+        _, counts, usage = score_outcome((1,), out, (svc,), (1, 1))
         assert counts == (0,)
         assert np.all(usage == 0.0)
+
+    def test_admitting_more_than_requested_raises(self):
+        svc = nv.ServiceType(0.05, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 5, name="s")
+        out = self._result([(0, 0.01), (0, 0.02)])
+        with pytest.raises(RuntimeError, match="admits more services than requested"):
+            score_outcome((1,), out, (svc,), (1, 1))
+        # the services that miss their target do not count against the request
+        assert score_outcome((1,), self._result([(0, 0.01), (0, 0.2)]), (svc,), (1, 1))[1] == (1,)
 
 
 class TestValueIteration:
@@ -297,8 +306,8 @@ class TestValueIteration:
             space, model, catalog, infra, gamma=0.9, epsilon=1e-10, seed=0
         )
         assert policy.converged
-        assert policy.value((1,), (0,)) == pytest.approx(10.0, abs=1e-9)
-        assert policy.value((0,), (0,)) == pytest.approx(9.0, abs=1e-9)
+        assert policy.values[space.state_id((1,), (0,))] == pytest.approx(10.0, abs=1e-9)
+        assert policy.values[space.state_id((0,), (0,))] == pytest.approx(9.0, abs=1e-9)
         assert policy.lookup((1,), (0,))[0] == (1,)
 
     def test_trace_lengths_match_iterations(self):
