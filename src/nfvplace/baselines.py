@@ -179,12 +179,10 @@ def _provider_failures(
     through its provider's failure probability ``v``, and every rounding
     step of ``1 - head * (1 - f_main * v) * tail`` is monotone with every
     operand in [0, 1], so the figure never falls as ``v`` rises."""
-    head = math.prod(factors[:u])
+    head, tail = math.prod(factors[:u]), factors[u + 1:]
     f_main = tables.failure[build.mains[u]]
-    ups = [head * (1.0 - f_main * v) for v in tables.inp_failure]
-    for factor in factors[u + 1:]:
-        ups = [up * factor for up in ups]
-    return [1.0 - up for up in ups]
+    # math.prod multiplies floats left to right, as a factor-by-factor pass would
+    return [1.0 - math.prod(tail, start=head * (1.0 - f_main * v)) for v in tables.inp_failure]
 
 
 def _backup_hosts(build: ServiceBuild, u: int, idle: Stock, tables: BaselineTables) -> list[int]:
@@ -276,32 +274,52 @@ def _protect_ranked(
 
 def _protect_cera(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> None:
     """Cost-efficiency driven protection: commit the (VNF, server) pair with
-    the best reliability gain per unit of added cost; zero-cost gains rank
-    as infinite and go first. Survival is kept as in :func:`_protect_ranked`."""
-    failure_cap, failure = tables.catalog[build.type_index].failure_cap, tables.failure
+    the best reliability gain per unit of added cost, the first such pair in
+    (VNF, host) order; zero-cost gains rank as infinite and go first.
+    Survival is kept as in :func:`_protect_ranked`. Each open VNF's hosts
+    and prices are listed once per build. Idle stock only falls here, so a
+    commit can drop only its own server from another VNF's hosts, and it
+    moves only its two neighbours' prices, which are formed again: a price
+    sums its link rows in an order a new row cannot be patched into."""
+    stype = tables.catalog[build.type_index]
+    failure_cap, failure, inps = stype.failure_cap, tables.failure, tables.inps
     e, factors = _survival(build, failure)
-    while e > failure_cap:
-        best = None  # (cim, u, srv)
-        for u in range(len(build.mains)):
-            if build.backups[u] is not None:
-                continue
+    if e <= failure_cap:
+        return
+    # per open VNF with a host, in VNF order: its hosts and their prices
+    options = {}
+    for u, backup in enumerate(build.backups):
+        if backup is None and (hosts := _backup_hosts(build, u, idle, tables)):
+            options[u] = (hosts, _backup_prices(build, u, hosts, tables))
+    while e > failure_cap and options:
+        best_u = best_srv = None
+        best_cim = 0.0
+        for u, (hosts, prices) in options.items():
             failures = _provider_failures(build, u, factors, tables)
-            hosts = _backup_hosts(build, u, idle, tables)
-            for srv, cost in zip(hosts, _backup_prices(build, u, hosts, tables)):
-                gain = e - failures[tables.inps[srv]]
+            for srv, cost in zip(hosts, prices):
+                gain = e - failures[inps[srv]]
                 if cost <= 0.0:
-                    cim = np.inf if gain > 0 else 0.0
+                    cim = math.inf if gain > 0 else 0.0
                 else:
                     cim = gain / cost
-                if best is None or cim > best[0]:
-                    best = (cim, u, srv)
-        if best is None:
-            return
-        _, u, srv = best
+                if best_u is None or cim > best_cim:
+                    best_cim, best_u, best_srv = cim, u, srv
+        u, srv = best_u, best_srv
         build.backups[u] = srv
-        _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
+        _take(idle, srv, stype.vnfs[u].demands)
         factors[u] = 1.0 - failure[build.mains[u]] * failure[srv]
         e = 1.0 - math.prod(factors)
+        del options[u]
+        for v, (hosts, prices) in list(options.items()):
+            demand = stype.vnfs[v].demands
+            if srv in hosts and any(column[srv] < d for column, d in zip(idle, demand)):
+                k = hosts.index(srv)
+                del hosts[k], prices[k]
+                if not hosts:
+                    del options[v]
+                    continue
+            if v == u - 1 or v == u + 1:
+                options[v] = (hosts, _backup_prices(build, v, hosts, tables))
 
 
 def _outcomes(

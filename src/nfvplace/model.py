@@ -227,12 +227,18 @@ class ServiceType:
 Catalog = Sequence[ServiceType]
 
 
+# the integer types a count or an index may take; a bool is one, so it is
+# checked apart
+INTEGER_TYPES = (int, np.integer)
+
+
 def check_type_indices(type_indices: Sequence[int], catalog: Catalog) -> list[int]:
     """``type_indices`` as a list of ints; an entry that is not an integer
     in ``range(len(catalog))``, a bool included, raises ``ValueError``."""
+    n = len(catalog)
     for l in type_indices:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or not 0 <= l < len(catalog):
-            raise ValueError(f"type index {l!r} is not an integer in range({len(catalog)})")
+        if type(l) is bool or not isinstance(l, INTEGER_TYPES) or not 0 <= l < n:
+            raise ValueError(f"type index {l!r} is not an integer in range({n})")
     return [int(l) for l in type_indices]
 
 

@@ -34,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    INTEGER_TYPES,
     Catalog,
     Infrastructure,
     PlacedService,
     ServicePlacement,
     VnfPlacement,
+    check_type_indices,
 )
 
 
@@ -222,15 +224,19 @@ class TrellisPlacement:
             raise ValueError("placement context was built for another catalog or infrastructure")
         if len(action) != len(catalog):
             raise ValueError("action length must match the catalog")
+        for a in action:
+            if type(a) is bool or not isinstance(a, INTEGER_TYPES):
+                raise ValueError(f"action count {a!r} is not an integer")
         if min(action, default=0) < 0:
             raise ValueError("action counts must be non-negative")
         arrangement = tuple(arrangement)
         # equal lengths and equal counts of every type leave no room for an
-        # entry outside the catalog
+        # entry that names no type, only for a bool or a float equal to one
         if len(arrangement) != sum(action) or any(
             arrangement.count(l) != a for l, a in enumerate(action)
         ):
             raise ValueError("arrangement must contain action[l] services of each type l")
+        arrangement = check_type_indices(arrangement, catalog)
         snap = np.asarray(snapshot)
         if snap.shape != (infra.num_servers, infra.num_resources):
             raise ValueError("snapshot shape must be (servers, resources)")
@@ -241,7 +247,7 @@ class TrellisPlacement:
         ):
             raise ValueError("snapshot must lie within [0, capacity]")
 
-        self.arrangement = tuple(map(int, arrangement))
+        self.arrangement = tuple(arrangement)
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 import nfvplace as nv
-from nfvplace.baselines import _backup_hosts, _backup_prices, _provider_failures
+from nfvplace.baselines import _backup_hosts, _backup_prices, _provider_failures, _survival, _take
 from nfvplace.trellis import _traceback
 
 
@@ -527,6 +527,48 @@ def choose_backup_reference(build, u, factors, idle, tables):
     if sufficient:
         return min(zip(_backup_prices(build, u, sufficient, tables), sufficient))[1]
     return min((tables.failure[srv], srv) for srv in hosts)[1]
+
+
+def protect_cera_rescan(build, idle, tables, events=None):
+    """Reference for ``_protect_cera``: every round lists and prices the
+    backup hosts of every unprotected VNF again. With a ``Counter`` as
+    ``events`` it counts the commits that take their server out of another
+    open VNF's hosts (``dropped``), the open neighbours with hosts whose
+    prices a commit moves (``repriced``), and the builds left short of the
+    target because no VNF has a host (``exhausted``)."""
+    failure_cap, failure = tables.catalog[build.type_index].failure_cap, tables.failure
+    e, factors = _survival(build, failure)
+    while e > failure_cap:
+        best = None  # (cim, u, srv)
+        for u in range(len(build.mains)):
+            if build.backups[u] is not None:
+                continue
+            failures = _provider_failures(build, u, factors, tables)
+            hosts = _backup_hosts(build, u, idle, tables)
+            for srv, cost in zip(hosts, _backup_prices(build, u, hosts, tables)):
+                gain = e - failures[tables.inps[srv]]
+                if cost <= 0.0:
+                    cim = np.inf if gain > 0 else 0.0
+                else:
+                    cim = gain / cost
+                if best is None or cim > best[0]:
+                    best = (cim, u, srv)
+        if best is None:
+            if events is not None:
+                events["exhausted"] += 1
+            return
+        _, u, srv = best
+        build.backups[u] = srv
+        if events is not None:
+            others = [v for v, b in enumerate(build.backups) if b is None]
+            before = [_backup_hosts(build, v, idle, tables) for v in others]
+        _take(idle, srv, tables.catalog[build.type_index].vnfs[u].demands)
+        if events is not None:
+            after = [_backup_hosts(build, v, idle, tables) for v in others]
+            events["dropped"] += any(srv in a and srv not in b for a, b in zip(before, after))
+            events["repriced"] += sum(abs(v - u) == 1 for v, b in zip(others, after) if b)
+        factors[u] = 1.0 - failure[build.mains[u]] * failure[srv]
+        e = 1.0 - math.prod(factors)
 
 
 def numpy_blend(row, a, source, usage, capacity):

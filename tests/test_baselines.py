@@ -1,5 +1,7 @@
 """Static comparison strategies: greedy mains plus backup policies."""
 
+import collections
+import copy
 import dataclasses
 import hashlib
 import re
@@ -11,8 +13,8 @@ import nfvplace as nv
 import nfvplace.baselines as nb
 
 from helpers import (
-    backup_cost, backup_probe, backup_scan, choose_backup_reference, random_tiny_instance,
-    two_resource_setup,
+    backup_cost, backup_probe, backup_scan, choose_backup_reference, protect_cera_rescan,
+    random_tiny_instance, two_resource_setup,
 )
 
 BACKUP_BASELINES = ["min_resource", "min_reliability", "cera", "redundant_vnf"]
@@ -170,6 +172,30 @@ class TestCera:
         assert out.placed
         assert out.failure_prob <= catalog[0].failure_cap
 
+    @staticmethod
+    def _free(inps):
+        # no resource, deployment or link cost: every backup is free
+        infra = nv.Infrastructure(inps, alpha=[0.0], beta=1.0, v_base=0.05,
+                                  deployment_cost=[[0.0]] * len(inps))
+        svc = nv.ServiceType(1e-6, 0.5, 1.0, (nv.VnfSpec(0, (5,)), nv.VnfSpec(0, (5,))),
+                             (0.5, 0.5), 100.0, 2, name="f")
+        out = nv.run_baseline("cera", [0], nv.ResourceLedger.full(infra), infra, (svc,))[0]
+        return [(vp.main, vp.backup) for vp in out.placement.vnfs]
+
+    def test_free_gains_tie_to_the_first_pair(self):
+        # every gain is positive and infinite per unit of cost, so the first
+        # open VNF is backed up on its lowest-index host, not the most
+        # reliable one, and then the second VNF likewise
+        inps = [nv.InP(0.05, ((10,), (10,))), nv.InP(0.02, ((10,),)), nv.InP(0.01, ((10,),))]
+        assert self._free(inps) == [(0, 1), (0, 1)]
+
+    def test_free_gain_of_nothing_ranks_last_but_is_taken(self):
+        # VNF 0's main cannot fail, so backing it up gains 0: VNF 1's
+        # infinite figure goes first, and the zero figure is still the only
+        # pair left while the target is missed
+        inps = [nv.InP(0.0, ((5,),)), nv.InP(0.05, ((10,), (10,)))]
+        assert self._free(inps) == [(0, 1), (1, 2)]
+
 
 class TestRedundantVnf:
     def test_matches_min_reliability_admissions_when_ample(self):
@@ -324,6 +350,18 @@ def multi_resource_setup(seed, num_resources, tied=False):
         for k in range(3)
     )
     return infra, catalog
+
+
+def free_setup(seed):
+    """:func:`multi_resource_setup`'s single-resource infrastructure at no
+    cost (zero resource weight, zero deployment costs, free links), so CERA
+    ranks every backup by its zero-cost rule; its first provider never
+    fails, so backing up a main there gains nothing."""
+    infra, catalog = multi_resource_setup(seed, 1)
+    inps = (nv.InP(0.0, infra.inps[0].servers), *infra.inps[1:])
+    free = nv.Infrastructure(inps, [0.0], infra.beta, infra.v_base,
+                             np.zeros_like(infra.deployment_cost))
+    return free, catalog
 
 
 def outcome_digest(infra, catalog, seed, cases=25):
@@ -520,6 +558,8 @@ class TestBackupChoice:
     def _setup(name, bundled, reduced):
         if name == "tied":
             return multi_resource_setup(40, 1, tied=True)
+        if name == "free":
+            return free_setup(50)
         return TestBackupScan._setup(name, bundled, reduced)
 
     @staticmethod
@@ -593,6 +633,25 @@ class TestBackupChoice:
             idle = [[100 if srv in room else 0 for srv in range(n)]]
             assert choose_backup_reference(build, 0, factors, idle, tables) == want
             assert nb._choose_backup(build, 0, factors, idle, tables) == want
+
+    @pytest.mark.parametrize("name", SCAN_SETUPS + ["tied", "free"])
+    def test_cera_equals_per_round_rescan(self, name, bundled, reduced):
+        # CERA keeps each open VNF's hosts and prices across its rounds; the
+        # reference lists and prices them again in every round
+        infra, catalog = self._setup(name, bundled, reduced)
+        tables = nv.BaselineTables(infra, catalog)
+        rng = np.random.default_rng(17)
+        events = collections.Counter()
+        for _ in range(300):
+            build = random_build(rng, infra, catalog)
+            build.backups = [None] * len(build.mains)
+            idle = self._idle(rng, infra).T.tolist()
+            want_build, want_idle = copy.deepcopy(build), copy.deepcopy(idle)
+            protect_cera_rescan(want_build, want_idle, tables, events)
+            nb._protect_cera(build, idle, tables)
+            assert build.backups == want_build.backups
+            assert idle == want_idle
+        assert min(events[k] for k in ("dropped", "repriced", "exhausted")) >= 10, events
 
     @pytest.mark.parametrize("name", ["bundled", "two_resource", "random-r3"])
     def test_first_fit_equals_per_server_scan(self, name, bundled, reduced):

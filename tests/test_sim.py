@@ -230,6 +230,25 @@ class TestSevenTrellisRuns:
         assert TestReferenceRuns._digest(report) == self.DIGESTS[seed]
 
 
+class TestSevenHeuristicsRuns:
+    """:class:`TestReferenceRuns`' four 250-slot heuristic runs at seed 7,
+    pinned the same way; recorded before CERA kept each open VNF's backup
+    hosts and prices across its rounds."""
+
+    DIGESTS = {
+        "min_resource": "c6019ec13d104a4dc8ec4751f237e5541e1e942c80f73136d926b1f55908cd94",
+        "min_reliability": "30ac52d896044db99f69aaeafb8e5127124294f0e39d4e371c17dc21f3507626",
+        "cera": "b222083b37122d0ca87ca443cb7148d66ac19d4b8166e1412690d4570da7b213",
+        "redundant_vnf": "c2ff2b1ccb4e3ea0c1ac2952dc274a9977ef297e7ef9b635d852daeee08772b1",
+    }
+
+    @pytest.mark.parametrize("strategy", list(DIGESTS))
+    def test_bundled_heuristic_run(self, bundled, strategy):
+        infra, catalog = bundled
+        report = nv.run_experiment(infra, catalog, strategy, 250, 7)
+        assert TestReferenceRuns._digest(report) == self.DIGESTS[strategy]
+
+
 class TestConservationAndErrors:
     def test_long_run_keeps_books_balanced(self, reduced):
         # run_slot raises if idle + held capacity ever drifts from total

@@ -258,15 +258,35 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             nv.TrellisPlacement((2,), (0,), full_snapshot(infra), catalog, infra)
 
-    @pytest.mark.parametrize("entry", [1, -1])
-    def test_arrangement_entry_outside_catalog_rejected(self, tiny2, entry):
+    @pytest.mark.parametrize("setup, action, entry, error", [
+        ("tiny2", (1,), 1, "arrangement"),
+        ("tiny2", (1,), -1, "arrangement"),
+        # a bool or a float equal to type 1 passes the count of type 1
+        ("reduced", (0, 1), True, r"type index True is not an integer in range\(2\)"),
+        ("reduced", (0, 1), 1.0, r"type index 1\.0 is not an integer in range\(2\)"),
+    ], ids=["1", "-1", "True", "1.0"])
+    def test_arrangement_entry_outside_catalog_rejected(self, setup, action, entry, error, request):
         # the length and the count of type 0 cannot both match with an
         # entry that names no type; -1 would index the catalog from the end
-        infra, catalog = tiny2
+        infra, catalog = request.getfixturevalue(setup)
+        with pytest.raises(ValueError, match=error):
+            nv.TrellisPlacement(action, (entry,), full_snapshot(infra), catalog, infra)
         with pytest.raises(ValueError, match="arrangement"):
-            nv.TrellisPlacement((1,), (entry,), full_snapshot(infra), catalog, infra)
-        with pytest.raises(ValueError, match="arrangement"):
-            nv.TrellisPlacement((1,), (0, entry), full_snapshot(infra), catalog, infra)
+            nv.TrellisPlacement(action, (0, entry), full_snapshot(infra), catalog, infra)
+
+    @pytest.mark.parametrize("count", [True, 1.0])
+    def test_action_count_not_an_integer_rejected(self, reduced, count):
+        infra, catalog = reduced
+        with pytest.raises(ValueError, match=f"action count {count!r} is not an integer"):
+            nv.TrellisPlacement((count, 0), (0,), full_snapshot(infra), catalog, infra)
+
+    def test_numpy_integer_counts_and_entries_accepted(self, reduced):
+        infra, catalog = reduced
+        snapshot = full_snapshot(infra)
+        plain = nv.place_batch((1, 1), (0, 1), snapshot, catalog, infra)
+        numpy = nv.place_batch(tuple(np.array([1, 1])), tuple(np.array([0, 1])), snapshot, catalog, infra)
+        assert [s.placement for s in numpy.services] == [s.placement for s in plain.services]
+        assert numpy.valid and len(numpy.services) == 2
 
     @pytest.mark.parametrize("setup", ["bundled", "reduced", "tiny2"])
     def test_zero_action_is_valid_and_places_nothing(self, setup, request):
