@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Catalog
+from .model import INTEGER_TYPES, Catalog
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -23,9 +23,13 @@ DEFAULT_STATE_CAP = 2_000_000
 class StateSpace:
     """Index arithmetic over arrival and active-count vectors, bounded per
     service type by ``sigma_max`` active services and ``lambda_max``
-    arrivals."""
+    arrivals. A bound, or a count passed to a method, that is a bool or
+    not an integer raises ``ValueError``; numpy integers are accepted."""
 
     def __init__(self, sigma_max: Sequence[int], lambda_max: Sequence[int]) -> None:
+        for m in (*sigma_max, *lambda_max):
+            if type(m) is not int and (type(m) is bool or not isinstance(m, INTEGER_TYPES)):
+                raise ValueError(f"state-space bound {m!r} is not an integer")
         self.sigma_max = tuple(int(m) for m in sigma_max)
         self.lambda_max = tuple(int(m) for m in lambda_max)
         if not self.sigma_max or len(self.sigma_max) != len(self.lambda_max):
@@ -72,7 +76,11 @@ class StateSpace:
         if len(lam) == len(sigma) == len(terms):
             sid = 0
             for a, s, (a_max, s_max, a_stride, s_stride) in zip(lam, sigma, terms):
-                if not (0 <= a <= a_max and 0 <= s <= s_max):
+                # one compare for a Python int; a bool fails both tests
+                counts = (type(a) is int or isinstance(a, np.integer)) and (
+                    type(s) is int or isinstance(s, np.integer)
+                )
+                if not (counts and 0 <= a <= a_max and 0 <= s <= s_max):
                     break
                 sid += a * a_stride + s * s_stride
             else:
@@ -104,6 +112,8 @@ class StateSpace:
         if len(vec) != len(bounds):
             raise ValueError(f"{label} vector has wrong length")
         for x, m in zip(vec, bounds):
+            if type(x) is not int and (type(x) is bool or not isinstance(x, INTEGER_TYPES)):
+                raise ValueError(f"{label} {x!r} in {tuple(vec)} is not an integer")
             if not 0 <= x <= m:
                 raise ValueError(f"{label} {tuple(vec)} out of bounds {bounds}")
 
@@ -151,8 +161,12 @@ class TransitionModel:
 
     def departure_row(self, source: Sequence[int]) -> np.ndarray:
         """Distribution over destination active ordinals given the post-
-        admission active counts ``source``."""
-        key = tuple(int(x) for x in source)
+        admission active counts ``source``; a count that is a bool or not
+        an integer raises ``ValueError``."""
+        for x in source:
+            if type(x) is not int and (type(x) is bool or not isinstance(x, INTEGER_TYPES)):
+                raise ValueError(f"source count {x!r} is not an integer")
+        key = tuple(map(int, source))
         row = self._rows.get(key)
         if row is None:
             per_type = []

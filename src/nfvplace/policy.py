@@ -21,7 +21,7 @@ import numpy as np
 
 from .jsonio import read_fields, to_json
 from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel
-from .model import Catalog, Infrastructure, meets_target
+from .model import INTEGER_TYPES, Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
 
 # a memo entry of None is a scored invalid batch, so a miss needs its own mark
@@ -31,11 +31,26 @@ POLICY_FORMAT = "nfvplace-policy"
 POLICY_VERSION = 1
 
 
+def check_setting_types(params) -> None:
+    """Raise ``ValueError("<field>: must be an integer")`` for an ``int``
+    field holding no int or numpy integer, or ``"...: must be a number"``
+    for a ``float`` field holding no real number; a bool is neither."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is None and f.default is None:
+            continue
+        integer = f.type == "int"
+        kinds = INTEGER_TYPES if integer else INTEGER_TYPES + (float, np.floating)
+        if type(value) is bool or not isinstance(value, kinds):
+            raise ValueError(f"{f.name}: must be {'an integer' if integer else 'a number'}")
+
+
 @dataclass(frozen=True)
 class MdpParams:
     """The solver's settings, each with its default and its range; a value
-    out of range raises ``ValueError("<field>: <rule>")``. ``epsilon=None``
-    asks for one thousandth of the largest admission reward."""
+    of the wrong type, or then out of range, raises ``ValueError("<field>:
+    <rule>")``. ``epsilon=None`` asks for one thousandth of the largest
+    admission reward."""
 
     gamma: float = 0.9
     epsilon: float | None = None
@@ -47,6 +62,7 @@ class MdpParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_setting_types(self)
         for name, ok, rule in (
             ("gamma", 0.0 < self.gamma < 1.0, "must lie in (0, 1)"),
             ("epsilon", self.epsilon is None or self.epsilon > 0.0, "must be positive"),
@@ -194,14 +210,17 @@ def generate_arrangements(
     action: Sequence[int], count: int, rng: np.random.Generator
 ) -> list[tuple[int, ...]]:
     """Draw ``count`` random service orders for an admission vector and
-    deduplicate them, preserving draw order."""
-    stv = np.repeat(np.arange(len(action)), action)
-    if stv.size == 0:
+    deduplicate them, preserving draw order. Each order is
+    ``rng.permutation``'s Fisher-Yates draws, made on a list."""
+    stv = [l for l, a in enumerate(action) for _ in range(a)]
+    if not stv:
         return [()]
     pool: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for _ in range(count):
-        perm = tuple(rng.permutation(stv).tolist())
+        order = stv.copy()
+        rng.shuffle(order)
+        perm = tuple(order)
         if perm not in seen:
             seen.add(perm)
             pool.append(perm)
@@ -365,9 +384,10 @@ def value_iteration(
     every (state, action) pair in state order into flat reward and
     destination buffers, then backs them up in numpy: the expected
     previous-sweep value after each distinct post-admission active vector
-    is computed once, and each state takes its first best pair, as a
-    scan in feasible-action order would. ``Policy.sweep_counts`` records
-    both savings.
+    is computed once, and each state's new value is the maximum over its
+    pairs. ``Policy.sweep_counts`` records both savings. Only after the
+    last sweep does each state take its first best pair, as a scan in
+    feasible-action order would, for the returned action and order.
 
     The scoring table settles for good after a sweep that ran with every
     arrangement pool spent (``sweep > num_arrangements``) and whose every
@@ -376,8 +396,9 @@ def value_iteration(
     the next sweep reads the same snapshots and orders, finds every input
     in the memo and makes the same updates at smaller steps, which leave
     every row as it is again. Each later sweep therefore only replays that
-    sweep's updates, so the estimator's steps and call count stay as if
-    scored, and backs up the same table.
+    sweep's updates, listed once, so the estimator's steps and call count
+    stay as if scored, and backs up the same table through the same
+    distinct destinations.
     """
     params = MdpParams(**settings)
     if params.epsilon is None:
@@ -434,9 +455,9 @@ def value_iteration(
         if settled:
             # the settled sweep's updates, in order: each leaves its row
             # bit-equal and only steps it down
-            for dest, sample in zip(dests, samples):
-                if sample is not None:
-                    estimator.update(dest, sample)
+            update = estimator.update
+            for dest, sample in replay:
+                update(dest, sample)
         else:
             settled = sweep > num_arrangements
             for sid in range(space.size):
@@ -453,7 +474,11 @@ def value_iteration(
                         # update from an earlier action may have moved it
                         omega = np.frombuffer(omega_bytes).reshape(usage_shape)
                         outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
-                        if outcome.valid:
+                        if not rho:
+                            # the empty batch is valid and places nothing:
+                            # its sample is the snapshot itself
+                            scored = (0.0, 0, tuple(omega.ravel().tolist()))
+                        elif outcome.valid:
                             reward, admitted, used = score_outcome(action, outcome, catalog, usage_shape)
                             offset = sum(a * d for a, d in zip(admitted, strides))
                             scored = (reward, offset, tuple((omega - used).ravel().tolist()))
@@ -475,30 +500,37 @@ def value_iteration(
                     dests[p] = dest
                     samples[p] = sample
 
+            # a replayed sweep keeps this sweep's destinations and updates
+            distinct = np.flatnonzero(np.bincount(dest_view)).tolist()
+            sources = [active_vecs[dest - 1] for dest in distinct]
+            if settled:
+                replay = [(d, x) for d, x in zip(dests, samples) if x is not None]
+
         # Bellman backup of the pair table against the previous sweep
         expected_prev = model.arrival_probs @ values.reshape(space.num_arrival, space.num_active)
-        distinct = np.flatnonzero(np.bincount(dest_view))
         continuation = np.zeros(space.num_active + 1)
-        for dest in distinct.tolist():
-            continuation[dest] = float(model.departure_row(active_vecs[dest - 1]) @ expected_prev)
+        for dest, source in zip(distinct, sources):
+            continuation[dest] = model.departure_row(source).dot(expected_prev)
         q = reward_view + gamma * continuation[dest_view]
-        best = np.repeat(np.maximum.reduceat(q, starts), pair_counts)
-        ties = np.flatnonzero(q == best)
-        # each state's first best pair: every state holds one of the ties
-        choice = ties[np.searchsorted(ties, starts)]
-        new_values = q[choice]
+        # no q is -0.0: no reward is (each starts at 0.0 and only adds and
+        # subtracts), and a sum is -0.0 only when both terms are. So each
+        # maximum has the bits of q at its state's first best pair
+        new_values = np.maximum.reduceat(q, starts)
 
-        diff = float(np.max(np.abs(new_values - values)))
+        diff = float(abs(new_values - values).max())
         values = new_values
         iterations = sweep
-        mean_trace.append(float(np.mean(values)))
+        mean_trace.append(float(values.mean()))
         diff_trace.append(diff)
         sweep_counts.append(SweepCounts(searches, num_pairs - searches, len(distinct)))
         if sweep >= 2 and diff < epsilon:
             converged = True
             break
 
-    picked = choice.tolist()
+    # each state's first best pair, as a scan in feasible-action order
+    # would pick it: every state holds one of the ties
+    ties = np.flatnonzero(q == np.repeat(values, pair_counts))
+    picked = ties[np.searchsorted(ties, starts)].tolist()
     return Policy(
         sigma_max=space.sigma_max,
         lambda_max=space.lambda_max,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineId, BaselineTables, run_baseline
 from .model import Catalog, Infrastructure, PlacedService, ResourceLedger, meets_target
-from .policy import Policy
+from .policy import Policy, check_setting_types
 from .trellis import PlacementContext, place_batch
 
 MDP_STRATEGY = "mdp"
@@ -34,7 +34,8 @@ class SimulationError(RuntimeError):
 @dataclass(frozen=True)
 class SimParams:
     """The simulator's settings, each with its default and its range; a
-    value out of range raises ``ValueError("<field>: <rule>")``."""
+    value of the wrong type, or then out of range, raises
+    ``ValueError("<field>: <rule>")``."""
 
     slots: int = 1000
     seed: int = 0
@@ -44,6 +45,7 @@ class SimParams:
     MAX_SLOTS = 10**7
 
     def __post_init__(self) -> None:
+        check_setting_types(self)
         if self.slots < 1:
             raise ValueError("slots: must be positive")
         if self.slots > self.MAX_SLOTS:

@@ -580,6 +580,21 @@ def numpy_blend(row, a, source, usage, capacity):
     np.minimum(np.maximum(row, 0.0, out=row), capacity, out=row)
 
 
+def permutation_arrangements(action, count, rng):
+    """Reference for ``generate_arrangements``: each order drawn by
+    ``rng.permutation`` of the type indices as a ``np.repeat`` array,
+    deduplicated in draw order."""
+    stv = np.repeat(np.arange(len(action)), action)
+    if stv.size == 0:
+        return [()]
+    pool = []
+    for _ in range(count):
+        perm = tuple(rng.permutation(stv).tolist())
+        if perm not in pool:
+            pool.append(perm)
+    return pool
+
+
 class DequeLedger:
     """Reference for the solver's arrangement ledger: the drawn orders in a
     deque, popped once each, then the best-scoring order so far, or the

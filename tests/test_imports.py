@@ -4,6 +4,9 @@ pyflakes nor ruff is a dependency, so the checks walk each module's syntax
 tree with ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,22 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert len(set(exported)) == len(exported) and len(set(imported)) == len(imported)
     assert set(exported) == set(imported)
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # the benchmark's set-up time includes this import, so a heavy
+    # dependency added to it would show there
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nfvplace\n"
+        "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    loaded = set(out.stdout.split())
+    assert {"nfvplace", "numpy"} <= loaded
+    assert sorted(loaded - sys.stdlib_module_names - {"nfvplace", "numpy"}) == []

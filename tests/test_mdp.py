@@ -70,6 +70,26 @@ class TestStateSpace:
             (arrival_index(space, lam) - 1) * space.num_active + space.active_index(sigma) - 1
         )
 
+    def test_counts_must_be_integers(self):
+        # a float or a bool count indexed a state, or a float one, before
+        space = nv.StateSpace((5, 2), (1, 3))
+        for bad in ((0.5, 0), (1.0, 0), (True, 0), (0, np.float64(1.0))):
+            with pytest.raises(ValueError, match="is not an integer"):
+                space.state_id(bad, (0, 0))
+            with pytest.raises(ValueError, match="is not an integer"):
+                space.state_id((0, 0), bad)
+            with pytest.raises(ValueError, match="is not an integer"):
+                space.active_index(bad)
+        # numpy integers index as Python ints do
+        assert space.state_id((np.int64(1), 0), (0, np.uint8(2))) == space.state_id((1, 0), (0, 2))
+        assert space.active_index((np.int32(3), 1)) == space.active_index((3, 1))
+
+    def test_bounds_must_be_integers(self):
+        for sigma_max, lambda_max in (((1.5, 2), (1, 1)), ((1, 2), (True, 1)), ((1, 2), (1, 1.0))):
+            with pytest.raises(ValueError, match="^state-space bound .* is not an integer$"):
+                nv.StateSpace(sigma_max, lambda_max)
+        assert nv.StateSpace((np.int64(1), 2), (1, np.uint8(1))).sigma_max == (1, 2)
+
     def test_bundled_catalog_size(self, bundled):
         _, catalog = bundled
         space = nv.build_state_space(catalog)
@@ -149,6 +169,15 @@ class TestDepartures:
         space = nv.build_state_space(t)
         model = nv.TransitionModel(space, t)
         assert model.departure_row((j,)).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_source_counts_must_be_integers(self):
+        # a float count was truncated to the row of its integer part
+        t = (uniform_type((0.5, 0.5), d=0.5),)
+        model = nv.TransitionModel(nv.build_state_space(t), t)
+        for bad in ((1.5,), (2.0,), (True,)):
+            with pytest.raises(ValueError, match="^source count .* is not an integer$"):
+                model.departure_row(bad)
+        assert model.departure_row((np.int64(3),)) is model.departure_row((3,))
 
     def test_support_shrinks_with_smaller_source(self):
         # dropping one admitted service can only remove destinations

@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfvplace as nv
 import nfvplace.policy as policy_module
@@ -19,6 +21,7 @@ from helpers import (
     DequeLedger,
     analytic_setup,
     numpy_blend,
+    permutation_arrangements,
     reduced_setup,
     snapshot,
     tiny_two_inps,
@@ -233,6 +236,60 @@ class TestArrangements:
         assert nv.generate_arrangements((0, 0), 5, rng) == [()]
 
 
+class TestArrangementDraws:
+    @given(
+        draws=st.lists(
+            st.tuples(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.integers(1, 12)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pools_are_the_permutation_draws(self, draws, seed):
+        # pools drawn one after another from one generator, as the solver
+        # draws them, leave it where the array permutations leave theirs
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for action, count in draws:
+            pool = nv.generate_arrangements(tuple(action), count, rng)
+            assert pool == permutation_arrangements(tuple(action), count, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_segment_maxima_are_the_first_best_pairs(self):
+        gamma = 0.9
+
+        def reward(*terms):
+            # as score_outcome forms it: from 0.0, costs subtracted and
+            # rewards added in service order
+            total = 0.0
+            for t in terms:
+                total += t
+            return total
+
+        segments = [
+            # a tie between the second and third pairs
+            [(reward(-2.0, 5.0), 1.0), (reward(-1.0, 5.0), 0.0), (reward(-1.0, 5.0), 0.0)],
+            # exact zeros: an empty pair, a cost its reward cancels, and a
+            # continuation of -0.0
+            [(0.0, 0.0), (reward(-2.5, 2.5), 0.0), (0.0, -0.0)],
+            # only negative rewards, the best one last
+            [(reward(-3.0), -1.0), (reward(-4.0, 1.5), -1.0), (reward(-0.5), -2.0)],
+            # a single pair
+            [(reward(-7.25, 3.0), -0.0)],
+        ]
+        q, starts, firsts = [], [], []
+        for pairs in segments:
+            starts.append(len(q))
+            values = [r + gamma * c for r, c in pairs]
+            first = max(range(len(values)), key=lambda k: (values[k], -k))
+            firsts.append(len(q) + first)
+            q += values
+        q = np.array(q)
+        assert not np.any((q == 0.0) & np.signbit(q))
+        assert firsts == [1, 3, 8, 9]
+        maxima = np.maximum.reduceat(q, np.array(starts))
+        assert maxima.tobytes() == q[firsts].tobytes()
+
+
 class TestArrangementLedger:
     def test_matches_deque_reference(self):
         rng = np.random.default_rng(11)
@@ -341,6 +398,15 @@ class TestValueIteration:
             nv.value_iteration(space, model, catalog, infra, sweeps=3)
         with pytest.raises(ValueError, match=r"^gamma: must lie in \(0, 1\)$"):
             nv.value_iteration(space, model, catalog, infra, gamma=1.0)
+
+    def test_integer_settings_reject_a_float(self):
+        # a field-path error, not numpy's or range's TypeError
+        infra, catalog = analytic_setup()
+        space = nv.build_state_space(catalog)
+        model = nv.TransitionModel(space, catalog)
+        for name in ("num_arrangements", "seed"):
+            with pytest.raises(ValueError, match=f"^{name}: must be an integer$"):
+                nv.value_iteration(space, model, catalog, infra, **{name: 1.5})
 
     def test_one_placement_context_per_call(self, monkeypatch):
         infra, catalog = reduced_setup()
@@ -485,6 +551,45 @@ class TestReducedSolveReference:
         assert all(c.trellis_searches + c.memo_hits == pairs for c in counts)
         assert len(constructions) == sum(c.trellis_searches for c in counts) == 363
         assert len(updates) == 5417
+
+
+class TestSeedThreeSolveCounts:
+    """Seed 3 draws other arrangement pools than seeds 1 and 7, so a change
+    to the pool draws shows first in its plan and work counts. Recorded
+    with pools drawn by ``rng.permutation`` and each sweep's first best
+    pairs searched in full."""
+
+    def test_plan_and_work_counts(self, monkeypatch):
+        rows, constructions, updates = [], [], []
+        departure_row = nv.TransitionModel.departure_row
+        init = nv.TrellisPlacement.__init__
+        update = nv.ResourceEstimator.update
+
+        def counting_row(self, source):
+            rows.append(tuple(source))
+            return departure_row(self, source)
+
+        def counting_init(self, *args):
+            constructions.append(args[0])
+            init(self, *args)
+
+        def counting_update(self, *args):
+            updates.append(args[0])
+            return update(self, *args)
+
+        monkeypatch.setattr(nv.TransitionModel, "departure_row", counting_row)
+        monkeypatch.setattr(nv.TrellisPlacement, "__init__", counting_init)
+        monkeypatch.setattr(nv.ResourceEstimator, "update", counting_update)
+        policy = _reduced_solve(seed=3)
+        plan = json.dumps(
+            [[list(a) for a in policy.actions], [list(r) for r in policy.arrangements]]
+        ).encode()
+        assert _sha256(plan) == "11c622b5ca739c5304282f6d5c12bfdee4d5529a82e67f81eaae930ed1146246"
+        assert (len(constructions), len(updates), len(rows), policy.iterations) == (
+            355, 5417, 1134, 63
+        )
+        assert sum(c.trellis_searches for c in policy.sweep_counts) == 355
+        assert sum(c.continuations for c in policy.sweep_counts) == 1134
 
 
 # SHA-256 of the plan, values, mean-value trace and sup-diff trace of the
@@ -647,6 +752,29 @@ class TestBundledRungReference:
         self._check(3)
 
 
+class TestSettingTypes:
+    @pytest.mark.parametrize("name, value, rule", [
+        ("gamma", True, "must be a number"),
+        ("epsilon", True, "must be a number"),
+        ("num_arrangements", 2.5, "must be an integer"),
+        ("alpha_init", True, "must be a number"),
+        ("estimate_discount", "0.5", "must be a number"),
+        ("max_iterations", True, "must be an integer"),
+        ("state_space_cap", 1e6, "must be an integer"),
+        ("seed", 1.5, "must be an integer"),
+    ])
+    def test_each_field_rejects_a_wrong_type(self, name, value, rule):
+        with pytest.raises(ValueError, match=f"^{name}: {rule}$"):
+            MdpParams(**{name: value})
+
+    def test_numpy_scalars_and_ints_accepted(self):
+        params = MdpParams(
+            gamma=np.float64(0.5), epsilon=1, num_arrangements=np.int64(3),
+            alpha_init=np.float32(1.0), estimate_discount=np.float64(0.25), seed=np.uint8(2),
+        )
+        assert (params.gamma, params.num_arrangements, params.seed) == (0.5, 3, 2)
+
+
 class TestPolicyArtifact:
     def test_save_load_round_trip(self, tmp_path):
         infra, catalog = analytic_setup()
@@ -735,6 +863,17 @@ class TestPolicyArtifact:
         policy = nv.value_iteration(space, model, catalog, infra, epsilon=1e-6, seed=0)
         with pytest.raises((ValueError, IndexError)):
             policy.lookup((5,), (0,))
+
+    def test_lookup_rejects_non_integer_counts(self):
+        infra, catalog = reduced_setup()
+        space = nv.build_state_space(catalog)
+        policy = nv.value_iteration(
+            space, nv.TransitionModel(space, catalog), catalog, infra, max_iterations=2, seed=0
+        )
+        for lam, sigma in (((1, 0), (0.0, 0)), ((0.5, 0), (0, 0)), ((1, True), (0, 0))):
+            with pytest.raises(ValueError, match="is not an integer"):
+                policy.lookup(lam, sigma)
+        assert policy.lookup((np.int64(1), 0), (0, np.int64(1))) == policy.lookup((1, 0), (0, 1))
 
     def test_infeasible_in_memory_policy_rejected(self):
         # admitting two services in every state, including those where

@@ -296,6 +296,19 @@ class TestConservationAndErrors:
         with pytest.raises(ValueError, match="^seed: must be non-negative$"):
             nv.run_experiment(infra, catalog, "trellis", slots=10, seed=-1)
 
+    @pytest.mark.parametrize("name, value", [("slots", True), ("slots", 2.5), ("seed", 1.5), ("seed", False)])
+    def test_settings_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: must be an integer$"):
+            SimParams(**{name: value})
+
+    def test_float_seed_is_a_field_error(self, bundled):
+        # not numpy's SeedSequence TypeError
+        infra, catalog = bundled
+        with pytest.raises(ValueError, match="^seed: must be an integer$"):
+            nv.Simulation(infra, catalog, "cera", seed=1.5)
+        with pytest.raises(ValueError, match="^slots: must be an integer$"):
+            nv.Simulation(infra, catalog, "cera", seed=1).run(2.5)
+
 
 @pytest.fixture(scope="module")
 def reduced_policy(reduced):
