@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .model import InP, VnfSpec
+from .model import InP, VnfSpec, is_integer
 
 # the Python type each JSON type reads as; a bool is not a number
 _JSON_TYPES = {
@@ -129,6 +129,29 @@ READERS = {
         read_object(InP, spec, f"{name}[{k}]") for k, spec in enumerate(json_items(v, name))
     ),
 }
+
+
+# the values a setting's annotation admits, as the Python objects a caller
+# may pass; a bool is neither an integer nor a number
+SETTING_TYPES = {
+    "int": ("an integer", is_integer),
+    "float": ("a number", lambda v: is_integer(v) or isinstance(v, (float, np.floating))),
+}
+
+
+def check_setting_types(params) -> None:
+    """Raise ``ValueError("<field>: must be an integer")`` for an ``int``
+    field of the dataclass ``params`` that holds no int or numpy integer,
+    or ``"<field>: must be a number"`` for a ``float`` field that holds no
+    real number; ``X | None`` also admits None."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        expected, admits = SETTING_TYPES[kind]
+        if not admits(value):
+            raise ValueError(f"{f.name}: must be {expected}")
 
 
 @cache

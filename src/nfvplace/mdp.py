@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import INTEGER_TYPES, Catalog
+from .model import Catalog, is_integer
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -28,7 +28,7 @@ class StateSpace:
 
     def __init__(self, sigma_max: Sequence[int], lambda_max: Sequence[int]) -> None:
         for m in (*sigma_max, *lambda_max):
-            if type(m) is not int and (type(m) is bool or not isinstance(m, INTEGER_TYPES)):
+            if not is_integer(m):
                 raise ValueError(f"state-space bound {m!r} is not an integer")
         self.sigma_max = tuple(int(m) for m in sigma_max)
         self.lambda_max = tuple(int(m) for m in lambda_max)
@@ -76,10 +76,8 @@ class StateSpace:
         if len(lam) == len(sigma) == len(terms):
             sid = 0
             for a, s, (a_max, s_max, a_stride, s_stride) in zip(lam, sigma, terms):
-                # one compare for a Python int; a bool fails both tests
-                counts = (type(a) is int or isinstance(a, np.integer)) and (
-                    type(s) is int or isinstance(s, np.integer)
-                )
+                # one compare for a Python int
+                counts = (type(a) is int or is_integer(a)) and (type(s) is int or is_integer(s))
                 if not (counts and 0 <= a <= a_max and 0 <= s <= s_max):
                     break
                 sid += a * a_stride + s * s_stride
@@ -112,7 +110,7 @@ class StateSpace:
         if len(vec) != len(bounds):
             raise ValueError(f"{label} vector has wrong length")
         for x, m in zip(vec, bounds):
-            if type(x) is not int and (type(x) is bool or not isinstance(x, INTEGER_TYPES)):
+            if type(x) is not int and not is_integer(x):
                 raise ValueError(f"{label} {x!r} in {tuple(vec)} is not an integer")
             if not 0 <= x <= m:
                 raise ValueError(f"{label} {tuple(vec)} out of bounds {bounds}")
@@ -164,7 +162,7 @@ class TransitionModel:
         admission active counts ``source``; a count that is a bool or not
         an integer raises ``ValueError``."""
         for x in source:
-            if type(x) is not int and (type(x) is bool or not isinstance(x, INTEGER_TYPES)):
+            if type(x) is not int and not is_integer(x):
                 raise ValueError(f"source count {x!r} is not an integer")
         key = tuple(map(int, source))
         row = self._rows.get(key)

@@ -227,9 +227,10 @@ class ServiceType:
 Catalog = Sequence[ServiceType]
 
 
-# the integer types a count or an index may take; a bool is one, so it is
-# checked apart
-INTEGER_TYPES = (int, np.integer)
+def is_integer(x) -> bool:
+    """Whether ``x`` may stand for a count or an index: an int or a numpy
+    integer, but not a bool. A hot path tests ``type(x) is int`` first."""
+    return type(x) is int or (type(x) is not bool and isinstance(x, (int, np.integer)))
 
 
 def check_type_indices(type_indices: Sequence[int], catalog: Catalog) -> list[int]:
@@ -237,7 +238,7 @@ def check_type_indices(type_indices: Sequence[int], catalog: Catalog) -> list[in
     in ``range(len(catalog))``, a bool included, raises ``ValueError``."""
     n = len(catalog)
     for l in type_indices:
-        if type(l) is bool or not isinstance(l, INTEGER_TYPES) or not 0 <= l < n:
+        if (type(l) is not int and not is_integer(l)) or not 0 <= l < n:
             raise ValueError(f"type index {l!r} is not an integer in range({n})")
     return [int(l) for l in type_indices]
 

@@ -19,9 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jsonio import read_fields, to_json
+from .jsonio import check_setting_types, read_fields, to_json
 from .mdp import DEFAULT_STATE_CAP, StateSpace, TransitionModel
-from .model import INTEGER_TYPES, Catalog, Infrastructure, meets_target
+from .model import Catalog, Infrastructure, meets_target
 from .trellis import PlacementContext, TrellisPlacement, TrellisResult
 
 # a memo entry of None is a scored invalid batch, so a miss needs its own mark
@@ -29,20 +29,6 @@ _UNSCORED = object()
 
 POLICY_FORMAT = "nfvplace-policy"
 POLICY_VERSION = 1
-
-
-def check_setting_types(params) -> None:
-    """Raise ``ValueError("<field>: must be an integer")`` for an ``int``
-    field holding no int or numpy integer, or ``"...: must be a number"``
-    for a ``float`` field holding no real number; a bool is neither."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if value is None and f.default is None:
-            continue
-        integer = f.type == "int"
-        kinds = INTEGER_TYPES if integer else INTEGER_TYPES + (float, np.floating)
-        if type(value) is bool or not isinstance(value, kinds):
-            raise ValueError(f"{f.name}: must be {'an integer' if integer else 'a number'}")
 
 
 @dataclass(frozen=True)
@@ -474,11 +460,7 @@ def value_iteration(
                         # update from an earlier action may have moved it
                         omega = np.frombuffer(omega_bytes).reshape(usage_shape)
                         outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
-                        if not rho:
-                            # the empty batch is valid and places nothing:
-                            # its sample is the snapshot itself
-                            scored = (0.0, 0, tuple(omega.ravel().tolist()))
-                        elif outcome.valid:
+                        if outcome.valid:
                             reward, admitted, used = score_outcome(action, outcome, catalog, usage_shape)
                             offset = sum(a * d for a, d in zip(admitted, strides))
                             scored = (reward, offset, tuple((omega - used).ravel().tolist()))

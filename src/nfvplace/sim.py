@@ -18,7 +18,8 @@ import numpy as np
 
 from .baselines import BaselineId, BaselineTables, run_baseline
 from .model import Catalog, Infrastructure, PlacedService, ResourceLedger, meets_target
-from .policy import Policy, check_setting_types
+from .jsonio import check_setting_types
+from .policy import Policy
 from .trellis import PlacementContext, place_batch
 
 MDP_STRATEGY = "mdp"

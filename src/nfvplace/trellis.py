@@ -34,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    INTEGER_TYPES,
     Catalog,
     Infrastructure,
     PlacedService,
     ServicePlacement,
     VnfPlacement,
     check_type_indices,
+    is_integer,
 )
 
 
@@ -225,7 +225,7 @@ class TrellisPlacement:
         if len(action) != len(catalog):
             raise ValueError("action length must match the catalog")
         for a in action:
-            if type(a) is bool or not isinstance(a, INTEGER_TYPES):
+            if type(a) is not int and not is_integer(a):
                 raise ValueError(f"action count {a!r} is not an integer")
         if min(action, default=0) < 0:
             raise ValueError("action counts must be non-negative")
