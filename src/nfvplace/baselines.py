@@ -1,7 +1,11 @@
 """Static comparison strategies: a shared cheapest-feasible main-server
 pass plus four backup-allocation disciplines. All tie-breaks prefer the
 lowest index. The per-slot trellis strategy shares the strategy ids but
-places through :func:`nfvplace.trellis.place_batch`."""
+places through :func:`nfvplace.trellis.place_batch`.
+
+The per-setup tables and the read-out of placed services,
+:func:`placed_services`, serve both placers: the trellis reads its charge
+rows from the same tables and hands its path to the same read-out."""
 
 from __future__ import annotations
 
@@ -9,13 +13,14 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import (
     Catalog,
     Infrastructure,
+    PlacedService,
     ResourceLedger,
     ServicePlacement,
     VnfPlacement,
@@ -62,15 +67,15 @@ class BaselineOutcome:
 
 
 class BaselineTables:
-    """Per-setup lookups the baselines read on every scan, built once from
-    ``(infra, catalog)``: per type the demand totals; per (type, VNF)
-    per-server lists of the server term ``d @ unit_cost[inp]`` (``d`` the
-    float demand row), the deployment term and their sum, the charge, each
-    formed as :func:`service_cost` forms it; the per-server failure and
-    provider lists, the servers by ``(failure, index)`` and the link table
-    as lists. The trellis forms the server term as ``unit_cost @ d``; with
-    more than one resource the two can differ in the last bits, so it has
-    its own."""
+    """Per-setup lookups, built once from ``(infra, catalog)``, that the
+    baselines read on every scan and the trellis and the read-out share:
+    per type the demand totals; per (type, VNF) per-server lists of the
+    server term ``d @ unit_cost[inp]`` (``d`` the float demand row), the
+    deployment term and their sum, the charge, each formed as
+    :func:`service_cost` forms it; the per-server failure and provider
+    lists, the servers by ``(failure, index)`` and the link table as lists;
+    and per main server one shared :class:`VnfPlacement` for each backup,
+    None or another server."""
 
     def __init__(self, infra: Infrastructure, catalog: Catalog) -> None:
         self.infra = infra
@@ -93,6 +98,10 @@ class BaselineTables:
         self.reliability_order = array("I", sorted(range(infra.num_servers), key=self.failure.__getitem__))
         self.inps, self.inp_failure = inps, infra.v.tolist()
         self.link = infra.link_cost.tolist()
+        servers = range(infra.num_servers)
+        self.vnf_placements = [
+            {b: VnfPlacement(m, b) for b in (None, *servers) if b != m} for m in servers
+        ]
         self._main_orders = [[[None] * infra.num_servers for _ in t.vnfs] for t in catalog]
 
     def main_order(self, l: int, u: int, prev: int) -> array:
@@ -109,6 +118,54 @@ class BaselineTables:
             hosts = (srv for srv, c in enumerate(costs) if c < math.inf)
             orders[prev] = array("I", sorted(hosts, key=costs.__getitem__))
         return orders[prev]
+
+
+def placed_services(
+    services: Sequence[tuple[int, Iterable[int], Iterable[int | None]]], tables: BaselineTables
+) -> list[PlacedService]:
+    """The records of placed services, each given as its type, its mains
+    and its backups (None for no backup), whichever placer chose them: the
+    cost summed from the table lists in :func:`service_cost`'s accumulators
+    and order, the failure probability formed as
+    :func:`service_failure_probability` forms it, and each VNF's placement
+    the tables' shared record. The usage of the k-th service is row k of
+    one int64 (services, S, R) array, built as one flat list of Python
+    ints, each VNF's demand tuple added at its main's and its backup's
+    servers, and set on each record once the array is made."""
+    failure, link, pairs = tables.failure, tables.link, tables.vnf_placements
+    n, r = tables.infra.num_servers, tables.infra.num_resources
+    usage = [0] * (len(services) * n * r)
+    records = []
+    offset = 0
+    for l, mains, backups in services:
+        stype = tables.catalog[l]
+        bandwidth = stype.bandwidth
+        server = forward = deploy = 0.0
+        up = 1.0
+        prev: tuple[int, ...] = ()
+        vnfs = []
+        for main, backup, spec, server_terms, deploy_terms in zip(
+            mains, backups, stype.vnfs, tables.server_terms[l], tables.deploy_terms[l]
+        ):
+            hosts = (main,) if backup is None else (main, backup)
+            up *= 1.0 - (failure[main] if backup is None else failure[main] * failure[backup])
+            vnfs.append(pairs[main][backup])
+            for srv in hosts:
+                server += server_terms[srv]
+                deploy += deploy_terms[srv]
+                for at, d in enumerate(spec.demands, offset + srv * r):
+                    usage[at] += d
+            for a in prev:
+                for b in hosts:
+                    forward += bandwidth * link[a][b]
+            prev = hosts
+        records.append(PlacedService(
+            l, ServicePlacement(l, tuple(vnfs)), server + forward + deploy, 1.0 - up, None
+        ))
+        offset += n * r
+    for svc, row in zip(records, np.array(usage, dtype=np.int64).reshape(len(records), n, r)):
+        svc.usage = row
+    return records
 
 
 def _first_fit(
@@ -322,55 +379,6 @@ def _protect_cera(build: ServiceBuild, idle: Stock, tables: BaselineTables) -> N
                 options[v] = (hosts, _backup_prices(build, v, hosts, tables))
 
 
-def _outcomes(
-    type_indices: list[int], builds: list[ServiceBuild | None], tables: BaselineTables
-) -> list[BaselineOutcome]:
-    """Each build's figures: its cost summed from the table terms in
-    :func:`service_cost`'s accumulators and order, and its usage, row k of
-    one int64 (placed, S, R) table for the k-th placed build. The table is
-    one flat list of Python ints, each VNF's demand tuple added at its
-    main's and its backup's servers, made one array at the end."""
-    infra, link = tables.infra, tables.link
-    n, r = infra.num_servers, infra.num_resources
-    usage: list[int] = []
-    outcomes, placed = [], []
-    for l, build in zip(type_indices, builds):
-        if build is None:
-            outcomes.append(BaselineOutcome(l, None, None, None, None))
-            continue
-        bandwidth = tables.catalog[l].bandwidth
-        offset = len(usage)
-        usage += [0] * (n * r)
-        server = forward = deploy = 0.0
-        prev: tuple[int, ...] = ()
-        vnfs = tables.catalog[l].vnfs
-        for main, backup, spec, server_terms, deploy_terms in zip(
-            build.mains, build.backups, vnfs, tables.server_terms[l], tables.deploy_terms[l]
-        ):
-            hosts = (main,) if backup is None else (main, backup)
-            for srv in hosts:
-                server += server_terms[srv]
-                deploy += deploy_terms[srv]
-                for at, d in enumerate(spec.demands, offset + srv * r):
-                    usage[at] += d
-            for a in prev:
-                for b in hosts:
-                    forward += bandwidth * link[a][b]
-            prev = hosts
-        placement = ServicePlacement(l, tuple(map(VnfPlacement, build.mains, build.backups)))
-        outcome = BaselineOutcome(
-            l, placement, server + forward + deploy,
-            service_failure_probability(placement.vnfs, infra), None,
-        )
-        outcomes.append(outcome)
-        placed.append(outcome)
-    if placed:
-        rows = np.array(usage, dtype=np.int64).reshape(len(placed), n, r)
-        for k, outcome in enumerate(placed):
-            outcome.usage = rows[k]
-    return outcomes
-
-
 def run_baseline(
     baseline: BaselineId | str,
     type_indices: Sequence[int],
@@ -423,4 +431,19 @@ def run_baseline(
                 _protect_ranked(build, idle, tables, _smallest_demand_first)
             else:
                 _protect_ranked(build, idle, tables, _least_reliable_first)
-    return _outcomes(type_indices, builds, tables)
+    # each outcome's failure figure is a service_failure_probability call,
+    # bit-equal to the read-out's, as bench/tracing.py counts those calls
+    placed = iter(placed_services(
+        [(b.type_index, b.mains, b.backups) for b in builds if b is not None], tables
+    ))
+    outcomes = []
+    for l, build in zip(type_indices, builds):
+        if build is None:
+            outcomes.append(BaselineOutcome(l, None, None, None, None))
+        else:
+            svc = next(placed)
+            outcomes.append(BaselineOutcome(
+                l, svc.placement, svc.cost,
+                service_failure_probability(svc.placement.vnfs, infra), svc.usage,
+            ))
+    return outcomes

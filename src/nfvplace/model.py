@@ -257,6 +257,42 @@ class ServicePlacement:
     vnfs: tuple[VnfPlacement, ...]
 
 
+def _check_servers(
+    vnfs: Sequence[VnfPlacement], infra: Infrastructure, where: str = "", distinct: bool = True
+) -> None:
+    """Raise ``ValueError``, naming ``where`` and the VNF, when a VNF's
+    main or backup is not an integer in ``range(infra.num_servers)``, a
+    bool included, or, with ``distinct``, when its backup is its main."""
+    n = infra.num_servers
+    for u, vp in enumerate(vnfs):
+        main, backup = vp.main, vp.backup
+        if not ((type(main) is int or is_integer(main)) and 0 <= main < n):
+            raise ValueError(f"{where}vnf {u}: main server {main!r} is not an integer in range({n})")
+        if backup is not None and not ((type(backup) is int or is_integer(backup)) and 0 <= backup < n):
+            raise ValueError(f"{where}vnf {u}: backup server {backup!r} is not an integer in range({n})")
+        if distinct and backup == main:
+            raise ValueError(f"{where}vnf {u}: backup server must differ from the main server")
+
+
+def _check_placement(
+    placement: ServicePlacement,
+    infra: Infrastructure,
+    catalog: Catalog,
+    service: int | None = None,
+    distinct: bool = True,
+) -> ServiceType:
+    """The service type of ``placement``, once its type index is an
+    integer in ``range(len(catalog))`` and each VNF's main and backup name
+    servers of ``infra``, distinct ones with ``distinct``; otherwise
+    ``ValueError`` naming ``service``, its place in a plan, and the VNF."""
+    where = "" if service is None else f"service {service}: "
+    l = placement.type_index
+    if not ((type(l) is int or is_integer(l)) and 0 <= l < len(catalog)):
+        raise ValueError(f"{where}type index {l!r} is not an integer in range({len(catalog)})")
+    _check_servers(placement.vnfs, infra, where, distinct)
+    return catalog[l]
+
+
 @dataclass(frozen=True)
 class PlacementPlan:
     services: tuple[ServicePlacement, ...]
@@ -302,7 +338,7 @@ def service_cost(placement: ServicePlacement, infra: Infrastructure, catalog: Ca
     between servers hosting consecutive VNFs. A missing backup contributes
     nothing; co-located servers route internally at zero cost.
     """
-    stype = catalog[placement.type_index]
+    stype = _check_placement(placement, infra, catalog)
     if len(placement.vnfs) != stype.num_vnfs:
         raise ValueError("placement does not cover the service chain")
     server = 0.0
@@ -333,12 +369,11 @@ def service_failure_probability(vnfs: Sequence[VnfPlacement], infra: Infrastruct
     A VNF fails only when its main and (if present) backup fail together;
     VNF failures are treated as independent across the chain.
     """
+    _check_servers(vnfs, infra)
     up = 1.0
     for vp in vnfs:
         f = infra.server_failure(vp.main)
         if vp.backup is not None:
-            if vp.backup == vp.main:
-                raise ValueError("backup server must differ from the main server")
             f *= infra.server_failure(vp.backup)
         up *= 1.0 - f
     return 1.0 - up
@@ -346,7 +381,7 @@ def service_failure_probability(vnfs: Sequence[VnfPlacement], infra: Infrastruct
 
 def service_usage(placement: ServicePlacement, infra: Infrastructure, catalog: Catalog) -> np.ndarray:
     """Per-server resource demand of one placed service, mains plus backups."""
-    stype = catalog[placement.type_index]
+    stype = _check_placement(placement, infra, catalog)
     usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
     for spec, vp in zip(stype.vnfs, placement.vnfs):
         demands = np.asarray(spec.demands, dtype=np.int64)
@@ -437,7 +472,7 @@ def validate_plan(
     usage = np.zeros((infra.num_servers, infra.num_resources), dtype=np.int64)
     reliability: list[Violation] = []
     for si, placement in enumerate(plan.services):
-        stype = catalog[placement.type_index]
+        stype = _check_placement(placement, infra, catalog, si, distinct=False)
         if len(placement.vnfs) != stype.num_vnfs:
             violations.append(Violation("chain-coverage", si, "placement does not cover every VNF"))
             continue

@@ -206,10 +206,8 @@ class Simulation:
         self.strategy = strategy
         self.policy = policy
         # built once per run: the strategy reads them on every slot
-        if strategy in BATCH_STRATEGIES:
-            self.context, self.tables = PlacementContext(catalog, infra), None
-        else:
-            self.context, self.tables = None, BaselineTables(infra, catalog)
+        self.context = PlacementContext(catalog, infra) if strategy in BATCH_STRATEGIES else None
+        self.tables = BaselineTables(infra, catalog) if self.context is None else self.context.tables
         # the seed obeys the same rule as a config's or the CLI's
         self.rng = np.random.default_rng(SimParams(seed=seed).seed)
         self.ledger = ResourceLedger.full(infra)

@@ -33,15 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Catalog,
-    Infrastructure,
-    PlacedService,
-    ServicePlacement,
-    VnfPlacement,
-    check_type_indices,
-    is_integer,
-)
+from .baselines import BaselineTables, placed_services
+from .model import Catalog, Infrastructure, PlacedService, check_type_indices, is_integer
 
 
 def _traceback(records: list[tuple], m: int, x: int) -> tuple[int, ...]:
@@ -68,9 +61,11 @@ class TrellisResult:
 
 class PlacementContext:
     """Trellis tables that depend only on ``(catalog, infra)``, built once
-    per setup and shared by every batch placed on it. Demands are integers,
-    so the int64 demand tables of each (type, VNF) compare with and
-    subtract from an integer or a float stock exactly: one table set
+    per setup and shared by every batch placed on it, with the setup's
+    :class:`BaselineTables` (``tables``): the stage tables hold its charges,
+    and each placed service is read out through them. Demands are
+    integers, so the int64 demand tables of each (type, VNF) compare with
+    and subtract from an integer or a float stock exactly: one table set
     serves every snapshot dtype.
 
     Each table the stage kernel combines with a stage's (predecessor,
@@ -89,13 +84,13 @@ class PlacementContext:
     def __init__(self, catalog: Catalog, infra: Infrastructure) -> None:
         self.catalog = catalog
         self.infra = infra
+        tables = self.tables = BaselineTables(infra, catalog)
         n = infra.num_servers
         full = (n + 1, n + 1)
         link = np.zeros(full)
         link[1:, 1:] = infra.link_cost
         self.link = link
-        failure = [infra.server_failure(s) for s in range(n)]
-        v = np.array([1.0] + failure)
+        v = np.array([1.0] + tables.failure)
         # stage 1's reliability row and back-pointers: the origin is its
         # only live predecessor
         up = self.up = 1.0 - v
@@ -121,30 +116,16 @@ class PlacementContext:
         # the kernel's 0-d operands, which a ufunc takes with less work than
         # a Python scalar
         self.width, self.zero, self.inf = np.array(n + 1), np.array(0.0), np.array(np.inf)
-        # per (main, backup) state pair: one shared placement record and its
-        # survival factor ``1.0 - f``, f formed as service_failure_probability
-        # forms it; the pairs no stage reaches (state 0 as a main, or a
-        # backup on its main's server) hold None
-        self.vnf_placements: list[list] = [[None] * (n + 1) for _ in states]
-        self.survival: list[list] = [[None] * (n + 1) for _ in states]
-        for x in range(1, n + 1):
-            for y in range(n + 1):
-                if y != x:
-                    f = failure[x - 1] * failure[y - 1] if y else failure[x - 1]
-                    self.vnf_placements[x][y] = VnfPlacement(x - 1, y - 1 if y else None)
-                    self.survival[x][y] = 1.0 - f
         r = infra.num_resources
         self.stock_shape = full + ((r,) if r > 1 else ())
-        # per (type, vnf): the charge of hosting it on each state, the row
-        # its stage tables hold
-        self.terms: list[list[np.ndarray]] = []
         # per type, in search order, one tuple per stage: the vnf index and
         # whether it is a backup stage; the need table, the stock each
         # (predecessor, state) pair needs, of the stock's shape: a main
         # stage's state-0 column, and a backup stage's diagonal (a backup
         # never shares its main's server), ask for ``never``; the draw
         # table, with the demand at row x, column x (state 0 draws
-        # nothing); the charge row and its full table; the reliability
+        # nothing); the charge row, the tables' charges behind a state-0
+        # charge of 0.0, and its full table; the reliability
         # target, one value at a main stage and a full table at a backup
         # stage; for a chain's first VNF, the score ``term + 0.0 + hinge``
         # before the path cost is added, else None; the type's bandwidth and
@@ -155,7 +136,7 @@ class PlacementContext:
         # (main need, backup need, draw) per demand row
         demand_tables: dict[tuple[int, ...], tuple] = {}
         for l, stype in enumerate(catalog):
-            terms, tables = [], []
+            stages = []
             target_rows = np.tile(self.targets[l], (n + 1, 1))
             main_target = np.array(1.0 - stype.failure_cap)
             bandwidth, penalty = np.array(stype.bandwidth), np.array(stype.penalty)
@@ -173,9 +154,7 @@ class PlacementContext:
                         table.reshape(self.stock_shape) for table in (main_need, backup_need, draw)
                     )
                 main_need, backup_need, draw = demand_tables[spec.demands]
-                per_inp = infra.unit_cost @ demand.astype(float)
-                per_inp = per_inp + infra.deployment_cost[:, spec.vnf_type]
-                term = np.concatenate(([0.0], per_inp[infra.server_inp]))
+                term = np.array([0.0] + tables.charges[l][u])
                 charge = np.tile(term, (n + 1, 1))
                 for backup in (False, True):
                     target = target_rows if backup else main_target
@@ -183,16 +162,14 @@ class PlacementContext:
                     if u == 0:
                         up = self.backup_up if backup else self.up_rows
                         base = charge + 0.0 + np.maximum(target - up, 0.0) * stype.penalty
-                    tables.append((
+                    stages.append((
                         u, backup, backup_need if backup else main_need, draw, term, charge,
                         target, base, bandwidth, penalty,
                     ))
-                terms.append(term)
-            self.terms.append(terms)
-            self.stage_tables.append(tables)
+            self.stage_tables.append(stages)
         # every array read-only, with the base that each view keeps; stages
         # share tables, and each is visited once, as setflags is not free
-        stage_arrays = (t for tables in self.stage_tables for stage in tables for t in stage[2:])
+        stage_arrays = (t for stages in self.stage_tables for stage in stages for t in stage[2:])
         arrays = {id(t): t for t in (*vars(self).values(), *self.targets, *stage_arrays)}
         for table in arrays.values():
             while isinstance(table, np.ndarray):
@@ -401,71 +378,31 @@ class TrellisPlacement:
         return True
 
     def _read_out(self, records: list[tuple]) -> TrellisResult:
-        """Pick the terminal state and unwind its path into per-service records.
+        """Pick the terminal state, trace its path back and hand each
+        service's mains and backups to the setup's read-out,
+        :func:`placed_services`, which both placers share.
 
         The pick reads only the final stage's costs and reliabilities, with
-        the last service's hinge added back, and traces the winner's path
-        through the back-pointers. Every state keeps one survivor, so that
-        path fixes each stage's routing charge, recomputed from it in the
-        float order of the reference ``best_move``. Each VNF's placement
-        record and survival factor are the context's, shared by every batch,
-        and its failure probability is their product taken in chain order,
-        as service_failure_probability takes it. The usage of the batch is
-        one flat list of Python ints, each VNF's demand tuple added at its
-        main's and its backup's servers, made one int64 array at the end;
-        each service's usage is an (S, R) row of that array.
+        the last service's hinge added back. Every state keeps one
+        survivor, so that path is the batch's placement.
         """
         ctx = self.context
         final_cost, reliability, _, _ = records[-1]
-        last = self.arrangement[-1]
-        hinge = ctx.targets[last] - reliability
-        np.maximum(hinge, 0.0, out=hinge)
-        hinge *= self.catalog[last].penalty
+        hinge = ctx.targets[self.arrangement[-1]] - reliability
+        np.maximum(hinge, ctx.zero, out=hinge)
+        hinge *= self._tables[-1][-1]  # the last service's penalty
+        hinge += final_cost
         # argmin keeps the first minimum, as a strict "<" scan in state order
-        path = _traceback(records, self.num_stages, int((final_cost + hinge).argmin()))
-
-        link, pairs, survival = ctx.link, ctx.vnf_placements, ctx.survival
-        n, r = self.infra.num_servers, self.infra.num_resources
-        # entry k * S * R + (x - 1) * R + j: service k's usage of resource j
-        # on state x
-        usage = [0] * (len(self.arrangement) * n * r)
-        placements = []
+        path = _traceback(records, self.num_stages, int(hinge.argmin()))
+        # state x is server x - 1, and a backup's state 0 is "no backup";
+        # each service's stages are main then backup per VNF
+        servers = [x - 1 if x else None for x in path]
+        services = []
         end = 0
         for l in self.arrangement:
-            terms, specs, bandwidth = ctx.terms[l], self.catalog[l].vnfs, self.catalog[l].bandwidth
-            # the service's stages, main then backup per VNF
-            first, end = end, end + 2 * len(terms)
-            seg = path[first:end]
-            # where state 0 of this service would start
-            offset = (len(placements) * n - 1) * r
-            cost = 0.0
-            up = 1.0
-            vnfs = []
-            for u, (x, y, term, spec) in enumerate(zip(seg[::2], seg[1::2], terms, specs)):
-                if u:
-                    # main x and backup y each link to the previous vnf's two
-                    # servers; a first VNF routes nothing, and its "+ 0.0" is
-                    # left out, as no cost is ever -0.0
-                    cost = cost + term.item(x) + bandwidth * (link.item(main, x) + link.item(backup, x))
-                    cost = cost + term.item(y) + bandwidth * (link.item(backup, y) + link.item(main, y))
-                else:
-                    cost = cost + term.item(x) + term.item(y)
-                main, backup = x, y
-                vnfs.append(pairs[x][y])
-                up *= survival[x][y]
-                for at, d in enumerate(spec.demands, offset + x * r):
-                    usage[at] += d
-                if y:
-                    for at, d in enumerate(spec.demands, offset + y * r):
-                        usage[at] += d
-            placements.append((l, tuple(vnfs), cost, 1.0 - up))
-
-        usage = np.array(usage, dtype=np.int64).reshape(len(placements), n, r)
-        services = [
-            PlacedService(l, ServicePlacement(l, vnfs), cost, failure, usage[k])
-            for k, (l, vnfs, cost, failure) in enumerate(placements)
-        ]
-        return TrellisResult(True, services, path)
+            first, end = end, end + len(ctx.stage_tables[l])
+            services.append((l, servers[first:end:2], servers[first + 1:end:2]))
+        return TrellisResult(True, placed_services(services, ctx.tables), path)
 
 
 def place_batch(

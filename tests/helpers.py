@@ -297,14 +297,14 @@ class PathState:
     path: tuple[int, ...]
 
 
-def reachable(root):
+def reachable(root, skip=()):
     """Every object reachable from ``root`` through list, tuple and dict
     entries, object attributes and the base of each array view, as a dict
-    from id to object."""
-    todo, seen = [root], {}
+    from id to object; the objects in ``skip`` are not entered."""
+    todo, seen, skipped = [root], {}, {id(obj) for obj in skip}
     while todo:
         obj = todo.pop()
-        if id(obj) in seen:
+        if id(obj) in seen or id(obj) in skipped:
             continue
         seen[id(obj)] = obj
         if isinstance(obj, np.ndarray):
@@ -320,13 +320,19 @@ def reachable(root):
 
 def context_bytes(context):
     """Bytes of the arrays a :class:`nfvplace.PlacementContext` holds itself
-    (its catalog and infrastructure left out), each buffer counted once
-    however many views of it the context keeps."""
-    tables = [v for k, v in vars(context).items() if k not in ("catalog", "infra")]
+    (its catalog and infrastructure left out, also where its baseline
+    tables refer to them), each buffer counted once however many views of
+    it the context keeps."""
     return sum(
-        obj.nbytes for obj in reachable(tables).values()
+        obj.nbytes for obj in reachable(context, skip=(context.catalog, context.infra)).values()
         if isinstance(obj, np.ndarray) and obj.base is None
     )
+
+
+def stage_term(context, l, u):
+    """The charge row of VNF u of type l that ``context``'s stage tables
+    hold, state 0 first; its main and backup stages share it."""
+    return context.stage_tables[l][2 * u][4]
 
 
 def stage_info(tp):
@@ -352,7 +358,7 @@ def best_move(tp, m, preds, x2):
     fail = [1.0] + tp.infra.v[tp.infra.server_inp].tolist()
     bandwidth = stype.bandwidth
     penalty = stype.penalty
-    base = tp.context.terms[l][u].item(x2)
+    base = stage_term(tp.context, l, u).item(x2)
     v2 = fail[x2]
     target = 1.0 if x2 == 0 else 1.0 - stype.failure_cap
     best = None
@@ -425,7 +431,7 @@ def search_pairs(tp, snapshot):
     evaluations = 0
     for m, (l, u, backup) in enumerate(stage_info(tp), start=1):
         r = demands[l][u]
-        term = ctx.terms[l][u]
+        term = stage_term(ctx, l, u)
         prev = stages[-1]
         feas = {x1: (st.remaining >= r).all(axis=1).tolist() for x1, st in prev.items()}
         cur = {}

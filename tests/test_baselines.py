@@ -14,10 +14,16 @@ import nfvplace.baselines as nb
 
 from helpers import (
     backup_cost, backup_probe, backup_scan, choose_backup_reference, protect_cera_rescan,
-    random_tiny_instance, two_resource_setup,
+    random_batch_inputs, random_tiny_instance, two_resource_setup,
 )
 
 BACKUP_BASELINES = ["min_resource", "min_reliability", "cera", "redundant_vnf"]
+
+
+def outcome_figures(svc):
+    """A placed service's or outcome's figures, floats as their bits."""
+    return (svc.type_index, svc.placement, svc.cost.hex(), svc.failure_prob.hex(),
+            svc.usage.tobytes())
 
 
 class TestIds:
@@ -258,12 +264,9 @@ class TestSharedDiscipline:
                 for o in outs:
                     if not o.placed:
                         continue
-                    assert o.cost == pytest.approx(
-                        nv.service_cost(o.placement, infra, catalog).total, abs=1e-9
-                    )
-                    assert o.failure_prob == pytest.approx(
-                        nv.service_failure_probability(o.placement.vnfs, infra), abs=1e-12
-                    )
+                    assert o.cost.hex() == nv.service_cost(o.placement, infra, catalog).total.hex()
+                    assert o.failure_prob.hex() == (
+                        nv.service_failure_probability(o.placement.vnfs, infra).hex())
 
     def test_determinism(self, tiny2):
         infra, catalog = tiny2
@@ -520,34 +523,36 @@ class TestBackupScan:
 
     @pytest.mark.parametrize("name", SCAN_SETUPS)
     def test_outcome_figures_bit_equal_to_model(self, name, bundled, reduced):
+        # the one read-out, fed the heuristics' builds and the trellis's
+        # paths, against the model's reference figures
         infra, catalog = self._setup(name, bundled, reduced)
-        tables = nv.BaselineTables(infra, catalog)
+        context = nv.PlacementContext(catalog, infra)
+        tables = context.tables
         rng = np.random.default_rng(10)
-        checked = 0
+        checked = collections.Counter()
         for _ in range(30):
-            # one call over several builds, some of them unplaced
-            builds = [
-                random_build(rng, infra, catalog) if rng.random() < 0.8 else None
-                for _ in range(int(rng.integers(1, 7)))
-            ]
-            type_indices = [
-                int(rng.integers(len(catalog))) if b is None else b.type_index for b in builds
-            ]
-            outcomes = nb._outcomes(type_indices, builds, tables)
-            assert [o.type_index for o in outcomes] == type_indices
-            for build, o in zip(builds, outcomes, strict=True):
-                if build is None:
-                    assert (o.placement, o.cost, o.failure_prob, o.usage) == (None,) * 4
-                    continue
-                assert o.placement == nv.ServicePlacement(build.type_index, tuple(
-                    nv.VnfPlacement(m, b) for m, b in zip(build.mains, build.backups)))
-                assert o.cost.hex() == nv.service_cost(o.placement, infra, catalog).total.hex()
-                assert o.failure_prob.hex() == (
-                    nv.service_failure_probability(o.placement.vnfs, infra).hex())
-                assert o.usage.dtype == np.int64
-                assert np.array_equal(o.usage, nv.service_usage(o.placement, infra, catalog))
-                checked += 1
-        assert checked > 50
+            # one call over several builds
+            builds = [random_build(rng, infra, catalog) for _ in range(int(rng.integers(1, 7)))]
+            services = [(b.type_index, b.mains, b.backups) for b in builds]
+            records = nb.placed_services(services, tables)
+            # a trellis batch reads its path out through the same call
+            batch = random_batch_inputs(rng, infra, catalog)
+            placed = nv.place_batch(*batch, catalog, infra, context).services
+            paths = [(svc.type_index, [vp.main for vp in svc.placement.vnfs],
+                      [vp.backup for vp in svc.placement.vnfs]) for svc in placed]
+            assert [outcome_figures(svc) for svc in nb.placed_services(paths, tables)] == [
+                outcome_figures(svc) for svc in placed]
+            for (l, mains, backups), svc in zip(services + paths, records + placed, strict=True):
+                assert svc.type_index == svc.placement.type_index == l
+                assert svc.placement.vnfs == tuple(map(nv.VnfPlacement, mains, backups))
+                assert svc.cost.hex() == nv.service_cost(svc.placement, infra, catalog).total.hex()
+                assert svc.failure_prob.hex() == (
+                    nv.service_failure_probability(svc.placement.vnfs, infra).hex())
+                assert svc.usage.dtype == np.int64
+                assert np.array_equal(svc.usage, nv.service_usage(svc.placement, infra, catalog))
+            checked["build"] += len(records)
+            checked["path"] += len(placed)
+        assert checked["build"] > 50 and checked["path"] > 10, checked
 
 
 class TestBackupChoice:
@@ -694,6 +699,24 @@ class TestRunOutputs:
             for baseline in BACKUP_BASELINES:
                 nv.run_baseline(baseline, requests, ledger, infra, catalog, tables=tables)
                 assert ledger.server_idle.tobytes() == before.tobytes()
+
+    def test_outcome_figures_equal_the_read_out(self, bundled):
+        # an outcome's failure figure is service_failure_probability's own
+        # call, which the read-out's equals bit for bit
+        infra, catalog = bundled
+        tables = nv.BaselineTables(infra, catalog)
+        placed = 0
+        for ledger, requests in self._cases(infra, catalog, 11):
+            for baseline in BACKUP_BASELINES:
+                for o in nv.run_baseline(baseline, requests, ledger, infra, catalog, tables=tables):
+                    if not o.placed:
+                        continue
+                    vnfs = o.placement.vnfs
+                    (svc,) = nb.placed_services(
+                        [(o.type_index, [vp.main for vp in vnfs], [vp.backup for vp in vnfs])], tables)
+                    assert outcome_figures(o) == outcome_figures(svc)
+                    placed += 1
+        assert placed > 100
 
     @pytest.mark.parametrize("name", ["bundled", "two_resource", "random-r3"])
     def test_usage_rows_are_each_outcomes_own(self, name, bundled):

@@ -76,6 +76,17 @@ def test_all_lists_exactly_the_imported_names():
     assert set(exported) == set(imported)
 
 
+def fresh_interpreter(script: str) -> str:
+    """The standard output of ``script`` run in a new interpreter that
+    finds the package under ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return out.stdout
+
+
 def test_import_loads_only_the_standard_library_and_numpy():
     # the benchmark's set-up time includes this import, so a heavy
     # dependency added to it would show there
@@ -85,11 +96,31 @@ def test_import_loads_only_the_standard_library_and_numpy():
         "import nfvplace\n"
         "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    loaded = set(out.stdout.split())
+    loaded = set(fresh_interpreter(script).split())
     assert {"nfvplace", "numpy"} <= loaded
     assert sorted(loaded - sys.stdlib_module_names - {"nfvplace", "numpy"}) == []
+
+
+@pytest.mark.parametrize("module", ["nfvplace.trellis", "nfvplace.baselines"])
+def test_placer_module_imports_first(module):
+    # the trellis imports the baselines' tables and read-out; either module
+    # imported first in a new interpreter loads without an import cycle
+    assert fresh_interpreter(f"import {module}; print({module}.__name__)").split() == [module]
+
+
+def test_baselines_import_no_trellis_policy_or_sim():
+    # the shared tables and read-out sit below the placers that use them
+    tree = ast.parse((PACKAGE / "baselines.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            # ``from . import sim`` names the module among the imported names
+            modules |= {base} if node.module else {base + alias.name for alias in node.names}
+    package = {m.removeprefix("nfvplace.").lstrip(".") for m in modules
+               if m.startswith((".", "nfvplace"))}
+    # the walk found the model import, so it reads relative imports
+    assert "model" in package
+    assert not package & {"trellis", "policy", "sim"}

@@ -1,6 +1,7 @@
 """Cost, reliability, usage, and plan-validation arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,79 @@ class TestValidatePlan:
         plan = nv.PlacementPlan((nv.ServicePlacement(0, (nv.VnfPlacement(0),)),))
         names = [v.constraint for v in nv.validate_plan(plan, nv.ResourceLedger.full(infra), infra, (svc,))]
         assert names == ["reliability"]
+
+
+class TestPlacementIndices:
+    """The model's reference figures take only indices that name a server
+    or a type; the rest raise ``ValueError`` naming the service and VNF."""
+
+    @staticmethod
+    def _raises(figure, vp, type_index, message, infra, catalog):
+        """Form ``figure`` of a one-VNF, one-service plan and check that it
+        raises ``message``, after the service's place where a plan names it."""
+        plan = nv.PlacementPlan((nv.ServicePlacement(type_index, (vp,)),))
+        (placement,) = plan.services
+        call = {
+            "cost": lambda: nv.service_cost(placement, infra, catalog),
+            "usage": lambda: nv.service_usage(placement, infra, catalog),
+            "failure": lambda: nv.service_failure_probability(placement.vnfs, infra),
+            "validate": lambda: nv.validate_plan(plan, nv.ResourceLedger.full(infra), infra, catalog),
+        }[figure]
+        if figure == "validate":
+            message = "service 0: " + message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("figure", ["cost", "usage", "failure", "validate"])
+    @pytest.mark.parametrize("vp, message", [
+        # -1 was read as the last server
+        pytest.param(nv.VnfPlacement(-1), "vnf 0: main server -1 is not an integer in range(6)",
+                     id="main-minus-one"),
+        pytest.param(nv.VnfPlacement(0, -1), "vnf 0: backup server -1 is not an integer in range(6)",
+                     id="backup-minus-one"),
+        # True was read as server 1
+        pytest.param(nv.VnfPlacement(True, 2), "vnf 0: main server True is not an integer in range(6)",
+                     id="main-bool"),
+        # 6 and 1.0 raised numpy's IndexError
+        pytest.param(nv.VnfPlacement(6), "vnf 0: main server 6 is not an integer in range(6)",
+                     id="main-past-last"),
+        pytest.param(nv.VnfPlacement(1.0), "vnf 0: main server 1.0 is not an integer in range(6)",
+                     id="main-float"),
+    ])
+    def test_server_outside_infrastructure_rejected(self, reduced, figure, vp, message):
+        self._raises(figure, vp, 0, message, *reduced)
+
+    @pytest.mark.parametrize("figure", ["cost", "usage"])
+    def test_backup_on_its_main_rejected(self, reduced, figure):
+        # charged twice before, although the failure figure refused it
+        infra, catalog = reduced
+        placement = nv.ServicePlacement(0, (nv.VnfPlacement(0, 0),))
+        with pytest.raises(ValueError, match="vnf 0: backup server must differ"):
+            getattr(nv, f"service_{figure}")(placement, infra, catalog)
+
+    def test_validate_plan_reports_a_shared_server(self, reduced):
+        infra, catalog = reduced
+        plan = nv.PlacementPlan((
+            nv.ServicePlacement(0, (nv.VnfPlacement(1, 2),)),
+            nv.ServicePlacement(0, (nv.VnfPlacement(0, 0),)),
+        ))
+        report = nv.validate_plan(plan, nv.ResourceLedger.full(infra), infra, catalog)
+        assert [(v.constraint, v.service) for v in report] == [("distinct-servers", 1)]
+
+    @pytest.mark.parametrize("figure", ["cost", "usage", "validate"])
+    @pytest.mark.parametrize("type_index", [-1, True, 2, 1.0])
+    def test_type_outside_catalog_rejected(self, reduced, figure, type_index):
+        # -1 and True were priced and checked as another type
+        message = f"type index {type_index!r} is not an integer in range(2)"
+        self._raises(figure, nv.VnfPlacement(0), type_index, message, *reduced)
+
+    def test_numpy_integer_indices_accepted(self, reduced):
+        infra, catalog = reduced
+        placement = nv.ServicePlacement(np.int64(0), (nv.VnfPlacement(np.int32(1), np.int64(2)),))
+        plain = nv.ServicePlacement(0, (nv.VnfPlacement(1, 2),))
+        assert nv.service_cost(placement, infra, catalog) == nv.service_cost(plain, infra, catalog)
+        assert np.array_equal(nv.service_usage(placement, infra, catalog),
+                              nv.service_usage(plain, infra, catalog))
 
 
 class TestInfrastructure:

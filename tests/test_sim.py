@@ -470,8 +470,10 @@ class TestBenchTracing:
 
 
 class TestBaselineTables:
-    def test_built_once_per_run(self, bundled, monkeypatch):
-        infra, catalog = bundled
+    def test_built_once_per_run(self, reduced, reduced_policy, monkeypatch):
+        # one table set per run whatever the strategy: the trellis's
+        # placement context holds the setup's tables, and reads them out
+        infra, catalog = reduced
         built = []
         init = nv.BaselineTables.__init__
 
@@ -480,12 +482,12 @@ class TestBaselineTables:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(nv.BaselineTables, "__init__", counting)
-        report = nv.Simulation(infra, catalog, "cera", seed=2).run(50)
-        assert int(report.arrivals.sum()) > 50
-        assert len(built) == 1
-        # strategies that never call a baseline build none
-        nv.Simulation(infra, catalog, "trellis", seed=2).run_slot()
-        assert len(built) == 1
+        for strategy in nv.sim.STRATEGY_IDS:
+            policy = reduced_policy if strategy == "mdp" else None
+            report = nv.Simulation(infra, catalog, strategy, policy=policy, seed=2).run(50)
+            assert int(report.admissions.sum()) > 0
+            assert len(built) == 1, strategy
+            built.clear()
 
 
 class TestPlacementContextPerRun:
