@@ -74,6 +74,10 @@ class ResourceEstimator:
     row-major order, with its float64 bytes kept as the state's memo key;
     the key is formed again only after an update has moved the row.
 
+    For finite samples every row stays finite, within ``[0, capacity]`` and
+    free of -0.0, as each blend is clipped at both edges; the solver passes
+    rows to the trellis unchecked, and a row is the empty admission's sample.
+
     A row also keeps the tuple samples it came back settled for (see
     :meth:`update`), by identity, until it moves: a tuple cannot change,
     so passing one of them again skips the blend and only steps down.
@@ -192,6 +196,13 @@ def score_outcome(
     return reward, tuple(counts), usage
 
 
+def _empty_admission(omega: np.ndarray) -> tuple[float, int, tuple[float, ...]]:
+    """The memo entry of the empty admission on the flat snapshot ``omega``:
+    its batch places nothing, so it earns 0.0, admits nothing and observes
+    ``omega - 0.0``, which is ``omega`` bit for bit."""
+    return 0.0, 0, tuple(omega.tolist())
+
+
 def generate_arrangements(
     action: Sequence[int], count: int, rng: np.random.Generator
 ) -> list[tuple[int, ...]]:
@@ -239,7 +250,9 @@ class _ArrangementLedger:
 
 
 class SweepCounts(NamedTuple):
-    """Deterministic work counts of one value-iteration sweep."""
+    """Deterministic work counts of one value-iteration sweep: the distinct
+    inputs scored afresh (closed-form empty admissions included), the
+    scorings that reused one, and the distinct destinations backed up."""
 
     trellis_searches: int
     memo_hits: int
@@ -366,25 +379,30 @@ def value_iteration(
     The trellis search runs once per distinct (action, arrangement,
     snapshot) input of the call; a repeated input reuses that outcome,
     but still updates the estimator and the arrangement ledger, so the
-    result is the same as scoring every input afresh. A sweep first scores
-    every (state, action) pair in state order into flat reward and
-    destination buffers, then backs them up in numpy: the expected
-    previous-sweep value after each distinct post-admission active vector
-    is computed once, and each state's new value is the maximum over its
-    pairs. ``Policy.sweep_counts`` records both savings. Only after the
-    last sweep does each state take its first best pair, as a scan in
-    feasible-action order would, for the returned action and order.
+    result is the same as scoring every input afresh. The empty admission
+    is scored in closed form, without a trellis, and the other inputs go
+    to the trellis without its input checks: the solver builds them
+    itself, from ``feasible_actions``, ``generate_arrangements`` and the
+    estimator's clipped rows. A sweep first scores every (state, action)
+    pair in state order into flat reward and destination buffers, then
+    backs them up in numpy: the expected previous-sweep value after each
+    distinct post-admission active vector is computed once, and each
+    state's new value is the maximum over its pairs.
+    ``Policy.sweep_counts`` records both savings. Only after the last sweep
+    does each state take its first best pair, as a scan in feasible-action
+    order would, for the returned action and order.
 
     The scoring table settles for good after a sweep that ran with every
     arrangement pool spent (``sweep > num_arrangements``) and whose every
     estimator update reported its row settled (see
     :meth:`ResourceEstimator.update`). No estimate moved in that sweep, so
-    the next sweep reads the same snapshots and orders, finds every input
-    in the memo and makes the same updates at smaller steps, which leave
-    every row as it is again. Each later sweep therefore only replays that
-    sweep's updates, listed once, so the estimator's steps and call count
-    stay as if scored, and backs up the same table through the same
-    distinct destinations.
+    the next sweep would read the same snapshots and orders, find every
+    input in the memo and make the same updates at smaller steps, which
+    leave every row as it is again: it would score the same table. Each
+    later sweep therefore only backs that table up, through the same
+    distinct destinations and their departure rows, kept from that sweep.
+    The estimator's steps stop where that sweep left them; nothing reads
+    them after the solve.
     """
     params = MdpParams(**settings)
     if params.epsilon is None:
@@ -416,11 +434,10 @@ def value_iteration(
     num_pairs = len(actions)
     starts = np.array(bounds[:-1], dtype=np.int64)
     pair_counts = np.diff(bounds)
-    # per pair, from the last scoring pass: reward, destination active
-    # ordinal and the sample its update blended in (None for no update)
+    # per pair, from the last scoring pass: reward and destination active
+    # ordinal
     rewards = array("d", bytes(8 * num_pairs))
     dests = array("q", bytes(8 * num_pairs))
-    samples: list[tuple | None] = [None] * num_pairs
     reward_view = np.frombuffer(rewards)
     dest_view = np.frombuffer(dests, dtype=np.int64)
     # trellis outcome per exact (action, arrangement, snapshot bytes) input:
@@ -438,13 +455,7 @@ def value_iteration(
 
     for sweep in range(1, params.max_iterations + 1):
         searches = 0
-        if settled:
-            # the settled sweep's updates, in order: each leaves its row
-            # bit-equal and only steps it down
-            update = estimator.update
-            for dest, sample in replay:
-                update(dest, sample)
-        else:
+        if not settled:
             settled = sweep > num_arrangements
             for sid in range(space.size):
                 eta = sid % space.num_active + 1
@@ -458,14 +469,19 @@ def value_iteration(
                         searches += 1
                         # the estimate as this state's visit began: an
                         # update from an earlier action may have moved it
-                        omega = np.frombuffer(omega_bytes).reshape(usage_shape)
-                        outcome = TrellisPlacement(action, rho, omega, catalog, infra, context).run()
-                        if outcome.valid:
-                            reward, admitted, used = score_outcome(action, outcome, catalog, usage_shape)
-                            offset = sum(a * d for a, d in zip(admitted, strides))
-                            scored = (reward, offset, tuple((omega - used).ravel().tolist()))
+                        omega = np.frombuffer(omega_bytes)
+                        if not rho:
+                            scored = _empty_admission(omega)
                         else:
-                            scored = None
+                            # unchecked: the solver built every input itself
+                            outcome = TrellisPlacement(action, rho, omega.reshape(usage_shape),
+                                                       catalog, infra, context, _checked=False).run()
+                            if outcome.valid:
+                                reward, admitted, used = score_outcome(action, outcome, catalog, usage_shape)
+                                offset = sum(a * d for a, d in zip(admitted, strides))
+                                scored = (reward, offset, tuple((omega - used.ravel()).tolist()))
+                            else:
+                                scored = None
                         scores[key] = scored
                     if scored is not None:
                         reward, offset, sample = scored
@@ -477,22 +493,20 @@ def value_iteration(
                             settled = False
                         ledger.record(reward, rho)
                     else:
-                        reward, dest, sample = 0.0, eta, None
+                        reward, dest = 0.0, eta
                     rewards[p] = reward
                     dests[p] = dest
-                    samples[p] = sample
 
-            # a replayed sweep keeps this sweep's destinations and updates
+            # a settled sweep's successors back up through its destinations
+            # and their departure rows
             distinct = np.flatnonzero(np.bincount(dest_view)).tolist()
-            sources = [active_vecs[dest - 1] for dest in distinct]
-            if settled:
-                replay = [(d, x) for d, x in zip(dests, samples) if x is not None]
+            departures = [model.departure_row(active_vecs[dest - 1]) for dest in distinct]
 
         # Bellman backup of the pair table against the previous sweep
         expected_prev = model.arrival_probs @ values.reshape(space.num_arrival, space.num_active)
         continuation = np.zeros(space.num_active + 1)
-        for dest, source in zip(distinct, sources):
-            continuation[dest] = model.departure_row(source).dot(expected_prev)
+        for dest, row in zip(distinct, departures):
+            continuation[dest] = row.dot(expected_prev)
         q = reward_view + gamma * continuation[dest_view]
         # no q is -0.0: no reward is (each starts at 0.0 and only adds and
         # subtracts), and a sum is -0.0 only when both terms are. So each

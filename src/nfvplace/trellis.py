@@ -183,9 +183,12 @@ class TrellisPlacement:
     ``action[l]`` counts requested services per type and ``arrangement``
     lists the order they are threaded through the trellis; it must contain
     exactly ``action[l]`` occurrences of each type ``l``. ``snapshot`` is
-    the idle server stock the batch may consume (integer or float).
-    ``context`` holds the per-setup tables and must come from these same
-    ``catalog`` and ``infra`` objects; one is built when none is given.
+    the idle server stock the batch may consume, an array of integers (not
+    bools) or real floats. ``context`` holds the per-setup tables and must
+    come from these same ``catalog`` and ``infra`` objects; one is built
+    when none is given. ``_checked=False`` skips every input check, for a
+    caller that built them all valid: tuples of Python ints and a snapshot
+    array of the right shape within ``[0, capacity]``.
     """
 
     def __init__(
@@ -196,35 +199,41 @@ class TrellisPlacement:
         catalog: Catalog,
         infra: Infrastructure,
         context: PlacementContext | None = None,
+        *,
+        _checked: bool = True,
     ) -> None:
-        if context is not None and (context.catalog is not catalog or context.infra is not infra):
-            raise ValueError("placement context was built for another catalog or infrastructure")
-        if len(action) != len(catalog):
-            raise ValueError("action length must match the catalog")
-        for a in action:
-            if type(a) is not int and not is_integer(a):
-                raise ValueError(f"action count {a!r} is not an integer")
-        if min(action, default=0) < 0:
-            raise ValueError("action counts must be non-negative")
-        arrangement = tuple(arrangement)
-        # equal lengths and equal counts of every type leave no room for an
-        # entry that names no type, only for a bool or a float equal to one
-        if len(arrangement) != sum(action) or any(
-            arrangement.count(l) != a for l, a in enumerate(action)
-        ):
-            raise ValueError("arrangement must contain action[l] services of each type l")
-        arrangement = check_type_indices(arrangement, catalog)
-        snap = np.asarray(snapshot)
-        if snap.shape != (infra.num_servers, infra.num_resources):
-            raise ValueError("snapshot shape must be (servers, resources)")
-        # written so that NaN fails too
-        if not (
-            np.minimum.reduce(snap, axis=None) >= 0
-            and np.logical_and.reduce(snap <= infra.capacity, axis=None)
-        ):
-            raise ValueError("snapshot must lie within [0, capacity]")
+        if _checked:
+            if context is not None and (context.catalog is not catalog or context.infra is not infra):
+                raise ValueError("placement context was built for another catalog or infrastructure")
+            if len(action) != len(catalog):
+                raise ValueError("action length must match the catalog")
+            for a in action:
+                if type(a) is not int and not is_integer(a):
+                    raise ValueError(f"action count {a!r} is not an integer")
+            if min(action, default=0) < 0:
+                raise ValueError("action counts must be non-negative")
+            arrangement = tuple(arrangement)
+            # equal lengths and equal counts of every type leave no room for an
+            # entry that names no type, only for a bool or a float equal to one
+            if len(arrangement) != sum(action) or any(
+                arrangement.count(l) != a for l, a in enumerate(action)
+            ):
+                raise ValueError("arrangement must contain action[l] services of each type l")
+            arrangement = tuple(check_type_indices(arrangement, catalog))
+            snapshot = np.asarray(snapshot)
+            # kind "i" and "u" are the integers bar bool, "f" the real floats
+            if snapshot.dtype.kind not in "iuf":
+                raise ValueError("snapshot must hold integers or floats")
+            if snapshot.shape != (infra.num_servers, infra.num_resources):
+                raise ValueError("snapshot shape must be (servers, resources)")
+            # written so that NaN fails too
+            if not (
+                np.minimum.reduce(snapshot, axis=None) >= 0
+                and np.logical_and.reduce(snapshot <= infra.capacity, axis=None)
+            ):
+                raise ValueError("snapshot must lie within [0, capacity]")
 
-        self.arrangement = tuple(arrangement)
+        self.arrangement = arrangement
         self.catalog = catalog
         self.infra = infra
         self.context = context if context is not None else PlacementContext(catalog, infra)
@@ -232,10 +241,10 @@ class TrellisPlacement:
         # dtype (an unsigned stock cannot take an int64 subtraction), one
         # row that every state views at stride 0, as np.broadcast_to would
         # at a tenth of the cost; never written, as each stage takes a copy
-        stock_dtype = np.promote_types(snap.dtype, np.int8)
-        row = np.empty((snap.shape[0] + 1, snap.shape[1]), dtype=stock_dtype)
+        stock_dtype = np.promote_types(snapshot.dtype, np.int8)
+        row = np.empty((snapshot.shape[0] + 1, snapshot.shape[1]), dtype=stock_dtype)
         row[0] = self.context.pad
-        row[1:] = snap
+        row[1:] = snapshot
         shape = self.context.stock_shape
         self._stock = np.ndarray(shape, stock_dtype, row, 0, (0,) + row.strides[: len(shape) - 1])
 

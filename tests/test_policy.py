@@ -208,6 +208,48 @@ class TestResourceEstimator:
         assert est.alpha == alpha
         assert skipped > 100
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 5),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+        ),
+        max_size=40,
+    ))
+    def test_rows_stay_finite_within_capacity(self, updates):
+        # the solver hands rows to the trellis unchecked and takes one as
+        # the empty admission's sample, so no finite sample, negative or
+        # above capacity, may leave a row out of [0, capacity], non-finite
+        # or at -0.0
+        infra = reduced_setup()[0]
+        svc = nv.ServiceType(0.5, 0.5, 1.0, (nv.VnfSpec(0, (1,)),), (0.5, 0.5), 10.0, 4, name="s")
+        est = nv.ResourceEstimator(nv.build_state_space((svc,)), infra)
+        capacity = infra.capacity.astype(float).ravel().tolist()
+        for eta, sample in updates:
+            est.update(eta, tuple(sample))
+            for row in est.rows:
+                for x, c in zip(row, capacity):
+                    assert math.isfinite(x) and 0.0 <= x <= c and math.copysign(1.0, x) == 1.0
+
+
+class TestEmptyAdmission:
+    @pytest.mark.parametrize("setup", ["reduced", "two_resource", "bundled"])
+    def test_closed_form_equals_the_trellis_score(self, setup, request):
+        infra, catalog = request.getfixturevalue(setup)
+        shape = infra.capacity.shape
+        capacity = infra.capacity.astype(float)
+        rng = np.random.default_rng(4)
+        fraction = rng.uniform(size=shape) * capacity
+        fraction[0] = 0.0
+        empty = (0,) * len(catalog)
+        for omega in (np.zeros(shape), capacity, fraction):
+            outcome = nv.TrellisPlacement(empty, (), omega, catalog, infra).run()
+            reward, admitted, used = score_outcome(empty, outcome, catalog, shape)
+            assert outcome.valid and admitted == empty
+            reward_cf, offset, sample = policy_module._empty_admission(omega.ravel())
+            assert (reward_cf.hex(), offset) == (reward.hex(), 0)
+            assert [x.hex() for x in sample] == [x.hex() for x in (omega - used).ravel().tolist()]
+
 
 class TestArrangements:
     def test_all_orderings_reachable(self):
@@ -495,9 +537,9 @@ class TestReducedSolveReference:
         updates = []
 
         class CountingPlacement(nv.TrellisPlacement):
-            def __init__(self, action, arrangement, snapshot, *args):
+            def __init__(self, action, arrangement, snapshot, *args, **kwargs):
                 inputs.append((tuple(action), tuple(arrangement), np.asarray(snapshot).tobytes()))
-                super().__init__(action, arrangement, snapshot, *args)
+                super().__init__(action, arrangement, snapshot, *args, **kwargs)
 
         update = nv.ResourceEstimator.update
 
@@ -507,12 +549,37 @@ class TestReducedSolveReference:
 
         monkeypatch.setattr(policy_module, "TrellisPlacement", CountingPlacement)
         monkeypatch.setattr(nv.ResourceEstimator, "update", counting_update)
-        _reduced_solve(seed=1)
-        # 363 distinct inputs among the 8,568 scorings of this solve; the
-        # estimator still learns from every valid scoring, repeats included
-        assert len(inputs) == len(set(inputs)) == 363
-        assert len(updates) == 5417
+        policy = _reduced_solve(seed=1)
+        # 363 distinct inputs among the 8,568 scorings of this solve; the 108
+        # empty admissions among them are scored without a trellis. The
+        # estimator learns from every valid scoring of the 15 scored sweeps,
+        # repeats included
+        assert sum(c.trellis_searches for c in policy.sweep_counts) == 363
+        assert len(inputs) == len(set(inputs)) == 255
+        assert all(arrangement for _, arrangement, _ in inputs)
+        assert len(updates) == 1289
 
+    def test_checked_entry_gives_the_same_solve(self, monkeypatch):
+        # every trellis the solver builds, built through the checked entry
+        built = []
+
+        class CheckedPlacement(nv.TrellisPlacement):
+            def __init__(self, *args, _checked=True):
+                built.append(_checked)
+                super().__init__(*args)
+
+        monkeypatch.setattr(policy_module, "TrellisPlacement", CheckedPlacement)
+        checked = _reduced_solve(seed=1)
+        monkeypatch.undo()
+        assert built and not any(built)
+        ref = _reduced_solve(seed=1)
+        assert (checked.actions, checked.arrangements) == (ref.actions, ref.arrangements)
+        assert checked.values.tobytes() == ref.values.tobytes()
+        assert (checked.mean_value_trace, checked.sup_diff_trace) == (
+            ref.mean_value_trace, ref.sup_diff_trace
+        )
+        assert checked.sweep_counts == ref.sweep_counts
+        assert _sha256(checked.values.tobytes()) == REDUCED_SOLVE_BITS[1][0]
 
     def test_each_continuation_value_is_computed_once_per_sweep(self, monkeypatch):
         rows = []
@@ -526,9 +593,9 @@ class TestReducedSolveReference:
             rows.append(tuple(source))
             return departure_row(self, source)
 
-        def counting_init(self, *args):
+        def counting_init(self, *args, **kwargs):
             constructions.append(args[0])
-            init(self, *args)
+            init(self, *args, **kwargs)
 
         def counting_update(self, *args):
             updates.append(args[0])
@@ -540,17 +607,21 @@ class TestReducedSolveReference:
         policy = _reduced_solve(seed=1)
         counts = policy.sweep_counts
         assert len(counts) == policy.iterations == 63
-        # one departure row per distinct post-admission source per sweep,
-        # against one per scoring (8,568) before
-        assert len(rows) == sum(c.continuations for c in counts) == 1134
+        # one continuation per distinct post-admission source per sweep,
+        # against one per scoring (8,568) before; the departure rows are
+        # formed in the 15 scored sweeps and kept for the settled ones
+        assert sum(c.continuations for c in counts) == 1134
+        assert len(rows) == sum(c.continuations for c in counts[:15]) == 270
         assert max(c.continuations for c in counts) <= 18
         # every sweep scores each (state, action) pair once
         infra, catalog = reduced_setup()
         space = nv.build_state_space(catalog)
         pairs = sum(len(space.feasible_actions(*space.state_of(sid))) for sid in range(space.size))
         assert all(c.trellis_searches + c.memo_hits == pairs for c in counts)
-        assert len(constructions) == sum(c.trellis_searches for c in counts) == 363
-        assert len(updates) == 5417
+        # every distinct input but the 108 empty admissions builds a trellis
+        assert sum(c.trellis_searches for c in counts) == 363
+        assert len(constructions) == 255
+        assert len(updates) == 1289
 
 
 class TestSeedThreeSolveCounts:
@@ -569,9 +640,9 @@ class TestSeedThreeSolveCounts:
             rows.append(tuple(source))
             return departure_row(self, source)
 
-        def counting_init(self, *args):
+        def counting_init(self, *args, **kwargs):
             constructions.append(args[0])
-            init(self, *args)
+            init(self, *args, **kwargs)
 
         def counting_update(self, *args):
             updates.append(args[0])
@@ -585,8 +656,10 @@ class TestSeedThreeSolveCounts:
             [[list(a) for a in policy.actions], [list(r) for r in policy.arrangements]]
         ).encode()
         assert _sha256(plan) == "11c622b5ca739c5304282f6d5c12bfdee4d5529a82e67f81eaae930ed1146246"
+        # the empty admissions are scored without a trellis, and the
+        # settled sweeps neither update the estimator nor form departure rows
         assert (len(constructions), len(updates), len(rows), policy.iterations) == (
-            355, 5417, 1134, 63
+            250, 1289, 270, 63
         )
         assert sum(c.trellis_searches for c in policy.sweep_counts) == 355
         assert sum(c.continuations for c in policy.sweep_counts) == 1134

@@ -441,6 +441,17 @@ class TestBenchTracing:
         infra, catalog = reduced
         space = nv.build_state_space(catalog)
         tracer = tracing.Tracer()
+        # each scored state visit reads its snapshot key once and scores the
+        # empty admission on it, which builds no trellis
+        snapshots = set()
+        key = nv.ResourceEstimator.key
+
+        def recording_key(self, eta):
+            snapshot = key(self, eta)
+            snapshots.add(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(nv.ResourceEstimator, "key", recording_key)
         with tracer.installed():
             tracer.phase = "policy"
             policy = nv.value_iteration(space, nv.TransitionModel(space, catalog), catalog, infra, seed=42)
@@ -452,6 +463,11 @@ class TestBenchTracing:
         calls, counts = tracer.calls, tracer.counts
         for name in ("trellis.constructions", "policy.estimator_update"):
             assert counts[("policy", name)] > 0, name
+        # the solve builds one trellis per distinct non-empty input, through
+        # the constructor the tracer patches
+        searches = sum(c.trellis_searches for c in policy.sweep_counts)
+        assert counts[("policy", "trellis.constructions")] == searches - len(snapshots) > 0
+        assert len(tracer.trellis_inputs) == searches - len(snapshots)
         for name in ("sim.place_batch", "trellis.run", "sim.sample", "sim.ledger"):
             assert calls[("sim", name)] > 0, name
         for name in ("baselines.min_resource", "baselines.min_reliability",

@@ -323,6 +323,44 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="within"):
             nv.TrellisPlacement((1, 0, 0, 0), (0,), snap, catalog, infra)
 
+    @pytest.mark.parametrize("dtype", [bool, complex, object, "m8[s]", str])
+    def test_snapshot_of_another_dtype_rejected(self, reduced, dtype):
+        # a bool snapshot would read as 0/1 units, a str one fail inside numpy
+        infra, catalog = reduced
+        snap = full_snapshot(infra).astype(dtype)
+        for place in (nv.TrellisPlacement, nv.place_batch):
+            with pytest.raises(ValueError, match="^snapshot must hold integers or floats$"):
+                place((1, 0), (0,), snap, catalog, infra)
+
+    @pytest.mark.parametrize("dtype", ["int8", "uint8", "int16", "float32", "float64"])
+    def test_integer_and_float_snapshots_accepted(self, reduced, dtype):
+        infra, catalog = reduced
+        context = nv.PlacementContext(catalog, infra)
+        for action, arrangement, snapshot in random_batches(infra, catalog, seed=5, cases=20):
+            snapshot = snapshot.astype(np.int64)
+            wide = nv.TrellisPlacement(action, arrangement, snapshot, catalog, infra, context)
+            narrow = nv.TrellisPlacement(
+                action, arrangement, snapshot.astype(dtype), catalog, infra, context
+            )
+            assert outcome_record(narrow, narrow.run()) == outcome_record(wide, wide.run())
+
+
+class TestUncheckedEntry:
+    @pytest.mark.parametrize("setup", ["reduced", "bundled", "two_resource"])
+    def test_same_outcomes_as_the_checked_entry(self, setup, request):
+        # the solver's inputs: tuples of Python ints, and an integer or
+        # float snapshot within [0, capacity]
+        infra, catalog = request.getfixturevalue(setup)
+        context = nv.PlacementContext(catalog, infra)
+        valid = set()
+        for batch in random_batches(infra, catalog, seed=23):
+            checked = nv.TrellisPlacement(*batch, catalog, infra, context)
+            unchecked = nv.TrellisPlacement(*batch, catalog, infra, context, _checked=False)
+            record = outcome_record(checked, checked.run())
+            assert outcome_record(unchecked, unchecked.run()) == record
+            valid.add(record[0])
+        assert valid == {True, False}
+
 
 class TestSelfConsistency:
     def test_reported_figures_match_model(self, request, rng):
